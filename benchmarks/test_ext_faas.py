@@ -2,13 +2,12 @@
 
 Replays the ``repro faas`` scenario — a vision function on a
 container-based FaaS platform serving the sparse diurnal trace — and
-records ``results/BENCH_faas_cli.json`` (the harness references live
-in ``results/BENCH_faas*.json``, written by ``repro faas-bench``).
-The structural claims under test: nighttime gaps exceed the keep-alive
-window so scale-to-zero forces cold starts, cold-start p99 inflates at
-least 2x over warm p99, the GB-second meter bills every invocation,
-and the what-if analysis reports a finite break-even QPS that the
-daylight peak actually crosses.
+records ``results/BENCH_faas_cli.json``.  The structural claims under
+test: nighttime gaps exceed the keep-alive window so scale-to-zero
+forces cold starts, cold-start p99 inflates at least 2x over warm p99,
+the GB-second meter bills every invocation, and the what-if analysis
+reports a finite break-even QPS that the daylight peak actually
+crosses.
 """
 
 import json

@@ -21,41 +21,21 @@ Commands
                         at several scene-change rates; print the
                         tier-by-tier hit table, uplink bytes saved,
                         and p95 with/without the cache
-``bench``               run the BENCH_core perf harness: time each
-                        optimized hot path against its preserved seed
-                        implementation, optionally write results JSON
-                        and check them against a committed reference
-``fluid``               run the BENCH_fluid harness: replay saturated
-                        farm traces through the exact DES and the
-                        hybrid fluid/DES engine, verify the parity
-                        contract, and time both engines
 ``profile``             run deterministic serving scenarios with the
                         sim-time profiler and exemplars enabled; print
                         the cost tree, folded stacks, the exemplar-
                         joined tail attribution, and the fluid regime
                         timeline
-``profile-bench``       run the BENCH_profile harness: verify the
-                        zero-cost-when-disabled contract (scrapes stay
-                        byte-identical) and bound the enabled
-                        profiler's overhead
 ``faas``                replay a sparse nighttime diurnal trace
                         through the serverless backend: cold-start
                         p99 inflation, scale-to-zero reaping, the
                         GB-second cost meter, and the serverless-vs-
                         provisioned break-even
-``faas-bench``          run the BENCH_faas harness: the serverless
-                        backend vs a provisioned replica on the same
-                        sparse trace, and scale-to-zero vs never-reap
 ``sweep``               fan a seed-replicated sparse-diurnal sweep
                         across worker processes; print the
                         deterministic per-shard table, aggregate
                         confidence intervals, and merged quantiles
                         (byte-identical output for any --jobs)
-``sweep-bench``         run the BENCH_sweep harness: the same sweep
-                        sequential vs pooled, verifying merged
-                        scrapes stay byte-identical and gating the
-                        wall-clock speedup with a core-count-aware
-                        floor
 """
 
 from __future__ import annotations
@@ -896,71 +876,6 @@ def _cmd_network(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.perf.bench import (
-        check_regression,
-        load_results,
-        render_results,
-        run_bench,
-        write_results,
-    )
-
-    if args.check and not 0.0 <= args.tolerance < 1.0:
-        raise ValueError("tolerance must lie in [0, 1)")
-    mode = "quick" if args.quick else "full"
-    print(f"BENCH_core ({mode} workloads, best of "
-          f"{args.repeats or ('2' if args.quick else '4')} repeats)")
-    results = run_bench(quick=args.quick, repeats=args.repeats,
-                        jobs=args.jobs)
-    print(render_results(results))
-    if args.out:
-        write_results(results, args.out)
-        print(f"wrote {args.out}")
-    if args.check:
-        reference = load_results(args.check)
-        failures = check_regression(results, reference,
-                                    tolerance=args.tolerance)
-        if failures:
-            print(f"== regression check vs {args.check}: FAIL ==")
-            for failure in failures:
-                print(f"  {failure}")
-            return 1
-        print(f"== regression check vs {args.check}: ok ==")
-    return 0
-
-
-def _cmd_fluid(args: argparse.Namespace) -> int:
-    from repro.perf.bench import (
-        check_regression,
-        load_results,
-        render_results,
-        run_fluid_bench,
-        write_results,
-    )
-
-    if args.check and not 0.0 <= args.tolerance < 1.0:
-        raise ValueError("tolerance must lie in [0, 1)")
-    mode = "quick" if args.quick else "full"
-    print(f"BENCH_fluid ({mode} traces, best of "
-          f"{args.repeats or ('2' if args.quick else '1')} repeats)")
-    results = run_fluid_bench(quick=args.quick, repeats=args.repeats)
-    print(render_results(results))
-    if args.out:
-        write_results(results, args.out)
-        print(f"wrote {args.out}")
-    if args.check:
-        reference = load_results(args.check)
-        failures = check_regression(results, reference,
-                                    tolerance=args.tolerance)
-        if failures:
-            print(f"== regression check vs {args.check}: FAIL ==")
-            for failure in failures:
-                print(f"  {failure}")
-            return 1
-        print(f"== regression check vs {args.check}: ok ==")
-    return 0
-
-
 def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.continuum.network import get_link
     from repro.continuum.pipeline import ContinuumReplayer
@@ -1126,38 +1041,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         pathlib.Path(args.out).write_text(text)
         print(f"wrote {args.out}")
-    return 0
-
-
-def _cmd_profile_bench(args: argparse.Namespace) -> int:
-    from repro.perf.bench import (
-        check_regression,
-        load_results,
-        render_results,
-        run_profile_bench,
-        write_results,
-    )
-
-    if args.check and not 0.0 <= args.tolerance < 1.0:
-        raise ValueError("tolerance must lie in [0, 1)")
-    mode = "quick" if args.quick else "full"
-    print(f"BENCH_profile ({mode} workloads, best of "
-          f"{args.repeats or ('2' if args.quick else '4')} repeats)")
-    results = run_profile_bench(quick=args.quick, repeats=args.repeats)
-    print(render_results(results))
-    if args.out:
-        write_results(results, args.out)
-        print(f"wrote {args.out}")
-    if args.check:
-        reference = load_results(args.check)
-        failures = check_regression(results, reference,
-                                    tolerance=args.tolerance)
-        if failures:
-            print(f"== regression check vs {args.check}: FAIL ==")
-            for failure in failures:
-                print(f"  {failure}")
-            return 1
-        print(f"== regression check vs {args.check}: ok ==")
     return 0
 
 
@@ -1366,38 +1249,6 @@ def _cmd_faas(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_faas_bench(args: argparse.Namespace) -> int:
-    from repro.perf.bench import (
-        check_regression,
-        load_results,
-        render_results,
-        run_faas_bench,
-        write_results,
-    )
-
-    if args.check and not 0.0 <= args.tolerance < 1.0:
-        raise ValueError("tolerance must lie in [0, 1)")
-    mode = "quick" if args.quick else "full"
-    print(f"BENCH_faas ({mode} workloads, best of "
-          f"{args.repeats or ('2' if args.quick else '4')} repeats)")
-    results = run_faas_bench(quick=args.quick, repeats=args.repeats)
-    print(render_results(results))
-    if args.out:
-        write_results(results, args.out)
-        print(f"wrote {args.out}")
-    if args.check:
-        reference = load_results(args.check)
-        failures = check_regression(results, reference,
-                                    tolerance=args.tolerance)
-        if failures:
-            print(f"== regression check vs {args.check}: FAIL ==")
-            for failure in failures:
-                print(f"  {failure}")
-            return 1
-        print(f"== regression check vs {args.check}: ok ==")
-    return 0
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.serving.exporter import export_registry
     from repro.sweep import (
@@ -1501,43 +1352,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         pathlib.Path(args.out).write_text(
             json.dumps(doc, indent=2, sort_keys=True) + "\n")
         print(f"wrote {args.out}")
-    return 0
-
-
-def _cmd_sweep_bench(args: argparse.Namespace) -> int:
-    from repro.perf.bench import (
-        check_regression,
-        load_results,
-        render_results,
-        run_sweep_bench,
-        write_results,
-    )
-
-    if args.check and not 0.0 <= args.tolerance < 1.0:
-        raise ValueError("tolerance must lie in [0, 1)")
-    mode = "quick" if args.quick else "full"
-    print(f"BENCH_sweep ({mode} workloads, best of "
-          f"{args.repeats or ('2' if args.quick else '3')} repeats)")
-    results = run_sweep_bench(quick=args.quick, repeats=args.repeats,
-                              jobs=args.jobs)
-    print(render_results(results))
-    print(f"pool: {results['jobs']} job(s) on "
-          f"{results['cpu_count']} core(s); floor "
-          f"{results['scenarios']['sweep_parallel_replay']['min_speedup']:.2f}x "
-          "(core-count aware)")
-    if args.out:
-        write_results(results, args.out)
-        print(f"wrote {args.out}")
-    if args.check:
-        reference = load_results(args.check)
-        failures = check_regression(results, reference,
-                                    tolerance=args.tolerance)
-        if failures:
-            print(f"== regression check vs {args.check}: FAIL ==")
-            for failure in failures:
-                print(f"  {failure}")
-            return 1
-        print(f"== regression check vs {args.check}: ok ==")
     return 0
 
 
@@ -1749,48 +1563,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_network)
 
     p = sub.add_parser(
-        "bench",
-        help="time each optimized hot path against its seed "
-             "implementation; optionally gate on a committed reference")
-    p.add_argument("--quick", action="store_true",
-                   help="smaller workloads (CI smoke test)")
-    p.add_argument("--repeats", type=int, default=None,
-                   help="timing repeats per side (default 4, 2 with "
-                        "--quick)")
-    p.add_argument("--out", default=None,
-                   help="write the results JSON here")
-    p.add_argument("--check", default=None,
-                   help="reference results JSON to gate against "
-                        "(exit 1 on regression)")
-    p.add_argument("--tolerance", type=float, default=0.5,
-                   help="allowed relative loss vs the reference "
-                        "speedup (0.5 = half)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="fan scenarios across this many worker "
-                        "processes (timings then share the machine; "
-                        "references should come from --jobs 1)")
-    p.set_defaults(func=_cmd_bench)
-
-    p = sub.add_parser(
-        "fluid",
-        help="verify and time the hybrid fluid/DES engine against the "
-             "exact replay on saturated traces")
-    p.add_argument("--quick", action="store_true",
-                   help="smaller traces (CI smoke test)")
-    p.add_argument("--repeats", type=int, default=None,
-                   help="timing repeats per side (default 1, 2 with "
-                        "--quick)")
-    p.add_argument("--out", default=None,
-                   help="write the results JSON here")
-    p.add_argument("--check", default=None,
-                   help="reference results JSON to gate against "
-                        "(exit 1 on regression)")
-    p.add_argument("--tolerance", type=float, default=0.5,
-                   help="allowed relative loss vs the reference "
-                        "speedup (0.5 = half)")
-    p.set_defaults(func=_cmd_fluid)
-
-    p = sub.add_parser(
         "profile",
         help="run deterministic serving scenarios with the profiler "
              "and exemplars on; print the sim-time cost tree, folded "
@@ -1828,25 +1600,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the continuum folded stacks here "
                         "(collapsed flamegraph text)")
     p.set_defaults(func=_cmd_profile)
-
-    p = sub.add_parser(
-        "profile-bench",
-        help="measure the profiler's overhead contract: attached-but-"
-             "disabled must be free, enabled must stay cheap")
-    p.add_argument("--quick", action="store_true",
-                   help="smaller workloads (CI smoke test)")
-    p.add_argument("--repeats", type=int, default=None,
-                   help="timing repeats per side (default 4, 2 with "
-                        "--quick)")
-    p.add_argument("--out", default=None,
-                   help="write the results JSON here")
-    p.add_argument("--check", default=None,
-                   help="reference results JSON to gate against "
-                        "(exit 1 on regression)")
-    p.add_argument("--tolerance", type=float, default=0.5,
-                   help="allowed relative loss vs the reference "
-                        "speedup (0.5 = half)")
-    p.set_defaults(func=_cmd_profile_bench)
 
     p = sub.add_parser(
         "faas",
@@ -1894,26 +1647,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_faas)
 
     p = sub.add_parser(
-        "faas-bench",
-        help="run the BENCH_faas harness: the serverless backend vs "
-             "a provisioned replica on the same sparse trace, and "
-             "scale-to-zero vs never-reap")
-    p.add_argument("--quick", action="store_true",
-                   help="smaller workloads (CI smoke test)")
-    p.add_argument("--repeats", type=int, default=None,
-                   help="timing repeats per side (default 4, 2 with "
-                        "--quick)")
-    p.add_argument("--out", default=None,
-                   help="write the results JSON here")
-    p.add_argument("--check", default=None,
-                   help="reference results JSON to gate against "
-                        "(exit 1 on regression)")
-    p.add_argument("--tolerance", type=float, default=0.5,
-                   help="allowed relative loss vs the reference "
-                        "speedup (0.5 = half)")
-    p.set_defaults(func=_cmd_faas_bench)
-
-    p = sub.add_parser(
         "sweep",
         help="fan a seed-replicated sparse-diurnal sweep across "
              "worker processes; deterministic table, aggregate CIs, "
@@ -1942,28 +1675,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics-out", default=None,
                    help="write the merged metrics scrape here")
     p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser(
-        "sweep-bench",
-        help="run the BENCH_sweep harness: sequential vs pooled "
-             "sweep with byte-identical merged results and a "
-             "core-count-aware speedup gate")
-    p.add_argument("--quick", action="store_true",
-                   help="smaller workloads (CI smoke test)")
-    p.add_argument("--repeats", type=int, default=None,
-                   help="timing repeats per side (default 3, 2 with "
-                        "--quick)")
-    p.add_argument("--jobs", type=int, default=4,
-                   help="pool size for the optimized side")
-    p.add_argument("--out", default=None,
-                   help="write the results JSON here")
-    p.add_argument("--check", default=None,
-                   help="reference results JSON to gate against "
-                        "(exit 1 on regression)")
-    p.add_argument("--tolerance", type=float, default=0.5,
-                   help="allowed relative loss vs the reference "
-                        "speedup (0.5 = half)")
-    p.set_defaults(func=_cmd_sweep_bench)
     return parser
 
 

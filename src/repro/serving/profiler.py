@@ -26,8 +26,8 @@ Two attribution styles compose:
 The zero-cost-when-disabled contract: every instrumentation site in
 the serving stack guards on ``profiler is not None``, and a disabled
 profiler's ``scope``/``record`` are O(1) early returns, so scrapes and
-Chrome traces stay byte-identical with the profiler off (gated by the
-BENCH_profile overhead benchmark).
+Chrome traces stay byte-identical with the profiler off (checked by
+``tests/test_serving_profiler.py::TestZeroCostContract``).
 
 Exports: ``folded()`` (collapsed flamegraph dict), ``render_folded``
 (``a;b;c <int microseconds>`` text for ``flamegraph.pl`` and friends),

@@ -381,15 +381,6 @@ class TestProfile:
         assert "error" in capsys.readouterr().err
 
 
-class TestProfileBench:
-    def test_quick_run_reports_overhead_ratios(self, capsys):
-        assert main(["profile-bench", "--quick", "--repeats", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "BENCH_profile" in out
-        assert "profile_off_overhead" in out
-        assert "profile_on_overhead" in out
-
-
 class TestSweep:
     ARGS = ["sweep", "--replications", "3", "--duration", "300",
             "--seed", "7"]
@@ -444,22 +435,3 @@ class TestSweep:
     def test_bad_replications_is_an_error_exit(self, capsys):
         assert main(["sweep", "--replications", "0"]) == 2
         assert "error" in capsys.readouterr().err
-
-
-class TestSweepBench:
-    def test_quick_run_verifies_and_reports(self, capsys):
-        assert main(["sweep-bench", "--quick", "--repeats", "1",
-                     "--jobs", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "BENCH_sweep" in out
-        assert "sweep_parallel_replay" in out
-        assert "core-count aware" in out
-
-    def test_check_gates_against_reference(self, capsys, tmp_path):
-        ref = tmp_path / "ref.json"
-        assert main(["sweep-bench", "--quick", "--repeats", "1",
-                     "--jobs", "2", "--out", str(ref)]) == 0
-        capsys.readouterr()
-        assert main(["sweep-bench", "--quick", "--repeats", "1",
-                     "--jobs", "2", "--check", str(ref)]) == 0
-        assert "regression check" in capsys.readouterr().out

@@ -1,25 +1,119 @@
-"""Tests for the hot-path optimization pass and its perf harness.
+"""Tests for the optimized hot paths.
 
-Covers the regression guarantees the optimization PR makes:
+Covers the regression guarantees the optimization pass makes:
 ``schedule_at`` round-off clamping, bounded cancel state, firing-order
-parity between the tuple-heap simulator and the preserved seed
-simulator, bound-handle export parity, trace sampling + span pooling,
-MAC-accounting parity on the packed kernel path, the preprocessing grid
-cache, and the ``repro bench`` regression-check logic.
+parity between the tuple-heap simulator and the seed simulator kept
+below as a reference, bound-handle export parity, trace sampling + span
+pooling, MAC-accounting parity on the packed kernel path, and the
+preprocessing grid cache.
 """
+
+import dataclasses
+import heapq
+import itertools
+from collections.abc import Callable
 
 import numpy as np
 import pytest
 
-from repro.perf import legacy
-from repro.perf.bench import (
-    MIN_SPEEDUPS,
-    check_regression,
-    render_results,
-    run_scenario,
-)
-from repro.perf.scenarios import Scenario, build_scenarios
 from repro.serving.events import Simulator
+
+
+# ----------------------------------------------------------------------
+# Seed simulator (dataclass events + cancelled-seq set)
+# ----------------------------------------------------------------------
+
+@dataclasses.dataclass(frozen=True, order=True)
+class LegacyEvent:
+    """A scheduled callback (ordered by time, then insertion sequence)."""
+
+    time: float
+    seq: int
+    callback: Callable[[], None] = dataclasses.field(compare=False)
+    cancelled: bool = dataclasses.field(default=False, compare=False)
+    daemon: bool = dataclasses.field(default=False, compare=False)
+
+
+class LegacySimulator:
+    """The seed event loop, byte-for-byte in behaviour.
+
+    Heap entries are frozen ordered dataclasses (every push/pop pays
+    field-by-field ``__lt__``), cancellation goes through an auxiliary
+    seq set (which leaks on cancel-after-fire), and every event pops
+    individually.  API-compatible with the optimized simulator.
+    """
+
+    def __init__(self) -> None:
+        self._heap: list[LegacyEvent] = []
+        self._seq = itertools.count()
+        self._now = 0.0
+        self._cancelled: set[int] = set()
+        self.events_processed = 0
+
+    @property
+    def now(self) -> float:
+        """Current virtual time in seconds."""
+        return self._now
+
+    def schedule(self, delay: float, callback: Callable[[], None],
+                 daemon: bool = False) -> LegacyEvent:
+        """Schedule ``callback`` to fire ``delay`` seconds from now."""
+        if delay < 0:
+            raise ValueError(f"cannot schedule into the past (delay={delay})")
+        event = LegacyEvent(self._now + delay, next(self._seq), callback,
+                            daemon=daemon)
+        heapq.heappush(self._heap, event)
+        return event
+
+    def schedule_at(self, time: float, callback: Callable[[], None],
+                    daemon: bool = False) -> LegacyEvent:
+        """Schedule ``callback`` at an absolute virtual time."""
+        return self.schedule(time - self._now, callback, daemon=daemon)
+
+    def cancel(self, event: LegacyEvent) -> None:
+        """Cancel a pending event (no-op if it already fired)."""
+        self._cancelled.add(event.seq)
+
+    def run(self, until: float | None = None,
+            max_events: int = 10_000_000) -> None:
+        """Process events until the heap drains or ``until`` is reached."""
+        processed = 0
+        while self._heap:
+            if processed >= max_events:
+                raise RuntimeError(
+                    f"simulation exceeded {max_events} events; "
+                    "likely a self-scheduling loop")
+            event = heapq.heappop(self._heap)
+            if event.seq in self._cancelled:
+                self._cancelled.discard(event.seq)
+                continue
+            if until is not None and event.time > until:
+                heapq.heappush(self._heap, event)  # leave it for later
+                self._now = until
+                return
+            self._now = event.time
+            event.callback()
+            processed += 1
+            self.events_processed += 1
+        if until is not None:
+            self._now = max(self._now, until)
+
+    def peek_time(self) -> float | None:
+        """Time of the next pending event, or None when idle."""
+        while self._heap and self._heap[0].seq in self._cancelled:
+            self._cancelled.discard(heapq.heappop(self._heap).seq)
+        return self._heap[0].time if self._heap else None
+
+    def peek_foreground_time(self) -> float | None:
+        """Time of the next pending *non-daemon* event, or None."""
+        best: float | None = None
+        for event in self._heap:
+            if event.daemon or event.seq in self._cancelled:
+                continue
+            if best is None or event.time < best:
+                best = event.time
+        return best
+
 
 
 class TestScheduleAtClamp:
@@ -75,7 +169,7 @@ class TestBoundedCancelState:
 
     def test_seed_simulator_exhibits_the_leak(self):
         # Documents what the test above guards against.
-        sim = legacy.LegacySimulator()
+        sim = LegacySimulator()
         events = [sim.schedule(i * 0.001, lambda: None)
                   for i in range(100)]
         sim.run()
@@ -131,10 +225,10 @@ class TestLegacyParity:
 
     def test_firing_order_identical_under_ties_and_cancels(self):
         assert (self._workload(Simulator())
-                == self._workload(legacy.LegacySimulator()))
+                == self._workload(LegacySimulator()))
 
     def test_events_processed_identical(self):
-        new, old = Simulator(), legacy.LegacySimulator()
+        new, old = Simulator(), LegacySimulator()
         self._workload(new)
         self._workload(old)
         assert new.events_processed == old.events_processed
@@ -149,7 +243,7 @@ class TestLegacyParity:
             sim.run()
             return seen
 
-        assert staged(Simulator()) == staged(legacy.LegacySimulator())
+        assert staged(Simulator()) == staged(LegacySimulator())
 
 
 class TestBoundHandleParity:
@@ -360,73 +454,3 @@ class TestGridCache:
         grid, = cache.get(("ro",), lambda: (np.zeros(3),))
         with pytest.raises(ValueError):
             grid[0] = 1.0
-
-
-class TestBenchHarness:
-    """The regression-check logic behind ``repro bench --check``."""
-
-    @staticmethod
-    def _doc(quick=False, **speedups):
-        return {"suite": "BENCH_core", "quick": quick, "scenarios": {
-            name: {"layer": "x", "speedup": s,
-                   "min_speedup": MIN_SPEEDUPS.get(name, 1.0),
-                   "baseline_seconds": s, "optimized_seconds": 1.0,
-                   "repeats": 2}
-            for name, s in speedups.items()}}
-
-    def test_pass_within_band_and_floor(self):
-        ref = self._doc(simulator_core=10.0)
-        cur = self._doc(simulator_core=6.0)  # >= 10*(1-0.5) and >= 1.2
-        assert check_regression(cur, ref) == []
-
-    def test_floor_violation_fails(self):
-        ref = self._doc(vit_tiny_forward=1.6)
-        cur = self._doc(vit_tiny_forward=1.1)  # within band, under 1.5
-        [failure] = check_regression(cur, ref)
-        assert "vit_tiny_forward" in failure
-
-    def test_band_violation_fails(self):
-        ref = self._doc(simulator_core=20.0)
-        cur = self._doc(simulator_core=4.0)  # above floor, under band
-        [failure] = check_regression(cur, ref, tolerance=0.5)
-        assert "below required 10.00x" in failure
-
-    def test_missing_scenario_fails(self):
-        ref = self._doc(simulator_core=10.0)
-        cur = self._doc()
-        [failure] = check_regression(cur, ref)
-        assert "missing" in failure
-
-    def test_mode_mismatch_fails(self):
-        ref = self._doc(quick=False, simulator_core=10.0)
-        cur = self._doc(quick=True, simulator_core=10.0)
-        [failure] = check_regression(cur, ref)
-        assert "mode mismatch" in failure
-
-    def test_bad_tolerance_rejected(self):
-        with pytest.raises(ValueError, match="tolerance"):
-            check_regression(self._doc(), self._doc(), tolerance=1.0)
-
-    def test_run_scenario_verifies_before_timing(self):
-        broken = Scenario(
-            name="broken", layer="x", description="disagrees",
-            baseline=lambda: 1, optimized=lambda: 2,
-            verify=lambda a, b: (_ for _ in ()).throw(
-                AssertionError("diverged")))
-        with pytest.raises(AssertionError, match="diverged"):
-            run_scenario(broken, repeats=1)
-
-    def test_run_scenario_shape_and_render(self):
-        trivial = Scenario(
-            name="trivial", layer="x", description="noop",
-            baseline=lambda: 0, optimized=lambda: 0,
-            verify=lambda a, b: None)
-        entry = run_scenario(trivial, repeats=1)
-        assert entry["speedup"] > 0 and entry["repeats"] == 1
-        table = render_results(
-            {"scenarios": {"trivial": entry}})
-        assert "trivial" in table and "x" in table
-
-    def test_build_scenarios_names_are_gated(self):
-        names = {s.name for s in build_scenarios(quick=True)}
-        assert names == set(MIN_SPEEDUPS)

@@ -4,10 +4,11 @@ import json
 
 import pytest
 
-from repro.perf.scenarios import _profiled_replay
 from repro.serving.batcher import BatcherConfig
 from repro.serving.client import OpenLoopClient
 from repro.serving.events import Simulator
+from repro.serving.exporter import export_registry
+from repro.serving.observability import MetricsRegistry, TimeSeriesSampler
 from repro.serving.profiler import _NULL_SCOPE, SimProfiler
 from repro.serving.server import ModelConfig, TritonLikeServer
 
@@ -217,6 +218,33 @@ class TestServingIntegration:
             return prof.render_folded("sim")
 
         assert folded() == folded()
+
+
+def _profiled_replay(requests: int, mode: str) -> tuple:
+    """The serving replay with the profiler ``"none"``/``"off"``/``"on"``.
+
+    Returns ``(responses, events_processed, scrape)`` — the scrape is
+    part of the result on purpose: comparing it byte for byte across
+    modes *is* the zero-instrumentation-cost contract (attaching a
+    profiler must not change what a run reports).
+    """
+    sim = Simulator()
+    registry = MetricsRegistry(clock=lambda: sim.now)
+    server = TritonLikeServer(sim, registry=registry)
+    server.register(ModelConfig(
+        "vit_tiny", lambda n: 0.0004 + 0.00012 * n,
+        batcher=BatcherConfig(max_batch_size=16, max_queue_delay=0.002)))
+    if mode != "none":
+        server.attach_profiler(SimProfiler(clock=lambda: sim.now,
+                                           enabled=(mode == "on")))
+    client = OpenLoopClient(server, "vit_tiny", rate_per_second=800.0,
+                            num_requests=requests, seed=7)
+    sampler = TimeSeriesSampler(server, interval=0.05)
+    client.start()
+    sampler.start()
+    sim.run()
+    return (len(server.responses), sim.events_processed,
+            export_registry(registry))
 
 
 class TestZeroCostContract:

@@ -1,18 +1,46 @@
 #!/usr/bin/env sh
-# Tier-1 gate: byte-compile every module, then run the full test suite.
-# Mirrors .github/workflows/ci.yml so the same check runs locally.
+# The whole CI gate; .github/workflows/ci.yml runs this script, so the
+# same check runs locally with `sh tools/ci.sh` from any directory.
 set -eu
 cd "$(dirname "$0")/.."
+ROOT="$(pwd)"
+export PYTHONPATH="$ROOT/src"
+WORK="$(mktemp -d -t harvest_ci.XXXXXX)"
+trap 'rm -rf "$WORK"' EXIT
+
+# Tier 1: byte-compile every module, then run the full test suite.
 python -m compileall -q src
-PYTHONPATH=src python -m pytest -x -q
-# Trace smoke: a short traced continuum replay must exit 0 and the
-# written Perfetto file must pass the Chrome trace-event schema check.
-TRACE_OUT="$(mktemp -t harvest_trace.XXXXXX)"
-trap 'rm -f "$TRACE_OUT"' EXIT
-PYTHONPATH=src python -m repro trace --duration 6 --step-start 1 \
-    --step-end 3 --step-rate 700 --base-rate 60 --seed 2 \
-    --out "$TRACE_OUT" > /dev/null
-PYTHONPATH=src python - "$TRACE_OUT" <<'EOF'
+python -m pytest -x -q
+# Benchmark smoke: the four end-to-end workloads of bench/ run, pass
+# their correctness gate, and emit every metric BENCHMARK.json lists.
+python -m pytest -q bench/test_bench.py
+
+# repro NAME ARGS... runs `python -m repro ARGS` inside the fresh
+# directory $WORK/NAME, so relative output paths land there, and keeps
+# its stdout as NAME/stdout.txt.
+repro() {
+    mkdir "$WORK/$1"
+    (cd "$WORK/$1" && shift && python -m repro "$@" > stdout.txt)
+}
+
+# same NAME "ALT" ARGS... runs `repro ARGS` twice, the second time with
+# ALT appended (a later option overrides an earlier one), and requires
+# byte-identical stdout and output files from both runs.
+same() {
+    name="$1"
+    alt="$2"
+    shift 2
+    repro "$name.a" "$@"
+    repro "$name.b" "$@" $alt
+    diff -r "$WORK/$name.a" "$WORK/$name.b"
+    echo "$name smoke ok: deterministic across runs"
+}
+
+# Trace smoke: a short traced continuum replay must pass the Chrome
+# trace-event schema check.
+repro trace trace --duration 6 --step-start 1 --step-end 3 \
+    --step-rate 700 --base-rate 60 --seed 2 --out trace.json
+python - "$WORK/trace/trace.json" <<'EOF'
 import sys
 from repro.serving.trace_export import validate_chrome_trace
 
@@ -20,39 +48,24 @@ payload = validate_chrome_trace(open(sys.argv[1]).read())
 assert payload["traceEvents"], "trace smoke produced no events"
 print(f"trace smoke ok: {len(payload['traceEvents'])} events")
 EOF
-# Cache smoke + determinism: the cache replay must exit 0 and two
-# identical invocations must produce byte-identical stdout and JSON.
-CACHE_DIR="$(mktemp -d -t harvest_cache.XXXXXX)"
-trap 'rm -f "$TRACE_OUT"; rm -rf "$CACHE_DIR"' EXIT
-PYTHONPATH=src python -m repro cache --frames 80 --seed 1 \
-    --scene-change-rates 0.0,0.05,0.5 \
-    --out "$CACHE_DIR/cache.json" > "$CACHE_DIR/a.txt"
-cp "$CACHE_DIR/cache.json" "$CACHE_DIR/first.json"
-PYTHONPATH=src python -m repro cache --frames 80 --seed 1 \
-    --scene-change-rates 0.0,0.05,0.5 \
-    --out "$CACHE_DIR/cache.json" > "$CACHE_DIR/b.txt"
-cmp "$CACHE_DIR/a.txt" "$CACHE_DIR/b.txt"
-cmp "$CACHE_DIR/first.json" "$CACHE_DIR/cache.json"
-echo "cache smoke ok: deterministic across runs"
-# Network smoke + determinism: the contended-uplink replay must exit 0,
-# two identical invocations must produce byte-identical stdout, JSON
-# and Chrome trace, and the exported trace must pass the schema check.
-NET_DIR="$(mktemp -d -t harvest_network.XXXXXX)"
-trap 'rm -f "$TRACE_OUT"; rm -rf "$CACHE_DIR" "$NET_DIR"' EXIT
-PYTHONPATH=src python -m repro network --frames 15 --seed 1 \
-    --broker-messages 60 --outage-start 5 --outage-seconds 3 \
-    --out "$NET_DIR/network.json" \
-    --trace-out "$NET_DIR/network.trace.json" > "$NET_DIR/a.txt"
-cp "$NET_DIR/network.json" "$NET_DIR/first.json"
-cp "$NET_DIR/network.trace.json" "$NET_DIR/first.trace.json"
-PYTHONPATH=src python -m repro network --frames 15 --seed 1 \
-    --broker-messages 60 --outage-start 5 --outage-seconds 3 \
-    --out "$NET_DIR/network.json" \
-    --trace-out "$NET_DIR/network.trace.json" > "$NET_DIR/b.txt"
-cmp "$NET_DIR/a.txt" "$NET_DIR/b.txt"
-cmp "$NET_DIR/first.json" "$NET_DIR/network.json"
-cmp "$NET_DIR/first.trace.json" "$NET_DIR/network.trace.json"
-PYTHONPATH=src python - "$NET_DIR/network.trace.json" <<'EOF'
+
+# Determinism: identical invocations (and a sweep at one worker vs a
+# two-process pool) produce byte-identical stdout and files.
+same cache "" cache --frames 80 --seed 1 \
+    --scene-change-rates 0.0,0.05,0.5 --out cache.json
+same network "" network --frames 15 --seed 1 --broker-messages 60 \
+    --outage-start 5 --outage-seconds 3 --out network.json \
+    --trace-out network.trace.json
+same profile "" profile --duration 4 --fluid-duration 40 \
+    --burst-rate 900 --seed 1 --out profile.json \
+    --speedscope profile.speedscope.json --folded-out profile.folded
+same faas "" faas --duration 3600 --seed 1 --out faas.json
+same sweep "--jobs 2" sweep --replications 4 --duration 600 --seed 7 \
+    --jobs 1 --out sweep.json --metrics-out sweep.prom
+
+# The network replay's trace must pass the schema check and carry the
+# contended-uplink spans.
+python - "$WORK/network.a/network.trace.json" <<'EOF'
 import sys
 from repro.serving.trace_export import validate_chrome_trace
 
@@ -60,91 +73,5 @@ payload = validate_chrome_trace(open(sys.argv[1]).read())
 uplinks = [e for e in payload["traceEvents"]
            if e.get("name") == "uplink"]
 assert uplinks, "network smoke produced no uplink spans"
-print(f"network smoke ok: deterministic, {len(uplinks)} uplink spans")
+print(f"network smoke ok: {len(uplinks)} uplink spans")
 EOF
-# Bench smoke + perf-regression gate: the quick BENCH_core suite must
-# verify (baseline and optimized runs agree) and hold the committed
-# quick-mode speedup floors/bands.
-PYTHONPATH=src python -m repro bench --quick \
-    --check benchmarks/results/BENCH_core_quick.json
-echo "bench smoke ok: quick suite within committed bounds"
-# Fluid smoke + parity gate: the quick BENCH_fluid suite must hold the
-# DES-vs-hybrid parity contract (exact throughput, tail quantiles in
-# tolerance — verified inside the harness) and the committed quick-mode
-# speedup floors and frontier wall-clock ceiling.
-PYTHONPATH=src python -m repro fluid --quick \
-    --check benchmarks/results/BENCH_fluid_quick.json
-echo "fluid smoke ok: parity verified, quick suite within bounds"
-# Profile smoke + determinism: the profiled replay must exit 0 and two
-# identical invocations must produce byte-identical stdout, report
-# JSON, speedscope JSON, and folded stacks.
-PROF_DIR="$(mktemp -d -t harvest_profile.XXXXXX)"
-trap 'rm -f "$TRACE_OUT"; rm -rf "$CACHE_DIR" "$NET_DIR" "$PROF_DIR"' EXIT
-PYTHONPATH=src python -m repro profile --duration 4 \
-    --fluid-duration 40 --burst-rate 900 --seed 1 \
-    --out "$PROF_DIR/profile.json" \
-    --speedscope "$PROF_DIR/profile.speedscope.json" \
-    --folded-out "$PROF_DIR/profile.folded" > "$PROF_DIR/a.txt"
-cp "$PROF_DIR/profile.json" "$PROF_DIR/first.json"
-cp "$PROF_DIR/profile.speedscope.json" "$PROF_DIR/first.speedscope.json"
-cp "$PROF_DIR/profile.folded" "$PROF_DIR/first.folded"
-PYTHONPATH=src python -m repro profile --duration 4 \
-    --fluid-duration 40 --burst-rate 900 --seed 1 \
-    --out "$PROF_DIR/profile.json" \
-    --speedscope "$PROF_DIR/profile.speedscope.json" \
-    --folded-out "$PROF_DIR/profile.folded" > "$PROF_DIR/b.txt"
-cmp "$PROF_DIR/a.txt" "$PROF_DIR/b.txt"
-cmp "$PROF_DIR/first.json" "$PROF_DIR/profile.json"
-cmp "$PROF_DIR/first.speedscope.json" "$PROF_DIR/profile.speedscope.json"
-cmp "$PROF_DIR/first.folded" "$PROF_DIR/profile.folded"
-echo "profile smoke ok: deterministic across runs"
-# Profiler overhead gate: the quick BENCH_profile suite must verify the
-# zero-instrumentation-cost contract (bare vs attached-but-disabled vs
-# enabled scrapes byte-identical) and hold the committed overhead
-# floors.
-PYTHONPATH=src python -m repro profile-bench --quick \
-    --check benchmarks/results/BENCH_profile_quick.json
-echo "profile-bench smoke ok: zero-cost contract verified, within bounds"
-# FaaS smoke + determinism: the serverless replay must exit 0 and two
-# identical invocations must produce byte-identical stdout and JSON.
-FAAS_DIR="$(mktemp -d -t harvest_faas.XXXXXX)"
-trap 'rm -f "$TRACE_OUT"; rm -rf "$CACHE_DIR" "$NET_DIR" "$PROF_DIR" "$FAAS_DIR"' EXIT
-PYTHONPATH=src python -m repro faas --duration 3600 --seed 1 \
-    --out "$FAAS_DIR/faas.json" > "$FAAS_DIR/a.txt"
-cp "$FAAS_DIR/faas.json" "$FAAS_DIR/first.json"
-PYTHONPATH=src python -m repro faas --duration 3600 --seed 1 \
-    --out "$FAAS_DIR/faas.json" > "$FAAS_DIR/b.txt"
-cmp "$FAAS_DIR/a.txt" "$FAAS_DIR/b.txt"
-cmp "$FAAS_DIR/first.json" "$FAAS_DIR/faas.json"
-echo "faas smoke ok: deterministic across runs"
-# FaaS bench gate: the quick BENCH_faas suite must verify (serverless
-# and provisioned replays serve every arrival, scale-to-zero actually
-# reaps) and hold the committed quick-mode speedup floors/bands.
-PYTHONPATH=src python -m repro faas-bench --quick \
-    --check benchmarks/results/BENCH_faas_quick.json
-echo "faas-bench smoke ok: quick suite within committed bounds"
-# Sweep smoke + cross-worker determinism: the same sweep run with one
-# worker and with a two-process pool must produce byte-identical
-# stdout, JSON, and merged metrics scrape — the engine's determinism
-# contract, checked end to end through the CLI.
-SWEEP_DIR="$(mktemp -d -t harvest_sweep.XXXXXX)"
-trap 'rm -f "$TRACE_OUT"; rm -rf "$CACHE_DIR" "$NET_DIR" "$PROF_DIR" "$FAAS_DIR" "$SWEEP_DIR"' EXIT
-PYTHONPATH=src python -m repro sweep --replications 4 --duration 600 \
-    --seed 7 --jobs 1 --out "$SWEEP_DIR/sweep.json" \
-    --metrics-out "$SWEEP_DIR/sweep.prom" > "$SWEEP_DIR/a.txt"
-cp "$SWEEP_DIR/sweep.json" "$SWEEP_DIR/first.json"
-cp "$SWEEP_DIR/sweep.prom" "$SWEEP_DIR/first.prom"
-PYTHONPATH=src python -m repro sweep --replications 4 --duration 600 \
-    --seed 7 --jobs 2 --out "$SWEEP_DIR/sweep.json" \
-    --metrics-out "$SWEEP_DIR/sweep.prom" > "$SWEEP_DIR/b.txt"
-cmp "$SWEEP_DIR/a.txt" "$SWEEP_DIR/b.txt"
-cmp "$SWEEP_DIR/first.json" "$SWEEP_DIR/sweep.json"
-cmp "$SWEEP_DIR/first.prom" "$SWEEP_DIR/sweep.prom"
-echo "sweep smoke ok: byte-identical across 1-worker and 2-worker runs"
-# Sweep bench gate: the quick BENCH_sweep suite must verify the merged
-# scrape/profile/summary equal the sequential run's and hold the
-# committed floors (core-count aware: 2.5x only where >=4 effective
-# cores exist, an overhead bound below that).
-PYTHONPATH=src python -m repro sweep-bench --quick \
-    --check benchmarks/results/BENCH_sweep_quick.json
-echo "sweep-bench smoke ok: merge determinism verified, within bounds"
