@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import abc
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -112,6 +113,12 @@ class VariableSize(ImageSizeDistribution):
     @property
     def is_uniform(self) -> bool:
         return False
+
+    # The draw is fully seeded and the distribution is frozen, so equal
+    # arguments always produce the same float: redraw it only once.
+    @functools.lru_cache(maxsize=256)
+    def mean_pixels(self, n: int = 4096, seed: int = 0) -> float:
+        return super().mean_pixels(n, seed)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         if n < 0:

@@ -37,12 +37,17 @@ from __future__ import annotations
 import dataclasses
 from collections import deque
 from collections.abc import Callable
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.faas.cost import CostLedger, CostModel
 from repro.faas.platform import FaaSPlatformModel
-from repro.serving.observability import MetricsRegistry
+from repro.serving.observability import (
+    BoundCounter,
+    BoundGauge,
+    MetricsRegistry,
+)
 from repro.serving.request import Request, Response
 
 
@@ -132,6 +137,20 @@ class _Function:
         self.provisioned_target = 0
 
 
+class _FunctionHandles(NamedTuple):
+    """Per-function metric handles, bound once at registration so the
+    request path never re-sorts a label key."""
+
+    cold: BoundCounter
+    reaps: BoundCounter
+    gb_seconds: BoundCounter
+    warm: BoundGauge
+    invoked_cold: BoundCounter
+    invoked_warm: BoundCounter
+    rejections: BoundCounter
+    prewarms: BoundCounter
+
+
 class FaaSBackend:
     """Serverless request execution with cold starts and reaping."""
 
@@ -192,7 +211,7 @@ class FaaSBackend:
             "Initialized (idle or busy) instances per function.")
         self._submit_handles: dict[str, tuple] = {}
         self._respond_handles: dict[tuple[str, str], tuple] = {}
-        self._fn_handles: dict[str, tuple] = {}
+        self._fn_handles: dict[str, _FunctionHandles] = {}
 
     # ------------------------------------------------------------------
     # Repository management
@@ -203,13 +222,19 @@ class FaaSBackend:
             raise ValueError(
                 f"function {config.name!r} already registered")
         self._functions[config.name] = _Function(config)
-        self._fn_handles[config.name] = (
-            self._c_cold.labels(function=config.name),
-            self._c_reaps.labels(function=config.name),
-            self._c_gb_seconds.labels(function=config.name),
-            self._g_warm.labels(function=config.name),
+        handles = self._fn_handles[config.name] = _FunctionHandles(
+            cold=self._c_cold.labels(function=config.name),
+            reaps=self._c_reaps.labels(function=config.name),
+            gb_seconds=self._c_gb_seconds.labels(function=config.name),
+            warm=self._g_warm.labels(function=config.name),
+            invoked_cold=self._c_invocations.labels(
+                function=config.name, start="cold"),
+            invoked_warm=self._c_invocations.labels(
+                function=config.name, start="warm"),
+            rejections=self._c_rejections.labels(function=config.name),
+            prewarms=self._c_prewarms.labels(function=config.name),
         )
-        self._fn_handles[config.name][3].set(0)
+        handles.warm.set(0)
 
     def model_names(self) -> list[str]:
         """Deployed function names (server duck-type surface)."""
@@ -337,7 +362,7 @@ class FaaSBackend:
         if fn.config.max_queue_depth and \
                 len(fn.queue) >= fn.config.max_queue_depth:
             fn.stats.rejected += 1
-            self._c_rejections.inc(function=fn.config.name)
+            self._fn_handles[fn.config.name].rejections.inc()
             self._respond(request, status="rejected")
             return
         span = None
@@ -380,16 +405,16 @@ class FaaSBackend:
                                       len(fn.instances))
         sandbox, init = fn.config.platform.sample_cold_start(self._rng)
         fn.stats.init_seconds += sandbox + init
-        cold_handle, _, gb_handle, warm_handle = \
-            self._fn_handles[fn.config.name]
+        handles = self._fn_handles[fn.config.name]
+        warm_handle = handles.warm
         if request is not None:
             fn.stats.cold_starts += 1
-            cold_handle.inc()
+            handles.cold.inc()
             request.stage_times["faas:cold_start_seconds"] = \
                 sandbox + init
         else:
             fn.stats.prewarms += 1
-            self._c_prewarms.inc(function=fn.config.name)
+            handles.prewarms.inc()
             if self.lifecycle_trace is not None:
                 self.lifecycle_trace.instant(
                     "prewarm", self.sim.now, category="faas",
@@ -405,7 +430,7 @@ class FaaSBackend:
         # sandbox is already running the function's code.
         init_gb = self.cost.charge_init(
             sandbox + init, fn.config.platform.memory_gb)
-        gb_handle.inc(init_gb)
+        handles.gb_seconds.inc(init_gb)
 
         def provisioned() -> None:
             if cold_span is not None:
@@ -458,13 +483,14 @@ class FaaSBackend:
             request.stage_times[f"{inst.name}:end"] = self.sim.now
             if span is not None:
                 request.trace.end(span, self.sim.now)
-            cold = "faas:cold_start_seconds" in request.stage_times
-            self._c_invocations.inc(
-                function=fn.config.name,
-                start="cold" if cold else "warm")
+            handles = self._fn_handles[fn.config.name]
+            if "faas:cold_start_seconds" in request.stage_times:
+                handles.invoked_cold.inc()
+            else:
+                handles.invoked_warm.inc()
             gb = self.cost.charge_invocation(
                 duration, fn.config.platform.memory_gb)
-            self._fn_handles[fn.config.name][2].inc(gb)
+            handles.gb_seconds.inc(gb)
             self._respond(request)
             self._make_idle(fn, inst)
 
@@ -511,9 +537,9 @@ class FaaSBackend:
         fn.instances.remove(inst)
         fn.stats.reaps += 1
         self._settle_pin(fn, inst)
-        _, reap_handle, _, warm_handle = self._fn_handles[fn.config.name]
-        reap_handle.inc()
-        warm_handle.set(self.warm_instances(fn.config.name))
+        handles = self._fn_handles[fn.config.name]
+        handles.reaps.inc()
+        handles.warm.set(self.warm_instances(fn.config.name))
         if self.lifecycle_trace is not None:
             self.lifecycle_trace.instant(
                 "reap", self.sim.now, category="faas",

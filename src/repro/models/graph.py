@@ -62,6 +62,18 @@ class ModelGraph:
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise ValueError(f"duplicate layer names: {dupes}")
+        # ``layers`` is a tuple of frozen specs, so every whole-model total
+        # is a constant: compute each once, walking the layers in order so
+        # the sums are bit-identical to a fresh walk.
+        self._params = sum(layer.params() for layer in self.layers)
+        self._macs = sum(layer.macs() for layer in self.layers)
+        self._reported_macs = sum(
+            layer.macs() for layer in self.layers
+            if layer.category is not LayerCategory.ATTENTION)
+        self._peak_activation = max(
+            layer.activation_elements() for layer in self.layers)
+        self._sum_activation = sum(
+            layer.activation_elements() for layer in self.layers)
 
     def __iter__(self) -> Iterator[LayerSpec]:
         return iter(self.layers)
@@ -74,11 +86,11 @@ class ModelGraph:
     # ------------------------------------------------------------------
     def total_params(self) -> int:
         """Trainable parameters (Table 3 "Parameter")."""
-        return sum(layer.params() for layer in self.layers)
+        return self._params
 
     def total_macs(self) -> float:
         """All multiply-accumulates per image, attention matmuls included."""
-        return sum(layer.macs() for layer in self.layers)
+        return self._macs
 
     def reported_gflops(self) -> float:
         """GFLOPs/image in the Table 3 convention.
@@ -87,9 +99,7 @@ class ModelGraph:
         excluded (the fvcore/ptflops profiler behaviour the paper's
         numbers follow — see DESIGN.md).
         """
-        macs = sum(layer.macs() for layer in self.layers
-                   if layer.category is not LayerCategory.ATTENTION)
-        return macs / 1e9
+        return self._reported_macs / 1e9
 
     def flops_per_image(self) -> float:
         """FLOPs/image used by the *performance* model.
@@ -147,11 +157,11 @@ class ModelGraph:
         activation memory is bounded by the two largest adjacent tensors;
         the engine memory model uses this as its base unit.
         """
-        return max(layer.activation_elements() for layer in self.layers)
+        return self._peak_activation
 
     def sum_activation_elements(self) -> int:
         """Total elements across all layer outputs (no-reuse upper bound)."""
-        return sum(layer.activation_elements() for layer in self.layers)
+        return self._sum_activation
 
     def activation_bytes_per_image(self, bytes_per_elem: int,
                                    reuse: bool = True) -> float:

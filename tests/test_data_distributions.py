@@ -89,6 +89,25 @@ class TestVariableSize:
         b = dist.sample(10, np.random.default_rng(5))
         np.testing.assert_array_equal(a, b)
 
+    def test_mean_pixels_drawn_once_and_exact(self, monkeypatch):
+        # A size no other test uses, so the memo starts cold.
+        dist = VariableSize(97, 89, sigma=0.3)
+        sizes = dist.sample(4096, np.random.default_rng(0))
+        fresh = float(np.mean(sizes[:, 0] * sizes[:, 1]))
+        draws = []
+        original = VariableSize.sample
+
+        def counting(self, n, rng):
+            draws.append(n)
+            return original(self, n, rng)
+
+        monkeypatch.setattr(VariableSize, "sample", counting)
+        assert dist.mean_pixels() == fresh
+        assert VariableSize(97, 89, sigma=0.3).mean_pixels() == fresh
+        assert draws == [4096]
+        assert dist.mean_pixels(n=512, seed=3) != fresh
+        assert draws == [4096, 512]
+
 
 class TestDensityGrid:
     def test_density_normalized_to_unit_peak(self, rng):

@@ -51,6 +51,27 @@ class TestLatencyCurve:
         assert tuple(p.batch_size for p in points) == grid
 
 
+class TestExactLaw:
+    """latency(b) is b / (FLOPS · MFU(b) / FLOPs_per_image), evaluated in
+    exactly this order: the simulators' digests depend on every bit."""
+
+    @pytest.mark.parametrize("name, platform, precision", [
+        ("resnet50", A100, None),
+        ("vit_base", JETSON, None),
+        ("resnet50", A100, "int8"),
+    ])
+    def test_latency_matches_the_law_exactly(self, name, platform,
+                                             precision):
+        from repro.models.zoo import MODEL_ZOO
+
+        graph = MODEL_ZOO[name].graph
+        model = LatencyModel(graph, platform, precision=precision)
+        for b in range(1, 65):
+            assert model.latency(b) == b / (
+                model.effective_flops * model.mfu_model.mfu(b)
+                / graph.flops_per_image())
+
+
 class TestOperatingRegion:
     """Section 4.1: "On A100 hardware, this requires batch sizes exceeding
     16; on V100, batch size 8 suffices."""

@@ -285,6 +285,37 @@ class TestSpansAndMetrics:
         histogram = registry.get("request_latency_seconds")
         assert histogram is not None
 
+    def test_bound_lifecycle_counters_match_stats(self):
+        sim = Simulator()
+        registry = MetricsRegistry(clock=lambda: sim.now)
+        backend = FaaSBackend(sim, registry=registry, seed=None)
+        backend.register(FaaSFunctionConfig(
+            "fn", lambda n: 1.0, platform=make_platform(),
+            concurrency_limit=1, keep_alive_seconds=1.0,
+            max_queue_depth=1))
+        # Cold at 0.0 (runs 1.5-2.5), queued at 0.1 (runs 2.5-3.5),
+        # rejected at 0.2, warm at 4.0 (runs 4.0-5.0); the instance is
+        # reaped at 6.0 and prewarmed again at 8.0.
+        for t in (0.0, 0.1, 0.2, 4.0):
+            sim.schedule(t, lambda: backend.submit(Request("fn")))
+        sim.schedule(8.0, lambda: backend.set_provisioned_concurrency(
+            "fn", 1))
+        sim.run(until=20.0)
+        stats = backend.function_stats("fn")
+        invocations = registry.get("faas_invocations_total")
+        assert invocations.value(function="fn", start="cold") == 1
+        assert invocations.value(function="fn", start="warm") == \
+            stats.invocations - 1 == 2
+        assert registry.get("faas_queue_rejections_total").value(
+            function="fn") == stats.rejected == 1
+        assert registry.get("faas_prewarms_total").value(
+            function="fn") == stats.prewarms == 1
+        # Binding a handle creates no series: only updated label sets
+        # reach the scrape.
+        assert invocations.label_sets() == [
+            (("function", "fn"), ("start", "cold")),
+            (("function", "fn"), ("start", "warm"))]
+
     def test_gb_second_meter_bills_init_and_execute(self):
         sim, backend = make_backend(seed=None)
         sim.schedule(0.0, lambda: backend.submit(Request("fn")))

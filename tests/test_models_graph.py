@@ -2,13 +2,17 @@
 
 import pytest
 
+from repro.engine.latency import LatencyModel
+from repro.hardware.platform import A100, JETSON
 from repro.models.graph import ModelGraph
 from repro.models.layers import (
     Activation,
     AttentionMatmul,
     LayerCategory,
+    LayerSpec,
     Linear,
 )
+from repro.models.zoo import MODEL_ZOO
 
 
 def tiny_graph():
@@ -99,6 +103,55 @@ class TestMemoryAccounting:
         graph = tiny_graph()
         assert graph.activation_bytes_per_image(2, reuse=True) == \
             2 * 2 * graph.peak_activation_elements()
+
+
+def _layer_classes(cls=LayerSpec):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _layer_classes(sub)
+
+
+class TestStoredTotals:
+    """The totals are computed once at construction; every accessor must
+    return exactly what a fresh walk over the layers would."""
+
+    @pytest.mark.parametrize("name", sorted(MODEL_ZOO))
+    def test_bit_identical_to_fresh_walk(self, name):
+        graph = MODEL_ZOO[name].graph
+        layers = graph.layers
+        reported = sum(l.macs() for l in layers
+                       if l.category is not LayerCategory.ATTENTION)
+        peak = max(l.activation_elements() for l in layers)
+        total = sum(l.activation_elements() for l in layers)
+        assert graph.total_params() == sum(l.params() for l in layers)
+        assert graph.total_macs() == sum(l.macs() for l in layers)
+        assert graph.reported_gflops() == reported / 1e9
+        assert graph.flops_per_image() == (reported / 1e9) * 1e9
+        assert graph.weight_bytes(2) == float(
+            sum(l.params() for l in layers)) * 2
+        assert graph.peak_activation_elements() == peak
+        assert graph.sum_activation_elements() == total
+        assert graph.activation_bytes_per_image(2) == float(2 * peak) * 2
+        assert graph.activation_bytes_per_image(
+            4, reuse=False) == float(total) * 4
+
+    def test_latency_makes_no_layer_walk(self, monkeypatch):
+        models = [LatencyModel(MODEL_ZOO["vit_base"].graph, JETSON),
+                  LatencyModel(MODEL_ZOO["resnet50"].graph, A100)]
+        calls = []
+        for cls in _layer_classes():
+            if "macs" not in vars(cls):
+                continue
+            original = vars(cls)["macs"]
+
+            def counting(self, _original=original):
+                calls.append(1)
+                return _original(self)
+
+            monkeypatch.setattr(cls, "macs", counting)
+        for i in range(1000):
+            models[i % 2].latency(1 + i % 64)
+        assert not calls
 
 
 class TestSummary:

@@ -8,9 +8,12 @@ export PYTHONPATH="$ROOT/src"
 WORK="$(mktemp -d -t harvest_ci.XXXXXX)"
 trap 'rm -rf "$WORK"' EXIT
 
-# Tier 1: byte-compile every module, then run the full test suite.
+# Tier 1: byte-compile every module, then run the full test suite,
+# listing the ten slowest tests and the suite's wall time.
 python -m compileall -q src
-python -m pytest -x -q
+tier1_start=$(date +%s)
+python -m pytest -x -q --durations=10
+echo "tier-1 wall: $(( $(date +%s) - tier1_start )) s"
 # Benchmark smoke: the four end-to-end workloads of bench/ run, pass
 # their correctness gate, and emit every metric BENCHMARK.json lists.
 python -m pytest -q bench/test_bench.py
