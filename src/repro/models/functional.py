@@ -4,7 +4,9 @@ The analytic :class:`~repro.models.graph.ModelGraph` predicts cost; this
 module is its executable twin — actual arithmetic for every op, vectorized
 with NumPy per the HPC guides (im2col convolution so the inner loop is one
 BLAS GEMM, batched attention via einsum-free matmuls, no Python-level
-pixel loops).
+pixel loops).  ResNet50 runs channels-last (NHWC) with batch norm folded
+into its packed conv operands, so a stride-1 1×1 conv is a single GEMM on
+the activation as it lies and every GEMM output is the next layer's input.
 
 Weights are procedurally initialized (seeded) since the paper's trained
 checkpoints are farm-specific and private; the characterization never
@@ -92,7 +94,7 @@ def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None,
     operand = (pack.linear_operand(weight) if pack is not None else None)
     y = x @ (operand if operand is not None else weight.T)
     if bias is not None:
-        y = y + bias
+        y += bias
     if tally is not None:
         tally.add(x.size / x.shape[-1] * weight.size)
     return y
@@ -224,8 +226,7 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def maxpool2d(x: np.ndarray, kernel: int, stride: int,
-              padding: int = 0,
-              arena: WorkspaceArena | None = None) -> np.ndarray:
+              padding: int = 0) -> np.ndarray:
     """Max pooling over (N, C, H, W)."""
     n, c, _, _ = x.shape
     if padding:
@@ -233,7 +234,7 @@ def maxpool2d(x: np.ndarray, kernel: int, stride: int,
                        (padding, padding)),
                    constant_values=-np.inf)
     merged = x.reshape(n * c, 1, *x.shape[2:])
-    patches, out_h, out_w = im2col(merged, kernel, stride, 0, arena=arena)
+    patches, out_h, out_w = im2col(merged, kernel, stride, 0)
     return patches.max(axis=-1).reshape(n, c, out_h, out_w)
 
 
@@ -370,18 +371,16 @@ def vit_forward(cfg: ViTConfig, weights: dict[str, np.ndarray],
             qkv = linear(y, weights[f"{p}.qkv.weight"],
                          weights[f"{p}.qkv.bias"], tally=tally, pack=pack)
             ctx = attention(qkv, cfg.heads, tally=tally, arena=arena)
-            seq = seq + linear(ctx, weights[f"{p}.proj.weight"],
-                               weights[f"{p}.proj.bias"], tally=tally,
-                               pack=pack)
+            seq += linear(ctx, weights[f"{p}.proj.weight"],
+                          weights[f"{p}.proj.bias"], tally=tally, pack=pack)
         with _kernel_scope("mlp"):
             y = layernorm(seq, weights[f"{p}.norm2.gamma"],
                           weights[f"{p}.norm2.beta"])
             y = gelu(linear(y, weights[f"{p}.fc1.weight"],
                             weights[f"{p}.fc1.bias"], tally=tally,
                             pack=pack))
-            seq = seq + linear(y, weights[f"{p}.fc2.weight"],
-                               weights[f"{p}.fc2.bias"], tally=tally,
-                               pack=pack)
+            seq += linear(y, weights[f"{p}.fc2.weight"],
+                          weights[f"{p}.fc2.bias"], tally=tally, pack=pack)
 
     with _kernel_scope("head"):
         seq = layernorm(seq, weights["norm.gamma"], weights["norm.beta"])
@@ -441,6 +440,70 @@ def init_resnet50_weights(img_size: int = 224, num_classes: int = 1000,
     return w
 
 
+def _conv_bn_nhwc(x: np.ndarray, pack: WeightPack, prefix: str,
+                  stride: int = 1, padding: int = 0, relu: bool = True,
+                  tally: MacTally | None = None) -> np.ndarray:
+    """Conv ``prefix.conv`` + its batch norm (+ ReLU) on an NHWC tensor.
+
+    The BN is folded into the packed operand, so the epilogue is one
+    shift add and an in-place clamp.  A 1×1 conv multiplies the
+    activation as it lies (strided by slicing); larger kernels gather
+    ``(N, OH, OW, k, k, C)`` patches into the pack's arena first.
+    """
+    operand, shift = pack.conv_bn_operand(prefix)
+    k = pack.weights[f"{prefix}.conv"].shape[-1]
+    n, h, w, c = x.shape
+    if k == 1:
+        if stride > 1:
+            x = x[:, ::stride, ::stride]
+        out_h, out_w = x.shape[1:3]
+        cols = x.reshape(-1, c)
+    else:
+        arena = pack.arena
+        if padding:
+            padded = arena.take(
+                (n, h + 2 * padding, w + 2 * padding, c), x.dtype)
+            padded.fill(0)
+            padded[:, padding:padding + h, padding:padding + w] = x
+            x = padded
+        out_h = (x.shape[1] - k) // stride + 1
+        out_w = (x.shape[2] - k) // stride + 1
+        sn, sh, sw, sc = x.strides
+        view = np.lib.stride_tricks.as_strided(
+            x, shape=(n, out_h, out_w, k, k, c),
+            strides=(sn, sh * stride, sw * stride, sh, sw, sc),
+            writeable=False)
+        cols = arena.take((n, out_h, out_w, k, k, c), x.dtype)
+        np.copyto(cols, view)
+        cols = cols.reshape(n * out_h * out_w, k * k * c)
+    y = cols @ operand
+    y += shift
+    if relu:
+        np.maximum(y, 0, out=y)
+    if tally is not None:
+        tally.add(n * out_h * out_w * float(operand.size))
+    return y.reshape(n, out_h, out_w, -1)
+
+
+def _maxpool_nhwc(x: np.ndarray, kernel: int, stride: int,
+                  padding: int) -> np.ndarray:
+    """Max pooling over (N, H, W, C): one strided maximum per tap."""
+    n, h, w, c = x.shape
+    padded = np.full((n, h + 2 * padding, w + 2 * padding, c), -np.inf,
+                     x.dtype)
+    padded[:, padding:padding + h, padding:padding + w] = x
+    out_h = (h + 2 * padding - kernel) // stride + 1
+    out_w = (w + 2 * padding - kernel) // stride + 1
+    span_h, span_w = stride * (out_h - 1) + 1, stride * (out_w - 1) + 1
+    out = padded[:, :span_h:stride, :span_w:stride].copy()
+    for i in range(kernel):
+        for j in range(kernel):
+            if i or j:
+                np.maximum(out, padded[:, i:i + span_h:stride,
+                                       j:j + span_w:stride], out=out)
+    return out
+
+
 def resnet50_forward(weights: dict[str, np.ndarray], x: np.ndarray,
                      img_size: int = 224,
                      tally: MacTally | None = None,
@@ -448,46 +511,36 @@ def resnet50_forward(weights: dict[str, np.ndarray], x: np.ndarray,
                      pack: WeightPack | None = None) -> np.ndarray:
     """ResNet50 inference: ``(N, 3, H, W) -> (N, num_classes)`` logits.
 
-    ``return_features=True`` returns the pooled 2048-d embedding.
-    ``pack`` as in :func:`vit_forward`: pre-packed conv operands and
-    pooled im2col buffers, same results.
+    ``return_features=True`` returns the pooled 2048-d embedding.  The
+    input is read channels-last once, at the stem, and every layer
+    after runs NHWC on the BN-folded operands of ``pack``, a
+    :class:`~repro.models.workspace.WeightPack` of ``weights`` (one is
+    built for the call when none is given).
     """
     if x.shape[1:] != (3, img_size, img_size):
         raise ValueError(
             f"expected input (N, 3, {img_size}, {img_size}), got {x.shape}")
+    if pack is None:
+        pack = WeightPack(weights)
 
-    def apply_bn(prefix: str, t: np.ndarray) -> np.ndarray:
-        return batchnorm2d(t, weights[f"{prefix}.gamma"],
-                           weights[f"{prefix}.beta"],
-                           weights[f"{prefix}.mean"],
-                           weights[f"{prefix}.var"])
-
-    arena = pack.arena if pack is not None else None
-    y = conv2d(x, weights["stem.conv"], stride=2, padding=3, tally=tally,
-               pack=pack)
-    y = relu(apply_bn("stem.bn", y))
-    y = maxpool2d(y, kernel=3, stride=2, padding=1, arena=arena)
+    y = _conv_bn_nhwc(x.transpose(0, 2, 3, 1), pack, "stem", stride=2,
+                      padding=3, tally=tally)
+    y = _maxpool_nhwc(y, kernel=3, stride=2, padding=1)
 
     for name, cfg in _resnet_block_configs(img_size):
         identity = y
-        y = relu(apply_bn(f"{name}.1.bn",
-                          conv2d(y, weights[f"{name}.1.conv"], tally=tally,
-                                 pack=pack)))
-        y = relu(apply_bn(f"{name}.2.bn",
-                          conv2d(y, weights[f"{name}.2.conv"],
-                                 stride=cfg.stride, padding=1, tally=tally,
-                                 pack=pack)))
-        y = apply_bn(f"{name}.3.bn",
-                     conv2d(y, weights[f"{name}.3.conv"], tally=tally,
-                            pack=pack))
+        y = _conv_bn_nhwc(y, pack, f"{name}.1", tally=tally)
+        y = _conv_bn_nhwc(y, pack, f"{name}.2", stride=cfg.stride,
+                          padding=1, tally=tally)
+        y = _conv_bn_nhwc(y, pack, f"{name}.3", relu=False, tally=tally)
         if cfg.has_downsample:
-            identity = apply_bn(
-                f"{name}.downsample.bn",
-                conv2d(identity, weights[f"{name}.downsample.conv"],
-                       stride=cfg.stride, tally=tally, pack=pack))
-        y = relu(y + identity)
+            identity = _conv_bn_nhwc(identity, pack, f"{name}.downsample",
+                                     stride=cfg.stride, relu=False,
+                                     tally=tally)
+        y += identity
+        np.maximum(y, 0, out=y)
 
-    pooled = global_avgpool(y)
+    pooled = y.mean(axis=(1, 2))
     if return_features:
         return pooled
     return linear(pooled, weights["fc.weight"], weights["fc.bias"],
@@ -502,9 +555,10 @@ def resnet50_forward(weights: dict[str, np.ndarray], x: np.ndarray,
 class FunctionalModel:
     """A runnable model: config-resolved forward plus its weights.
 
-    ``pack`` (attached by :func:`build_functional`) routes calls down
-    the pre-packed/arena fast path; a directly-constructed model
-    without one runs the reference path unchanged.
+    ``pack`` (attached by :func:`build_functional`) holds the model's
+    pre-packed operands and arena; a directly-constructed model
+    without one runs ViT's unpacked reference path and packs ResNet50
+    per call.
     """
 
     name: str
@@ -516,14 +570,10 @@ class FunctionalModel:
 
     def __call__(self, x: np.ndarray,
                  tally: MacTally | None = None) -> np.ndarray:
-        if self.pack is None:
-            return self._forward(self.weights, x, tally)
         return self._forward(self.weights, x, tally, False, self.pack)
 
     def features(self, x: np.ndarray) -> np.ndarray:
         """Penultimate embeddings ``(N, D)`` for fine-tuning."""
-        if self.pack is None:
-            return self._forward(self.weights, x, None, True)
         return self._forward(self.weights, x, None, True, self.pack)
 
     def weight_elements(self) -> int:
@@ -534,14 +584,11 @@ class FunctionalModel:
 
 
 def build_functional(name: str, seed: int = 0,
-                     num_classes: int | None = None,
-                     packed: bool = True) -> FunctionalModel:
+                     num_classes: int | None = None) -> FunctionalModel:
     """Instantiate a runnable model by zoo name.
 
-    ``packed=True`` (the default) builds the model's
-    :class:`~repro.models.workspace.WeightPack` once up front so every
-    forward runs the pre-packed fast path; ``packed=False`` keeps the
-    reference allocation-per-op behaviour (the benchmark baseline).
+    The model's :class:`~repro.models.workspace.WeightPack` is built
+    once up front, so every forward runs on pre-packed operands.
 
     >>> m = build_functional("vit_tiny")
     >>> m(np.zeros((1, 3, 32, 32), np.float32)).shape
@@ -559,8 +606,7 @@ def build_functional(name: str, seed: int = 0,
 
         return FunctionalModel(name, weights, fwd,
                                (cfg.in_channels, cfg.img_size, cfg.img_size),
-                               cfg.num_classes,
-                               pack=WeightPack(weights) if packed else None)
+                               cfg.num_classes, pack=WeightPack(weights))
     if name == "resnet50":
         classes = 1000 if num_classes is None else num_classes
         weights = init_resnet50_weights(num_classes=classes, seed=seed)
@@ -571,5 +617,5 @@ def build_functional(name: str, seed: int = 0,
                                     pack=pack)
 
         return FunctionalModel(name, weights, fwd, (3, 224, 224), classes,
-                               pack=WeightPack(weights) if packed else None)
+                               pack=WeightPack(weights))
     raise KeyError(f"unknown model {name!r}")

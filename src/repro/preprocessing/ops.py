@@ -16,14 +16,14 @@ Array = np.ndarray
 
 
 class _GridCache:
-    """Bounded FIFO cache for sampling-coordinate grids.
+    """Bounded FIFO cache for per-geometry sampling plans.
 
     A preprocessing pipeline resizes (or warps) a stream of same-shaped
-    frames, recomputing identical target-coordinate meshes per frame;
-    those meshes depend only on the geometry, so they are cached keyed
-    by it.  Entries are marked read-only — downstream math never writes
-    into them.  The bound keeps a long multi-resolution sweep from
-    pinning every geometry it ever saw.
+    frames, and where each output pixel samples the source depends only
+    on the geometry, so the plan is cached keyed by it.  Entries are
+    marked read-only — downstream math never writes into them.  The
+    bound keeps a long multi-resolution sweep from pinning every
+    geometry it ever saw.
     """
 
     def __init__(self, maxsize: int = 8):
@@ -42,8 +42,7 @@ class _GridCache:
         return grids
 
 
-_RESIZE_GRIDS = _GridCache()
-_WARP_COORDS = _GridCache()
+_PLANS = _GridCache()
 
 
 def _as_float(image: Array) -> Array:
@@ -52,24 +51,42 @@ def _as_float(image: Array) -> Array:
     return image
 
 
-def _bilinear_gather(image: Array, xs: Array, ys: Array) -> Array:
-    """Sample ``image`` at float coordinates (vectorized bilinear).
+def _sampling_plan(xs: Array, ys: Array, h: int, w: int,
+                   inside: Array | None = None) -> tuple[Array, ...]:
+    """Bilinear taps for sampling an ``(h, w)`` frame at ``(xs, ys)``.
 
-    ``xs``/``ys`` are same-shaped float arrays of source coordinates;
-    out-of-bounds samples clamp to the edge.
+    Returns four flat ``int32`` pixel indices (``y·w + x``) followed by
+    their four ``float32`` corner weights, one entry per output pixel.
+    Out-of-bounds samples clamp to the edge; ``inside`` (a boolean
+    mask) zeroes the weights of samples that must read as black.
     """
-    h, w = image.shape[:2]
-    x0 = np.clip(np.floor(xs).astype(np.int64), 0, w - 1)
-    y0 = np.clip(np.floor(ys).astype(np.int64), 0, h - 1)
+    # Clipping to [-1, w] first keeps the int cast defined for far-off
+    # (even infinite) coordinates; the clamped taps are unchanged.
+    xs = np.clip(xs.ravel(), -1, w)
+    ys = np.clip(ys.ravel(), -1, h)
+    x0 = np.clip(np.floor(xs).astype(np.int32), 0, w - 1)
+    y0 = np.clip(np.floor(ys).astype(np.int32), 0, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
-    fx = np.clip(xs - x0, 0.0, 1.0)[..., None]
-    fy = np.clip(ys - y0, 0.0, 1.0)[..., None]
+    fx = np.clip(xs - x0, 0.0, 1.0)
+    fy = np.clip(ys - y0, 0.0, 1.0)
+    row0, row1 = y0 * w, y1 * w
+    weights = [(1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy]
+    if inside is not None:
+        weights = [wt * inside.ravel() for wt in weights]
+    return (row0 + x0, row0 + x1, row1 + x0, row1 + x1,
+            *(wt.astype(np.float32) for wt in weights))
 
-    img = _as_float(image)
-    top = img[y0, x0] * (1 - fx) + img[y0, x1] * fx
-    bottom = img[y1, x0] * (1 - fx) + img[y1, x1] * fx
-    return top * (1 - fy) + bottom * fy
+
+def _apply_plan(image: Array, plan: tuple[Array, ...],
+                out_h: int, out_w: int) -> Array:
+    """``Σₖ pixels[idxₖ] · wₖ``: the planned bilinear blend, float32."""
+    h, w = image.shape[:2]
+    flat = image.reshape(h * w, -1)
+    out = flat.take(plan[0], axis=0) * plan[4][:, None]
+    for k in range(1, 4):
+        out += flat.take(plan[k], axis=0) * plan[4 + k][:, None]
+    return out.astype(np.float32, copy=False).reshape(out_h, out_w, -1)
 
 
 def resize_bilinear(image: Array, out_h: int, out_w: int) -> Array:
@@ -84,14 +101,14 @@ def resize_bilinear(image: Array, out_h: int, out_w: int) -> Array:
         raise ValueError("output size must be positive")
     h, w = image.shape[:2]
 
-    def build() -> tuple[Array, Array]:
+    def build() -> tuple[Array, ...]:
         scale_y, scale_x = h / out_h, w / out_w
         ys = (np.arange(out_h, dtype=np.float32) + 0.5) * scale_y - 0.5
         xs = (np.arange(out_w, dtype=np.float32) + 0.5) * scale_x - 0.5
-        return tuple(np.meshgrid(xs, ys))
+        return _sampling_plan(*np.meshgrid(xs, ys), h, w)
 
-    grid_x, grid_y = _RESIZE_GRIDS.get((h, w, out_h, out_w), build)
-    return _bilinear_gather(image, grid_x, grid_y).astype(np.float32)
+    plan = _PLANS.get(("resize", h, w, out_h, out_w), build)
+    return _apply_plan(image, plan, out_h, out_w)
 
 
 def center_crop(image: Array, crop_h: int, crop_w: int) -> Array:
@@ -166,30 +183,26 @@ def warp_perspective(image: Array, homography: Array,
         raise ValueError("homography must be 3x3")
     if min(out_h, out_w) < 1:
         raise ValueError("output size must be positive")
-    inv = np.linalg.inv(homography)
+    h, w = image.shape[:2]
 
-    def build() -> tuple[Array]:
+    def build() -> tuple[Array, ...]:
         xs = np.arange(out_w, dtype=np.float64)
         ys = np.arange(out_h, dtype=np.float64)
         grid_x, grid_y = np.meshgrid(xs, ys)
-        ones = np.ones_like(grid_x)
-        return (np.stack([grid_x, grid_y, ones], axis=0).reshape(3, -1),)
+        coords = np.stack([grid_x, grid_y, np.ones_like(grid_x)],
+                          axis=0).reshape(3, -1)
+        mapped = np.linalg.inv(homography) @ coords
+        with np.errstate(divide="ignore", invalid="ignore"):
+            src_x = np.nan_to_num(mapped[0] / mapped[2], nan=-1.0)
+            src_y = np.nan_to_num(mapped[1] / mapped[2], nan=-1.0)
+        # Samples falling outside the source frame read as zero.
+        inside = ((src_x >= -0.5) & (src_x <= w - 0.5)
+                  & (src_y >= -0.5) & (src_y <= h - 0.5))
+        return _sampling_plan(src_x, src_y, h, w, inside)
 
-    (coords,) = _WARP_COORDS.get((out_h, out_w), build)
-    mapped = inv @ coords
-    denom = mapped[2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        src_x = (mapped[0] / denom).reshape(out_h, out_w)
-        src_y = (mapped[1] / denom).reshape(out_h, out_w)
-    src_x = np.nan_to_num(src_x, nan=-1.0)
-    src_y = np.nan_to_num(src_y, nan=-1.0)
-    out = _bilinear_gather(image, src_x, src_y)
-    # Zero out samples falling outside the source frame.
-    h, w = image.shape[:2]
-    inside = ((src_x >= -0.5) & (src_x <= w - 0.5)
-              & (src_y >= -0.5) & (src_y <= h - 0.5))
-    out *= inside[..., None]
-    return out.astype(np.float32)
+    plan = _PLANS.get(
+        ("warp", h, w, out_h, out_w, homography.tobytes()), build)
+    return _apply_plan(image, plan, out_h, out_w)
 
 
 def ground_plane_homography(width: int, height: int,

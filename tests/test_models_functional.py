@@ -5,6 +5,7 @@ import pytest
 
 from repro.models.functional import (
     MacTally,
+    _resnet_block_configs,
     attention,
     batchnorm2d,
     build_functional,
@@ -23,6 +24,7 @@ from repro.models.functional import (
 )
 from repro.models.resnet import build_resnet50
 from repro.models.vit import VIT_CONFIGS, ViTConfig, build_vit
+from repro.models.workspace import WeightPack
 
 
 class TestLowLevelOps:
@@ -31,6 +33,15 @@ class TestLowLevelOps:
         w = rng.standard_normal((4, 3)).astype(np.float32)
         b = rng.standard_normal(4).astype(np.float32)
         np.testing.assert_allclose(linear(x, w, b), x @ w.T + b, rtol=1e-5)
+
+    def test_linear_epilogue_exact_packed_and_unpacked(self, rng):
+        x = rng.standard_normal((5, 7, 16)).astype(np.float32)
+        w = rng.standard_normal((12, 16)).astype(np.float32)
+        b = rng.standard_normal(12).astype(np.float32)
+        expected = x @ w.T + b
+        np.testing.assert_array_equal(linear(x, w, b), expected)
+        packed = linear(x, w, b, pack=WeightPack({"fc.weight": w}))
+        np.testing.assert_array_equal(packed, expected)
 
     def test_linear_shape_mismatch_raises(self, rng):
         with pytest.raises(ValueError, match="features"):
@@ -177,6 +188,106 @@ class TestResNetForward:
         graph = build_resnet50(img_size=64, num_classes=10)
         # Analytic MACs count conv + fc; the tally counts the same ops.
         assert tally.macs == pytest.approx(graph.total_macs(), rel=1e-9)
+
+
+def _randomized_resnet(rng, img_size: int, num_classes: int):
+    """ResNet50 weights with non-identity BN statistics.
+
+    The initializer's identity stats (γ=1, β=0, mean=0, var=1) would
+    hide a wrong scale or shift in the folded operands.
+    """
+    w = init_resnet50_weights(img_size=img_size, num_classes=num_classes)
+    for key, value in w.items():
+        shape = value.shape
+        if key.endswith(".gamma"):
+            w[key] = rng.uniform(0.5, 1.5, shape).astype(np.float32)
+        elif key.endswith(".beta") or key.endswith(".mean"):
+            w[key] = rng.normal(0.0, 0.2, shape).astype(np.float32)
+        elif key.endswith(".var"):
+            w[key] = rng.uniform(0.5, 2.0, shape).astype(np.float32)
+    w["fc.bias"] = rng.normal(0.0, 0.1, num_classes).astype(np.float32)
+    return w
+
+
+def _nchw_resnet50(w, x, img_size, tally):
+    """The NCHW reference: conv2d -> batchnorm2d -> relu, maxpool2d."""
+    def conv_bn(t, prefix, stride=1, padding=0, act=True):
+        t = conv2d(t, w[f"{prefix}.conv"], stride=stride, padding=padding,
+                   tally=tally)
+        t = batchnorm2d(t, w[f"{prefix}.bn.gamma"], w[f"{prefix}.bn.beta"],
+                        w[f"{prefix}.bn.mean"], w[f"{prefix}.bn.var"])
+        return relu(t) if act else t
+
+    y = maxpool2d(conv_bn(x, "stem", stride=2, padding=3), kernel=3,
+                  stride=2, padding=1)
+    for name, cfg in _resnet_block_configs(img_size):
+        identity = y
+        y = conv_bn(y, f"{name}.1")
+        y = conv_bn(y, f"{name}.2", stride=cfg.stride, padding=1)
+        y = conv_bn(y, f"{name}.3", act=False)
+        if cfg.has_downsample:
+            identity = conv_bn(identity, f"{name}.downsample",
+                               stride=cfg.stride, act=False)
+        y = relu(y + identity)
+    pooled = global_avgpool(y)
+    return pooled, linear(pooled, w["fc.weight"], w["fc.bias"], tally=tally)
+
+
+class TestResNetNHWCParity:
+    """The channels-last, BN-folded forward against the NCHW reference."""
+
+    IMG = 64
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        rng = np.random.default_rng(11)
+        w = _randomized_resnet(rng, self.IMG, num_classes=10)
+        x = rng.standard_normal((2, 3, self.IMG, self.IMG)).astype(
+            np.float32)
+        ref_tally = MacTally()
+        features, logits = _nchw_resnet50(w, x, self.IMG, ref_tally)
+        return w, x, features, logits, ref_tally.macs
+
+    def test_logits_and_macs_match(self, case):
+        w, x, _, logits, macs = case
+        tally = MacTally()
+        out = resnet50_forward(w, x, img_size=self.IMG, tally=tally,
+                               pack=WeightPack(w))
+        np.testing.assert_allclose(out, logits, rtol=1e-4, atol=1e-5)
+        assert tally.macs == macs
+
+    def test_features_match(self, case):
+        w, x, features, _, _ = case
+        out = resnet50_forward(w, x, img_size=self.IMG,
+                               return_features=True)
+        assert out.shape == features.shape == (2, 2048)
+        np.testing.assert_allclose(out, features, rtol=1e-4, atol=1e-5)
+
+    def test_facade_features_and_logits_match(self):
+        # build_functional's pack folded identity BN stats; replacing the
+        # arrays makes it fold the randomized ones on first use.
+        model = build_functional("resnet50", num_classes=10)
+        rng = np.random.default_rng(12)
+        model.weights.update(_randomized_resnet(rng, 224, num_classes=10))
+        x = rng.standard_normal((1, *model.input_shape)).astype(np.float32)
+        ref_tally, tally = MacTally(), MacTally()
+        features, logits = _nchw_resnet50(model.weights, x, 224, ref_tally)
+        np.testing.assert_allclose(model(x, tally), logits, rtol=1e-4,
+                                   atol=1e-5)
+        assert tally.macs == ref_tally.macs
+        np.testing.assert_allclose(model.features(x), features, rtol=1e-4,
+                                   atol=1e-5)
+
+    def test_pack_refolds_replaced_weights(self, case):
+        w, x, _, _, _ = case
+        w = dict(w)
+        pack = WeightPack(w)
+        before = resnet50_forward(w, x, img_size=self.IMG, pack=pack)
+        w["layer2.0.2.bn.beta"] = w["layer2.0.2.bn.beta"] + 1.0
+        fresh = resnet50_forward(w, x, img_size=self.IMG)
+        refolded = resnet50_forward(w, x, img_size=self.IMG, pack=pack)
+        np.testing.assert_array_equal(refolded, fresh)
+        assert not np.allclose(refolded, before)
 
 
 class TestFacade:

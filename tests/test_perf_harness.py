@@ -403,18 +403,6 @@ class TestMacTallyPackedParity:
         assert fast_tally.macs == slow_tally.macs > 0
         np.testing.assert_allclose(fast, slow, rtol=1e-4, atol=1e-5)
 
-    def test_build_functional_packed_matches_unpacked(self):
-        from repro.models.functional import build_functional
-
-        packed = build_functional("vit_tiny", seed=1, packed=True)
-        loose = build_functional("vit_tiny", seed=1, packed=False)
-        x = np.random.default_rng(4).standard_normal(
-            (1, *packed.input_shape)).astype(np.float32)
-        np.testing.assert_allclose(packed(x), loose(x),
-                                   rtol=1e-4, atol=1e-5)
-        assert packed.pack is not None and packed.pack.packed_count > 0
-        assert loose.pack is None
-
 
 class TestGridCache:
     """Cached sampling grids must not change preprocessing output."""

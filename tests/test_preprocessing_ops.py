@@ -205,3 +205,120 @@ class TestGroundPlaneHomography:
             ground_plane_homography(100, 50, horizon_fraction=0.0)
         with pytest.raises(ValueError):
             ground_plane_homography(100, 50, top_squeeze=0.0)
+
+
+# ----------------------------------------------------------------------
+# Sampling plans against the direct bilinear gather they replace
+# ----------------------------------------------------------------------
+
+def _gather_reference(image, xs, ys):
+    """Bilinear sampling by four 2-D fancy-index gathers, edge-clamped."""
+    h, w = image.shape[:2]
+    x0 = np.clip(np.floor(xs).astype(np.int64), 0, w - 1)
+    y0 = np.clip(np.floor(ys).astype(np.int64), 0, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    fx = np.clip(xs - x0, 0.0, 1.0)[..., None]
+    fy = np.clip(ys - y0, 0.0, 1.0)[..., None]
+    img = image.astype(np.float32)
+    top = img[y0, x0] * (1 - fx) + img[y0, x1] * fx
+    bottom = img[y1, x0] * (1 - fx) + img[y1, x1] * fx
+    return top * (1 - fy) + bottom * fy
+
+
+def _resize_reference(image, out_h, out_w):
+    h, w = image.shape[:2]
+    ys = (np.arange(out_h, dtype=np.float32) + 0.5) * (h / out_h) - 0.5
+    xs = (np.arange(out_w, dtype=np.float32) + 0.5) * (w / out_w) - 0.5
+    grid_x, grid_y = np.meshgrid(xs, ys)
+    return _gather_reference(image, grid_x, grid_y)
+
+
+def _warp_reference(image, homography, out_h, out_w):
+    grid_x, grid_y = np.meshgrid(np.arange(out_w, dtype=np.float64),
+                                 np.arange(out_h, dtype=np.float64))
+    coords = np.stack([grid_x, grid_y, np.ones_like(grid_x)]).reshape(3, -1)
+    mapped = np.linalg.inv(homography) @ coords
+    src_x = (mapped[0] / mapped[2]).reshape(out_h, out_w)
+    src_y = (mapped[1] / mapped[2]).reshape(out_h, out_w)
+    h, w = image.shape[:2]
+    inside = ((src_x >= -0.5) & (src_x <= w - 0.5)
+              & (src_y >= -0.5) & (src_y <= h - 0.5))
+    return _gather_reference(image, src_x, src_y) * inside[..., None]
+
+
+def _frame(rng, h, w, c=3):
+    """A noise frame with no zero pixel, so a zero output means masked."""
+    return rng.integers(1, 256, size=(h, w, c), dtype=np.uint8)
+
+
+class TestSamplingPlans:
+    @pytest.mark.parametrize("src, out", [
+        ((20, 30), (47, 61)),   # upscale
+        ((64, 48), (17, 11)),   # downscale
+        ((1, 9), (4, 20)),      # one-pixel-high source
+        ((13, 1), (5, 3)),      # one-pixel-wide source
+        ((1, 1), (3, 3)),
+    ])
+    def test_resize_matches_gather(self, rng, src, out):
+        img = _frame(rng, *src)
+        got = resize_bilinear(img, *out)
+        assert got.dtype == np.float32
+        np.testing.assert_allclose(got, _resize_reference(img, *out),
+                                   atol=1e-3)
+
+    @pytest.mark.parametrize("src, out", [
+        ((60, 80), (60, 80)),
+        ((30, 40), (75, 90)),   # upscale
+        ((90, 120), (20, 25)),  # downscale
+    ])
+    def test_ground_plane_warp_matches_gather(self, rng, src, out):
+        img = _frame(rng, *src)
+        hom = ground_plane_homography(src[1], src[0])
+        got = warp_perspective(img, hom, *out)
+        assert got.dtype == np.float32
+        np.testing.assert_allclose(got, _warp_reference(img, hom, *out),
+                                   atol=1e-3)
+
+    def test_one_pixel_edge_clamps(self, rng):
+        # Sub-pixel shift: the last row/column sample past the edge and
+        # must clamp to the border pixels.
+        img = _frame(rng, 12, 16)
+        hom = np.eye(3)
+        hom[0, 2], hom[1, 2] = -0.4, -0.3
+        got = warp_perspective(img, hom, 12, 16)
+        np.testing.assert_allclose(got, _warp_reference(img, hom, 12, 16),
+                                   atol=1e-3)
+        assert got[-1, -1].any()
+
+    def test_out_of_frame_rows_are_zero(self, rng):
+        img = _frame(rng, 20, 24)
+        hom = np.eye(3)
+        hom[1, 2] = 8.0  # content moves down; top rows sample above it
+        got = warp_perspective(img, hom, 20, 24)
+        np.testing.assert_allclose(got, _warp_reference(img, hom, 20, 24),
+                                   atol=1e-3)
+        assert not got[:7].any()
+        assert got[9:].all()
+
+    def test_distinct_homographies_get_distinct_plans(self, rng):
+        img = _frame(rng, 40, 50)
+        first = ground_plane_homography(50, 40)
+        second = ground_plane_homography(50, 40, horizon_fraction=0.5)
+        a = warp_perspective(img, first, 40, 50)
+        b = warp_perspective(img, second, 40, 50)
+        assert not np.allclose(a, b)
+        np.testing.assert_allclose(b, _warp_reference(img, second, 40, 50),
+                                   atol=1e-3)
+        np.testing.assert_allclose(warp_perspective(img, first, 40, 50), a)
+
+    def test_distinct_source_shapes_get_distinct_plans(self, rng):
+        hom = ground_plane_homography(50, 40)
+        small, large = _frame(rng, 40, 50), _frame(rng, 44, 56)
+        for img in (small, large, small):
+            np.testing.assert_allclose(
+                warp_perspective(img, hom, 40, 50),
+                _warp_reference(img, hom, 40, 50), atol=1e-3)
+            np.testing.assert_allclose(
+                resize_bilinear(img, 16, 16),
+                _resize_reference(img, 16, 16), atol=1e-3)

@@ -60,7 +60,7 @@ same network "" network --frames 15 --seed 1 --broker-messages 60 \
     --outage-start 5 --outage-seconds 3 --out network.json \
     --trace-out network.trace.json
 same profile "" profile --duration 4 --fluid-duration 40 \
-    --burst-rate 900 --seed 1 --out profile.json \
+    --burst-rate 900 --seed 1 --forward --out profile.json \
     --speedscope profile.speedscope.json --folded-out profile.folded
 same faas "" faas --duration 3600 --seed 1 --out faas.json
 same sweep "--jobs 2" sweep --replications 4 --duration 600 --seed 7 \
