@@ -62,15 +62,14 @@ def render_rows(title: str, rows: list[dict]) -> str:
 def registry_stage_breakdown(registry) -> dict[str, dict]:
     """Per-stage time summary from a live metrics registry.
 
-    The same shape as :func:`repro.serving.tracing.stage_breakdown` —
     {stage: {count, total_seconds, mean_seconds, retried_attempts}}
-    plus the ``"queued"`` pseudo-stage — but computed from the
-    registry's ``execution_seconds`` / ``queue_wait_seconds``
-    histograms instead of re-walking completed response traces, so it
-    works mid-run and at production request volumes.  One difference in
-    granularity: stage counts here are *batch executions* (what an
-    instance actually ran), while the tracing view counts per-request
-    spans; queue waits are per request in both.
+    plus the ``"queued"`` pseudo-stage, computed from the registry's
+    ``execution_seconds`` / ``queue_wait_seconds`` histograms and
+    ``retries_total`` counters, so it works mid-run and at production
+    request volumes.  Stage counts are successful *batch executions*
+    (what an instance actually ran); queue waits are per request.  The
+    per-request view of the same decomposition is the ``execute``
+    spans of each :class:`~repro.serving.tracectx.TraceContext`.
     """
     out: dict[str, dict] = {}
     exec_hist = registry.get("execution_seconds")
@@ -190,7 +189,7 @@ def render_cache_table(summaries: list[dict]) -> str:
 
 
 def render_stage_breakdown(breakdown: dict[str, dict]) -> str:
-    """Text table for a stage breakdown (tracing- or registry-built)."""
+    """Text table for a :func:`registry_stage_breakdown` result."""
     lines = [f"{'stage':<16s} {'count':>7s} {'total s':>10s} "
              f"{'mean ms':>9s} {'retried':>8s}"]
     for stage in sorted(breakdown):

@@ -1062,6 +1062,7 @@ def _cmd_faas(args: argparse.Namespace) -> int:
     )
     from repro.serving.events import Simulator
     from repro.serving.exporter import export_registry
+    from repro.serving.metrics import nearest_rank_quantile as quantile
     from repro.serving.observability import MetricsRegistry
     from repro.serving.slo import SLOConfig, SLOMonitor
     from repro.serving.traces import TraceReplayer, sparse_diurnal_trace
@@ -1107,18 +1108,8 @@ def _cmd_faas(args: argparse.Namespace) -> int:
 
     stats = backend.function_stats("infer")
     served = [r for r in backend.responses if r.status == "ok"]
-    cold = [r.latency for r in served
-            if "faas:cold_start_seconds" in r.request.stage_times]
-    warm = [r.latency for r in served
-            if "faas:cold_start_seconds" not in r.request.stage_times]
-
-    def quantile(values: list[float], frac: float) -> float:
-        if not values:
-            return 0.0
-        ordered = sorted(values)
-        return ordered[min(len(ordered) - 1,
-                           round(frac * (len(ordered) - 1)))]
-
+    cold = [r.latency for r in served if r.request.cold_start]
+    warm = [r.latency for r in served if not r.request.cold_start]
     warm_p50, warm_p99 = quantile(warm, 0.50), quantile(warm, 0.99)
     cold_p50, cold_p99 = quantile(cold, 0.50), quantile(cold, 0.99)
     inflation = cold_p99 / warm_p99 if warm_p99 > 0 else float("inf")

@@ -410,8 +410,7 @@ class FaaSBackend:
         if request is not None:
             fn.stats.cold_starts += 1
             handles.cold.inc()
-            request.stage_times["faas:cold_start_seconds"] = \
-                sandbox + init
+            request.cold_start = True
         else:
             fn.stats.prewarms += 1
             handles.prewarms.inc()
@@ -469,7 +468,8 @@ class FaaSBackend:
                 f"service time for {request.num_images} images is "
                 "negative")
         start = self.sim.now
-        request.stage_times[f"{inst.name}:start"] = start
+        if request.first_start is None:
+            request.first_start = start
         span = None
         if request.trace is not None:
             span = request.trace.begin(
@@ -480,11 +480,10 @@ class FaaSBackend:
         def finish() -> None:
             fn.stats.invocations += 1
             fn.stats.busy_seconds += duration
-            request.stage_times[f"{inst.name}:end"] = self.sim.now
             if span is not None:
                 request.trace.end(span, self.sim.now)
             handles = self._fn_handles[fn.config.name]
-            if "faas:cold_start_seconds" in request.stage_times:
+            if request.cold_start:
                 handles.invoked_cold.inc()
             else:
                 handles.invoked_warm.inc()

@@ -83,13 +83,6 @@ from repro.serving.observability import (
     SamplePoint,
     TimeSeriesSampler,
 )
-from repro.serving.tracing import (
-    RequestTrace,
-    Span,
-    render_gantt,
-    stage_breakdown,
-    trace_of,
-)
 from repro.serving.profiler import ProfileScope, SimProfiler
 from repro.serving.tracectx import SpanPool, SpanRecord, TraceContext
 from repro.serving.trace_export import (
@@ -99,6 +92,7 @@ from repro.serving.trace_export import (
     export_chrome_trace,
     render_attribution,
     render_critical_path,
+    render_gantt,
     validate_chrome_trace,
 )
 from repro.serving.slo import BurnAlert, SLOConfig, SLOMonitor
@@ -141,11 +135,6 @@ __all__ = [
     "MetricsRegistry",
     "SamplePoint",
     "TimeSeriesSampler",
-    "RequestTrace",
-    "Span",
-    "render_gantt",
-    "stage_breakdown",
-    "trace_of",
     "ProfileScope",
     "SimProfiler",
     "SpanPool",
@@ -157,6 +146,7 @@ __all__ = [
     "export_chrome_trace",
     "render_attribution",
     "render_critical_path",
+    "render_gantt",
     "validate_chrome_trace",
     "BurnAlert",
     "SLOConfig",

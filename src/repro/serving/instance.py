@@ -98,22 +98,6 @@ class BackendInstance:
         #: detection windows to ``serve;<stage>;fault``.
         self.profiler = None
 
-    def _span_key(self, request: Request) -> str:
-        """Span key for this execution attempt of ``request``.
-
-        Keyed per *attempt*: a retried request keeps its earlier
-        attempts' timestamps instead of overwriting them (the first
-        attempt keeps the bare instance name so single-shot traces read
-        unchanged; retries append ``@<attempt>``).
-        """
-        attempt = sum(
-            1 for key in request.stage_times
-            if key.endswith(":start")
-            and key.split("#")[0] == self._stage)
-        if attempt == 0:
-            return self.name
-        return f"{self.name}@{attempt}"
-
     def execute(self, batch: list[Request],
                 on_complete: Callable[[list[Request]], None],
                 on_failure: Callable[[list[Request]], None] | None = None,
@@ -131,18 +115,18 @@ class BackendInstance:
         self.busy = True
         self.current_images = images
         start = self.sim.now
-        span_keys = [(request, self._span_key(request))
-                     for request in batch]
         trace_spans = []
-        for request, key in span_keys:
-            request.stage_times[f"{key}:start"] = start
+        for request in batch:
+            if request.first_start is None:
+                request.first_start = start
             if request.trace is not None:
-                attempt = (int(key.rsplit("@", 1)[1])
-                           if "@" in key else 0)
+                # Each attempt gets its own span; a retry's ``attempt``
+                # is the number of failures this stage has seen.
                 trace_spans.append((request, request.trace.begin(
                     "execute", start, category="execute",
                     stage=self._stage, instance=self.name,
-                    attempt=attempt, batch_images=images)))
+                    attempt=request.retries.get(self._stage, 0),
+                    batch_images=images)))
 
         fails = (self.fault_model is not None
                  and on_failure is not None
@@ -157,9 +141,7 @@ class BackendInstance:
                 self.stats.fault_seconds += detect
                 # Close the attempt's span at detection time: the slot
                 # was occupied, and the trace must show it (instead of
-                # the wait silently inflating queued_seconds).
-                for request, key in span_keys:
-                    request.stage_times[f"{key}:end"] = self.sim.now
+                # the wait reading as queueing).
                 for request, span in trace_spans:
                     span.args["outcome"] = "fault"
                     request.trace.end(span, self.sim.now)
@@ -181,8 +163,6 @@ class BackendInstance:
             self.stats.batches_served += 1
             self.stats.images_served += images
             self.stats.busy_seconds += duration
-            for request, key in span_keys:
-                request.stage_times[f"{key}:end"] = self.sim.now
             for request, span in trace_spans:
                 request.trace.end(span, self.sim.now)
             if self._h_exec is not None:

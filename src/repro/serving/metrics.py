@@ -30,6 +30,19 @@ class LatencyStats:
         return cls(0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
+def nearest_rank_quantile(values: list[float], frac: float) -> float:
+    """Exact nearest-rank quantile of raw samples (0.0 when empty).
+
+    Unlike ``np.percentile`` this never interpolates: the result is
+    always one of the samples.
+    """
+    if not values:
+        return 0.0
+    ordered = sorted(values)
+    return ordered[min(len(ordered) - 1,
+                       round(frac * (len(ordered) - 1)))]
+
+
 def summarize_responses(responses: list[Response],
                         warmup_fraction: float = 0.0) -> LatencyStats:
     """Aggregate responses into :class:`LatencyStats`.

@@ -18,8 +18,7 @@ rejection storm *while it happens*; this module can:
 The server, batcher, and backend instances emit into the registry as
 requests flow; :func:`repro.serving.exporter.export_registry` renders a
 scrape, and :func:`repro.analysis.report.registry_stage_breakdown`
-summarizes the per-stage histograms in the same shape as
-:func:`repro.serving.tracing.stage_breakdown`.
+summarizes the per-stage histograms.
 """
 
 from __future__ import annotations

@@ -26,8 +26,13 @@ class Request:
     priority: int = 0
     request_id: int = dataclasses.field(
         default_factory=lambda: next(_request_ids))
-    #: Timestamps stamped by the server as the request advances.
-    stage_times: dict[str, float] = dataclasses.field(default_factory=dict)
+    #: Virtual time the first backend execution started (None until
+    #: then); later attempts and stages leave it alone.
+    first_start: float | None = None
+    #: Failed executions per stage, bumped by the server's retry path.
+    retries: dict[str, int] = dataclasses.field(default_factory=dict)
+    #: Whether a FaaS backend spawned a sandbox for this request.
+    cold_start: bool = False
     #: Optional distributed-tracing context (see
     #: :mod:`repro.serving.tracectx`).  None = tracing off: every
     #: instrumentation point is a no-op and the request behaves exactly
@@ -73,7 +78,7 @@ class Response:
     @property
     def queue_delay(self) -> float:
         """Seconds spent queued before the first backend execution."""
-        first_start = min(
-            (t for name, t in self.request.stage_times.items()
-             if name.endswith(":start")), default=self.completion_time)
+        first_start = self.request.first_start
+        if first_start is None:
+            first_start = self.completion_time
         return first_start - self.request.arrival_time

@@ -459,8 +459,8 @@ class TritonLikeServer:
         """Retry failed executions; exhaust the budget -> failed status."""
         config = self._models[stage]
         for request in batch:
-            attempts = request.stage_times.get(f"{stage}:retries", 0) + 1
-            request.stage_times[f"{stage}:retries"] = attempts
+            attempts = request.retries.get(stage, 0) + 1
+            request.retries[stage] = attempts
             if attempts <= config.max_retries:
                 self._c_retries.inc(stage=stage)
                 self._enqueue(stage, request)

@@ -1,6 +1,6 @@
 """Chrome/Perfetto trace-event export and critical-path analysis.
 
-Two consumers for the spans :mod:`repro.serving.tracectx` accumulates:
+Consumers for the spans :mod:`repro.serving.tracectx` accumulates:
 
 * :func:`export_chrome_trace` — the Chrome trace-event JSON format
   (``chrome://tracing``, https://ui.perfetto.dev): one process, one
@@ -15,6 +15,8 @@ Two consumers for the spans :mod:`repro.serving.tracectx` accumulates:
   uncovered time books to ``untracked``), then reports which stage
   bounds the p50/p95/p99 request — the paper's "where did the 16.7 ms
   go" question, answered per quantile.
+* :func:`render_gantt` — a terminal Gantt chart of one request, one
+  row per span that the Chrome export draws as a complete event.
 """
 
 from __future__ import annotations
@@ -89,6 +91,54 @@ _INTERVAL_NAMES = frozenset({
 
 def _is_interval(span: SpanRecord) -> bool:
     return span.name in _INTERVAL_NAMES
+
+
+def gantt_rows(trace: TraceContext) -> list[tuple[str, SpanRecord]]:
+    """``(label, span)`` for each closed interval child span.
+
+    The rows are the spans :func:`chrome_trace_events` emits as
+    complete events, in creation order.  A row is labelled with the
+    span's ``instance`` arg (its name when it has none), plus
+    ``@<attempt>`` for a retried execution.
+    """
+    rows = []
+    for span in trace.children():
+        if span.end is None or (span.duration == 0
+                                and not _is_interval(span)):
+            continue
+        label = str(span.args.get("instance", span.name))
+        attempt = span.args.get("attempt", 0)
+        if attempt:
+            label += f"@{attempt}"
+        rows.append((label, span))
+    return rows
+
+
+def render_gantt(trace: TraceContext, width: int = 60) -> str:
+    """ASCII Gantt chart of one closed trace, a row per :func:`gantt_rows`.
+
+    The header carries the latency and the time no span covers (see
+    :func:`critical_path`).  A zero-duration trace (a request shed the
+    instant it arrived) has no timeline to scale bars against; it
+    renders as a degenerate one-column chart — every row a single
+    ``#`` at the origin — rather than dividing by the total.
+    """
+    if width < 10:
+        raise ValueError("width must be >= 10")
+    total = trace.latency
+    untracked = critical_path(trace).get("untracked", 0.0)
+    lines = [f"request {trace.trace_id} ({trace.status}): "
+             f"{total * 1e3:.2f} ms "
+             f"(untracked {untracked * 1e3:.2f} ms)"]
+    for label, span in gantt_rows(trace):
+        if total <= 0:
+            lead, bar = 0, 1
+        else:
+            lead = int((span.start - trace.start) / total * width)
+            bar = max(1, int(span.duration / total * width))
+        lines.append(f"  {label:20s} {'.' * lead}{'#' * bar}"
+                     f" {span.duration * 1e3:.2f} ms")
+    return "\n".join(lines)
 
 
 def export_chrome_trace(traces: list[TraceContext],

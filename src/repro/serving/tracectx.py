@@ -3,18 +3,17 @@
 The paper's core contribution is decomposing where time goes across the
 continuum — dataset preprocessing, network transfer, queueing, batching,
 inference — and "Beyond Inference" (arXiv:2403.12981) shows the server
--side share routinely dominates.  :mod:`repro.serving.tracing` can only
-reconstruct spans post-hoc from a response's stage stamps, and the
-continuum layers (edge preprocess, uplink, downlink) are invisible to
-it.  This module is the forward path: a :class:`TraceContext` created at
-the client rides the :class:`~repro.serving.request.Request` through
+-side share routinely dominates.  This module records that
+decomposition per request: a :class:`TraceContext` created at the
+client rides the :class:`~repro.serving.request.Request` through
 every layer — admission, balancing, queueing, batch dispatch, backend
 execution, retries, shed attempts, and the continuum's transfer legs —
 and each layer appends named child spans stamped on the simulator
 clock.
 
 The result feeds :mod:`repro.serving.trace_export`: Chrome/Perfetto
-trace-event JSON plus a critical-path analysis over the span DAG.
+trace-event JSON, a critical-path analysis over the span DAG, and a
+per-request Gantt view.
 
 Span naming conventions (what instrumented layers emit):
 
@@ -39,9 +38,9 @@ name               category    emitted by
 ``reap``           faas       keep-alive expiry (lifecycle instant, idle seconds)
 =================  ==========  =========================================
 
-Retried executions carry an ``attempt`` arg (and the legacy ``@n`` stage
--stamp suffix still appears in ``Request.stage_times``, so the post-hoc
-view stays consistent with the forward one).
+Retried executions carry an ``attempt`` arg: the number of times the
+stage has failed for this request (``Request.retries``), so the first
+try is 0.
 """
 
 from __future__ import annotations

@@ -31,15 +31,6 @@ LATENCY_BOUNDS: tuple[float, ...] = (
 )
 
 
-def _quantile(values: list[float], frac: float) -> float:
-    """Exact nearest-rank quantile over one shard's raw samples."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    return ordered[min(len(ordered) - 1,
-                       round(frac * (len(ordered) - 1)))]
-
-
 def replay_sparse_diurnal(params: dict) -> dict:
     """Replay one seeded sparse-diurnal day against a Triton-like server.
 
@@ -57,8 +48,9 @@ def replay_sparse_diurnal(params: dict) -> dict:
     """
     from repro.serving.batcher import BatcherConfig
     from repro.serving.observability import MetricsRegistry
-    from repro.serving.profiler import SimProfiler
     from repro.serving.events import Simulator
+    from repro.serving.metrics import nearest_rank_quantile
+    from repro.serving.profiler import SimProfiler
     from repro.serving.server import ModelConfig, TritonLikeServer
     from repro.serving.traces import TraceReplayer, sparse_diurnal_trace
     from repro.sweep.merge import BucketSummary
@@ -98,9 +90,9 @@ def replay_sparse_diurnal(params: dict) -> dict:
         "completed": len(latencies),
         "sim_seconds": sim.now,
         "events": sim.events_processed,
-        "p50": _quantile(latencies, 0.50),
-        "p95": _quantile(latencies, 0.95),
-        "p99": _quantile(latencies, 0.99),
+        "p50": nearest_rank_quantile(latencies, 0.50),
+        "p95": nearest_rank_quantile(latencies, 0.95),
+        "p99": nearest_rank_quantile(latencies, 0.99),
         "summary": summary,
         "registry": registry,
         "profiler": profiler,

@@ -93,27 +93,32 @@ def render_heatmap_svg(grid: np.ndarray, title: str = "field heatmap",
 
 def render_trace_svg(trace, width: int = 640,
                      row_height: int = 22) -> str:
-    """SVG Gantt timeline of one request's spans.
+    """SVG Gantt timeline of one request.
 
-    ``trace`` is a :class:`repro.serving.tracing.RequestTrace`; queueing
-    gaps show as empty track, spans as colored bars.
+    ``trace`` is a closed :class:`repro.serving.tracectx.TraceContext`;
+    it draws one colored bar per
+    :func:`repro.serving.trace_export.gantt_rows` entry, and gaps
+    between bars show as empty track.
     """
+    from repro.serving.trace_export import critical_path, gantt_rows
     from repro.viz.svg import PALETTE
 
-    if not trace.spans:
+    rows = gantt_rows(trace)
+    if not rows:
         raise ValueError("trace has no spans to draw")
     total = max(trace.latency, 1e-12)
-    height = 50 + row_height * len(trace.spans)
+    untracked = critical_path(trace).get("untracked", 0.0)
+    height = 50 + row_height * len(rows)
     canvas = SvgCanvas(width, height)
     canvas.text(10, 18,
-                f"request {trace.request_id} ({trace.status}) — "
-                f"{trace.latency * 1e3:.2f} ms, queued "
-                f"{trace.queued_seconds * 1e3:.2f} ms", size=12)
+                f"request {trace.trace_id} ({trace.status}) — "
+                f"{trace.latency * 1e3:.2f} ms, untracked "
+                f"{untracked * 1e3:.2f} ms", size=12)
     track_x, track_w = 150, width - 170
-    for i, span in enumerate(trace.spans):
+    for i, (label, span) in enumerate(rows):
         y = 34 + i * row_height
-        canvas.text(10, y + 12, span.stage, size=10)
-        x0 = track_x + (span.start - trace.arrival) / total * track_w
+        canvas.text(10, y + 12, label, size=10)
+        x0 = track_x + (span.start - trace.start) / total * track_w
         bar = max(1.0, span.duration / total * track_w)
         canvas.rect(x0, y, bar, row_height - 6,
                     fill=PALETTE[i % len(PALETTE)])

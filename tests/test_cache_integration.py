@@ -22,10 +22,22 @@ from repro.serving.server import (
     ModelConfig,
     TritonLikeServer,
 )
+from repro.serving.tracectx import TraceContext
 
 
 def fp(bits: int) -> FrameFingerprint:
     return FrameFingerprint(dhash=bits, blocks=0)
+
+
+def traced(sim, model, **fields) -> Request:
+    request = Request(model, **fields)
+    request.trace = TraceContext(request.request_id, start=sim.now)
+    return request
+
+
+def executed_stages(request) -> list[str]:
+    """Stages the request executed on, in span order."""
+    return [s.args["stage"] for s in request.trace.find("execute")]
 
 
 def make_hierarchy(sim, registry=None, ttl=None):
@@ -158,18 +170,16 @@ class TestServerTensorCache:
         cache = make_hierarchy(sim)
         server.attach_cache(cache, tensor_bytes=1024.0)
 
-        first = Request("infer", cache_key=fp(1))
+        first = traced(sim, "infer", cache_key=fp(1))
         server.submit(first)
         server.run()
-        assert any(k.startswith("preprocess") for k in first.stage_times)
+        assert executed_stages(first) == ["preprocess", "infer"]
         assert cache.cloud.store.stats.insertions == 1
 
-        second = Request("infer", cache_key=fp(1))
+        second = traced(sim, "infer", cache_key=fp(1))
         server.submit(second)
         server.run()
-        assert not any(k.startswith("preprocess")
-                       for k in second.stage_times)
-        assert any(k.startswith("infer") for k in second.stage_times)
+        assert executed_stages(second) == ["infer"]
         assert server.responses[-1].ok
         assert cache.cloud.hit_ratio == 0.5
 
@@ -190,18 +200,15 @@ class TestServerTensorCache:
         cache = make_hierarchy(sim)
         server.attach_cache(cache, tensor_bytes=1024.0)
 
-        first = Request("field_scan", cache_key=fp(1))
+        first = traced(sim, "field_scan", cache_key=fp(1))
         server.submit(first)
         server.run()
-        assert any(k.startswith("preprocess") for k in first.stage_times)
+        assert executed_stages(first)[0] == "preprocess"
 
-        second = Request("field_scan", cache_key=fp(1))
+        second = traced(sim, "field_scan", cache_key=fp(1))
         server.submit(second)
         server.run()
-        assert not any(k.startswith("preprocess")
-                       for k in second.stage_times)
-        assert any(k.startswith("detect") for k in second.stage_times)
-        assert any(k.startswith("classify") for k in second.stage_times)
+        assert sorted(executed_stages(second)) == ["classify", "detect"]
         assert server.responses[-1].ok
 
     def test_attach_cache_validates_tensor_bytes(self):
@@ -212,10 +219,10 @@ class TestServerTensorCache:
     def test_cacheless_server_unchanged(self):
         sim = Simulator()
         server = make_server(sim)
-        request = Request("infer", cache_key=fp(1))
+        request = traced(sim, "infer", cache_key=fp(1))
         server.submit(request)
         server.run()
-        assert any(k.startswith("preprocess") for k in request.stage_times)
+        assert executed_stages(request) == ["preprocess", "infer"]
         assert server.responses[-1].ok
 
 

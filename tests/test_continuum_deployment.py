@@ -8,6 +8,7 @@ from repro.continuum.deployment import (
     load_manifest,
 )
 from repro.serving.request import Request
+from repro.serving.tracectx import TraceContext
 
 
 def valid_manifest(**overrides):
@@ -101,13 +102,15 @@ class TestBuildStack:
         server = build_stack(manifest)
         assert set(server.model_names()) == {"pre_vit_small",
                                              "vit_small"}
-        for _ in range(10):
+        first = Request("vit_small", trace=TraceContext(1))
+        server.submit(first)
+        for _ in range(9):
             server.submit(Request("vit_small"))
         responses = server.run()
         assert len(responses) == 10
         # Requests traversed both stages.
-        assert any("pre_vit_small" in k
-                   for k in responses[0].request.stage_times)
+        assert [s.args["stage"] for s in first.trace.find("execute")] \
+            == ["pre_vit_small", "vit_small"]
 
     def test_instances_respected(self):
         manifest = load_manifest(valid_manifest())

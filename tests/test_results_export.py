@@ -105,7 +105,7 @@ class TestTraceSvg:
         from repro.serving.batcher import BatcherConfig
         from repro.serving.request import Request
         from repro.serving.server import ModelConfig, TritonLikeServer
-        from repro.serving.tracing import trace_of
+        from repro.serving.tracectx import TraceContext
         from repro.viz.charts import render_trace_svg
 
         server = TritonLikeServer()
@@ -114,16 +114,25 @@ class TestTraceSvg:
         server.register(ModelConfig("mdl", lambda n: 0.004,
                                     batcher=BatcherConfig(enabled=False),
                                     preprocess_model="pre"))
-        server.submit(Request("mdl"))
-        [response] = server.run()
-        svg = render_trace_svg(trace_of(response))
+        request = Request("mdl", trace=TraceContext(1))
+        server.submit(request)
+        server.run()
+        svg = render_trace_svg(request.trace)
         root = ET.fromstring(svg)
         rects = [e for e in root.iter() if e.tag.endswith("rect")]
-        assert len(rects) == 1 + 2  # background + two spans
+        labels = [e.text for e in root.iter() if e.tag.endswith("text")]
+        # Background plus one bar per interval span: two zero-length
+        # queue waits and the two executions.
+        assert len(rects) == 1 + 4
+        assert labels[0] == "request 1 (ok) — 6.00 ms, untracked 0.00 ms"
+        assert labels[1:] == ["queue_wait", "pre#0", "queue_wait", "mdl#0"]
 
     def test_empty_trace_rejected(self):
-        from repro.serving.tracing import RequestTrace
+        from repro.serving.tracectx import TraceContext
         from repro.viz.charts import render_trace_svg
 
-        with pytest.raises(ValueError):
-            render_trace_svg(RequestTrace(1, 0.0, 1.0, "ok", ()))
+        trace = TraceContext(1)
+        trace.instant("queue_reject", 0.0)
+        trace.close(0.0, status="rejected")
+        with pytest.raises(ValueError, match="no spans"):
+            render_trace_svg(trace)

@@ -13,6 +13,7 @@ from repro.serving.server import (
     ModelConfig,
     TritonLikeServer,
 )
+from repro.serving.tracectx import TraceContext
 
 
 def _server_with_ensemble(pre=0.1, residue=0.2, pest=0.3):
@@ -30,13 +31,16 @@ def _server_with_ensemble(pre=0.1, residue=0.2, pest=0.3):
 class TestEnsembleRouting:
     def test_preprocess_runs_once_consumers_fan_out(self):
         server = _server_with_ensemble()
-        server.submit(Request("field_tasks"))
-        [response] = server.run()
-        times = response.request.stage_times
-        assert times["pre#0:end"] == pytest.approx(0.1)
+        request = Request("field_tasks", trace=TraceContext(1))
+        server.submit(request)
+        server.run()
+        spans = {s.args["instance"]: s
+                 for s in request.trace.find("execute")}
+        assert set(spans) == {"pre#0", "residue#0", "pest#0"}
+        assert spans["pre#0"].end == pytest.approx(0.1)
         # Both consumers start right after the shared preprocess.
-        assert times["residue#0:start"] == pytest.approx(0.1)
-        assert times["pest#0:start"] == pytest.approx(0.1)
+        assert spans["residue#0"].start == pytest.approx(0.1)
+        assert spans["pest#0"].start == pytest.approx(0.1)
 
     def test_response_waits_for_slowest_consumer(self):
         server = _server_with_ensemble(pre=0.1, residue=0.2, pest=0.3)
@@ -120,7 +124,7 @@ class TestDegradedFanOut:
         # indistinguishable from a fully rejected request.
         server = self._server()
         self._saturate_bad(server)
-        ensemble_request = Request("e")
+        ensemble_request = Request("e", trace=TraceContext(1))
         server.submit(ensemble_request)
         responses = server.run()
         [result] = [r for r in responses
@@ -129,7 +133,9 @@ class TestDegradedFanOut:
         assert result.status == "degraded"
         assert result.degraded and not result.ok
         # The good branch really ran before the response was emitted.
-        assert "good#0:end" in ensemble_request.stage_times
+        [good] = [s for s in ensemble_request.trace.find("execute")
+                  if s.args["stage"] == "good"]
+        assert good.closed and good.end <= result.completion_time
 
     def test_fully_rejected_fanout_stays_rejected(self):
         server = TritonLikeServer()

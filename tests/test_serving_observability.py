@@ -328,7 +328,7 @@ class TestStageBreakdownFromRegistry:
             registry_stage_breakdown,
             render_stage_breakdown,
         )
-        from repro.serving.tracing import stage_breakdown
+        from repro.serving.tracectx import TraceContext
 
         server = TritonLikeServer()
         server.register(ModelConfig(
@@ -336,16 +336,26 @@ class TestStageBreakdownFromRegistry:
         server.register(ModelConfig(
             "mdl", lambda n: 0.005, batcher=BatcherConfig(enabled=False),
             preprocess_model="pre"))
-        for _ in range(4):
-            server.submit(Request("mdl"))
-        responses = server.run()
+        requests = []
+        for trace_id in range(4):
+            request = Request("mdl")
+            request.trace = TraceContext(trace_id, start=server.sim.now)
+            server.submit(request)
+            requests.append(request)
+        server.run()
 
-        from_traces = stage_breakdown(responses)
+        # Reference: per-stage sums of the traces' execute spans.
+        from_traces: dict[str, float] = {}
+        for request in requests:
+            for span in request.trace.find("execute"):
+                stage = span.args["stage"]
+                from_traces[stage] = (from_traces.get(stage, 0.0)
+                                      + span.duration)
         from_registry = registry_stage_breakdown(server.metrics)
-        assert set(from_registry) == set(from_traces)
+        assert set(from_registry) == set(from_traces) | {"queued"}
         for stage in ("pre", "mdl"):
             assert (from_registry[stage]["total_seconds"]
-                    == pytest.approx(from_traces[stage]["total_seconds"]))
+                    == pytest.approx(from_traces[stage]))
         text = render_stage_breakdown(from_registry)
         assert "pre" in text and "mdl" in text and "queued" in text
 

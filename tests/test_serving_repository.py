@@ -11,6 +11,7 @@ from repro.serving.batcher import BatcherConfig
 from repro.serving.repository import ModelRepository, RepositoryError
 from repro.serving.request import Request
 from repro.serving.server import TritonLikeServer
+from repro.serving.tracectx import TraceContext
 
 
 @pytest.fixture()
@@ -117,6 +118,8 @@ class TestServe:
         repo.add_model(vit_small, preprocess_model="vit_tiny")
         server = TritonLikeServer()
         repo.serve(server, A100)
-        server.submit(Request("vit_small"))
-        [response] = server.run()
-        assert "vit_tiny#0:end" in response.request.stage_times
+        request = Request("vit_small", trace=TraceContext(1))
+        server.submit(request)
+        server.run()
+        assert [s.args["instance"] for s in request.trace.find("execute")
+                if s.closed] == ["vit_tiny#0", "vit_small#0"]

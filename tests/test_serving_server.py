@@ -9,6 +9,7 @@ from repro.serving.instance import BackendInstance
 from repro.serving.metrics import summarize_responses
 from repro.serving.request import Request
 from repro.serving.server import ModelConfig, TritonLikeServer
+from repro.serving.tracectx import TraceContext
 
 
 def constant_service(seconds):
@@ -40,14 +41,17 @@ class TestBackendInstance:
         with pytest.raises(ValueError):
             inst.execute([], lambda b: None)
 
-    def test_stage_times_stamped(self):
+    def test_first_start_and_span_stamped(self):
         sim = Simulator()
         inst = BackendInstance("m#0", constant_service(0.25), sim)
-        request = Request("m")
+        request = Request("m", trace=TraceContext(1))
         inst.execute([request], lambda b: None)
         sim.run()
-        assert request.stage_times["m#0:start"] == 0.0
-        assert request.stage_times["m#0:end"] == 0.25
+        assert request.first_start == 0.0
+        [span] = request.trace.find("execute")
+        assert (span.start, span.end) == (0.0, 0.25)
+        assert span.args["instance"] == "m#0"
+        assert span.args["attempt"] == 0
 
     def test_negative_service_time_rejected(self):
         inst = BackendInstance("m#0", lambda n: -1.0, Simulator())
@@ -194,11 +198,13 @@ class TestEnsembleRouting:
             "model", constant_service(0.3),
             batcher=BatcherConfig(enabled=False),
             preprocess_model="pre"))
-        server.submit(Request("model"))
+        request = Request("model", trace=TraceContext(1))
+        server.submit(request)
         [response] = server.run()
         assert response.latency == pytest.approx(0.5)
-        assert "pre#0:end" in response.request.stage_times
-        assert "model#0:end" in response.request.stage_times
+        spans = request.trace.find("execute")
+        assert [s.args["instance"] for s in spans] == ["pre#0", "model#0"]
+        assert all(s.closed for s in spans)
 
     def test_preprocess_must_exist_first(self):
         server = TritonLikeServer()

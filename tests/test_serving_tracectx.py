@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.report import registry_stage_breakdown
 from repro.continuum.network import get_link
 from repro.continuum.pipeline import ContinuumReplayer
 from repro.scale.admission import AdmissionConfig, AdmissionController
@@ -199,18 +200,15 @@ class TestBalancerInstrumentation:
 class TestEnsembleRetryTracing:
     """Degraded ensemble + a retried branch, both views consistent."""
 
-    def _flaky_seed(self):
-        # First draw fails, second succeeds: exactly one retry.
+    def _flaky_seed(self, draws):
+        # The first draws of FaultModel(0.5, seed) equal ``draws``.
         for seed in range(100):
             model = FaultModel(0.5, seed=seed)
-            draws = [model.draw_failure() for _ in range(2)]
-            if draws == [True, False]:
+            if [model.draw_failure() for _ in draws] == draws:
                 return seed
-        raise AssertionError("no seed gives fail-then-recover")
+        raise AssertionError(f"no seed draws {draws}")
 
-    def test_degraded_plus_retry_spans_and_stage_stamps(self):
-        from repro.serving.tracing import stage_breakdown, trace_of
-
+    def _run(self, draws):
         server = TritonLikeServer()
         server.register(ModelConfig(
             "pre", lambda n: 0.001,
@@ -219,38 +217,55 @@ class TestEnsembleRetryTracing:
             "good", lambda n: 0.01,
             batcher=BatcherConfig(enabled=False),
             fault_model=FaultModel(0.5, detect_seconds=0.02,
-                                   seed=self._flaky_seed()),
+                                   seed=self._flaky_seed(draws)),
             max_retries=2))
         server.register(ModelConfig(
             "bad", lambda n: 1.0,
             batcher=BatcherConfig(enabled=False, max_queue_size=1)))
         server.register_ensemble(EnsembleConfig("e", "pre",
                                                 ("good", "bad")))
-        # Saturate "bad": one executing, one queued.
+        # Saturate "bad": one executing, one queued.  Keep "pre" busy
+        # for its first millisecond so the request queues.
         server.submit(Request("bad"))
         server.submit(Request("bad"))
+        server.submit(Request("pre"))
         request = _traced_request(server, model="e")
         server.submit(request)
         responses = server.run()
         [result] = [r for r in responses
                     if r.request.request_id == request.request_id]
         assert result.status == "degraded"
+        assert request.trace.status == "degraded"
 
-        # Forward view: execute spans carry the retry attempt index.
-        ctx = request.trace
-        good_spans = [s for s in ctx.find("execute")
-                      if s.args["stage"].startswith("good")]
+        # Cross-check the registry against the request's execute spans.
+        good_spans = [s for s in request.trace.find("execute")
+                      if s.args["stage"] == "good"]
+        served = [s for s in good_spans if "outcome" not in s.args]
+        retried = [s for s in good_spans if s.args["attempt"] > 0]
+        breakdown = registry_stage_breakdown(server.metrics)
+        assert breakdown["good"]["retried_attempts"] == len(retried)
+        assert breakdown["good"]["count"] == len(served) == 1
+        assert breakdown["good"]["total_seconds"] == pytest.approx(
+            sum(s.duration for s in served))
+        return request, result, good_spans
+
+    def test_degraded_plus_retry_spans_and_stage_stamps(self):
+        request, result, good_spans = self._run([True, False])
+        # Execute spans carry the retry attempt index.
         assert [s.args["attempt"] for s in good_spans] == [0, 1]
         assert good_spans[0].args["outcome"] == "fault"
-        assert ctx.status == "degraded"
+        assert request.retries == {"good": 1}
+        assert result.queue_delay == 0.001
 
-        # Post-hoc view: the @1 stamp round-trips trace_of/breakdown.
-        trace = trace_of(result)
-        retried = [s for s in trace.spans if s.attempt == 1]
-        assert [s.model for s in retried] == ["good"]
-        breakdown = stage_breakdown([result])
-        assert breakdown["good"]["retried_attempts"] == 1
-        assert breakdown["good"]["count"] == 2
+    def test_fails_twice_then_succeeds(self):
+        request, result, good_spans = self._run([True, True, False])
+        assert [s.args["attempt"] for s in good_spans] == [0, 1, 2]
+        assert [s.args.get("outcome") for s in good_spans] == [
+            "fault", "fault", None]
+        assert request.retries == {"good": 2}
+        # Waited behind the busy "pre" until its first execution at
+        # 1 ms; the retries at 22 and 42 ms leave that stamp alone.
+        assert result.queue_delay == 0.001
 
 
 class TestContinuumInstrumentation:

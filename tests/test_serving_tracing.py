@@ -1,71 +1,92 @@
-"""Tests for repro.serving.tracing — span extraction and rendering."""
+"""Per-request stage decomposition from trace spans, and its Gantt view."""
 
 import pytest
 
+from repro.analysis.report import registry_stage_breakdown
 from repro.serving.batcher import BatcherConfig
+from repro.serving.faults import FaultModel
 from repro.serving.request import Request
 from repro.serving.server import ModelConfig, TritonLikeServer
-from repro.serving.tracing import (
-    RequestTrace,
-    Span,
-    render_gantt,
-    stage_breakdown,
-    trace_of,
-)
+from repro.serving.trace_export import critical_path, \
+    critical_path_summary, gantt_rows, render_gantt
+from repro.serving.tracectx import TraceContext
+
+
+def traced(server, model):
+    """Submit a traced request for ``model`` and return it."""
+    request = Request(model, arrival_time=server.sim.now)
+    request.trace = TraceContext(request.request_id, start=server.sim.now)
+    server.submit(request)
+    return request
+
+
+def execute_spans(request):
+    return request.trace.find("execute")
+
+
+def execute_totals(requests):
+    """{stage: [count, total seconds]} over the requests' execute spans."""
+    totals: dict[str, list] = {}
+    for request in requests:
+        for span in execute_spans(request):
+            entry = totals.setdefault(span.args["stage"], [0, 0.0])
+            entry[0] += 1
+            entry[1] += span.duration
+    return totals
 
 
 @pytest.fixture()
-def two_stage_response():
+def two_stage_request():
     server = TritonLikeServer()
     server.register(ModelConfig("pre", lambda n: 0.002,
                                 batcher=BatcherConfig(enabled=False)))
     server.register(ModelConfig("mdl", lambda n: 0.005,
                                 batcher=BatcherConfig(enabled=False),
                                 preprocess_model="pre"))
-    server.submit(Request("mdl"))
-    [response] = server.run()
-    return response
+    request = traced(server, "mdl")
+    server.run()
+    return request
 
 
 class TestTraceOf:
-    def test_spans_cover_both_stages(self, two_stage_response):
-        trace = trace_of(two_stage_response)
-        assert [s.stage for s in trace.spans] == ["pre#0", "mdl#0"]
-        assert trace.spans[0].duration == pytest.approx(0.002)
-        assert trace.spans[1].duration == pytest.approx(0.005)
+    def test_spans_cover_both_stages(self, two_stage_request):
+        spans = execute_spans(two_stage_request)
+        assert [s.args["instance"] for s in spans] == ["pre#0", "mdl#0"]
+        assert spans[0].duration == pytest.approx(0.002)
+        assert spans[1].duration == pytest.approx(0.005)
 
-    def test_latency_decomposes(self, two_stage_response):
-        trace = trace_of(two_stage_response)
+    def test_latency_decomposes(self, two_stage_request):
+        trace = two_stage_request.trace
         assert trace.latency == pytest.approx(0.007)
-        assert trace.queued_seconds == pytest.approx(0.0, abs=1e-12)
+        assert critical_path(trace).get("untracked", 0.0) == \
+            pytest.approx(0.0, abs=1e-12)
 
-    def test_spans_ordered_by_start(self, two_stage_response):
-        trace = trace_of(two_stage_response)
-        starts = [s.start for s in trace.spans]
+    def test_spans_ordered_by_start(self, two_stage_request):
+        starts = [s.start for _, s in gantt_rows(two_stage_request.trace)]
         assert starts == sorted(starts)
 
     def test_queueing_shows_up(self):
         server = TritonLikeServer()
         server.register(ModelConfig("m", lambda n: 0.01,
                                     batcher=BatcherConfig(enabled=False)))
-        server.submit(Request("m"))
-        server.submit(Request("m"))  # waits behind the first
+        traced(server, "m")
+        second = traced(server, "m")  # waits behind the first
         responses = server.run()
-        second = trace_of(responses[1])
-        assert second.queued_seconds == pytest.approx(0.01)
+        assert responses[1].queue_delay == pytest.approx(0.01)
+        assert second.first_start == pytest.approx(0.01)
+        [wait] = second.trace.find("queue_wait")
+        assert wait.duration == pytest.approx(0.01)
 
 
 class TestRetriedSpans:
-    def _retried_response(self):
-        from repro.serving.faults import FaultModel
-
+    def _retried(self):
         server = TritonLikeServer()
         server.register(ModelConfig(
             "m", lambda n: 0.01,
             batcher=BatcherConfig(enabled=False),
             fault_model=FaultModel(1.0, detect_seconds=0.2, seed=1),
             max_retries=1))
-        server.submit(Request("m"))
+        request = traced(server, "m")
 
         def clear():  # exactly one failure, then the retry succeeds
             server._models["m"].fault_model.failure_probability = 0.0
@@ -73,68 +94,89 @@ class TestRetriedSpans:
         server.sim.schedule(0.1, clear)
         [response] = server.run()
         assert response.status == "ok"
-        return response
+        return server, request
 
     def test_each_attempt_keeps_its_own_span(self):
         # Regression: the retry used to overwrite the first attempt's
-        # ``m#0:start``, dropping the failed attempt from the trace.
-        response = self._retried_response()
-        trace = trace_of(response)
-        assert [s.stage for s in trace.spans] == ["m#0", "m#0@1"]
-        assert [s.attempt for s in trace.spans] == [0, 1]
+        # record, dropping the failed attempt from the trace.
+        _, request = self._retried()
+        spans = execute_spans(request)
+        assert [label for label, s in gantt_rows(request.trace)
+                if s.name == "execute"] == ["m#0", "m#0@1"]
+        assert [s.args["attempt"] for s in spans] == [0, 1]
+        assert request.retries == {"m": 1}
         # Failed attempt spans the 0.2 s detection window; the retry
         # spans the 0.01 s service time.
-        assert trace.spans[0].duration == pytest.approx(0.2)
-        assert trace.spans[1].duration == pytest.approx(0.01)
+        assert spans[0].duration == pytest.approx(0.2)
+        assert spans[1].duration == pytest.approx(0.01)
 
     def test_detection_window_not_misread_as_queueing(self):
         # Regression: with the failed attempt's span lost, the 0.2 s
-        # detection window was booked as queued_seconds.
-        trace = trace_of(self._retried_response())
-        assert trace.queued_seconds == pytest.approx(0.0, abs=1e-9)
+        # detection window was booked as queueing.
+        _, request = self._retried()
+        path = critical_path(request.trace)
+        assert path.get("untracked", 0.0) == pytest.approx(0.0, abs=1e-9)
+        assert path["execute"] == pytest.approx(0.21)
 
     def test_breakdown_surfaces_retried_attempts(self):
-        response = self._retried_response()
-        breakdown = stage_breakdown([response])
-        assert breakdown["m"]["count"] == 2
+        server, request = self._retried()
+        assert execute_totals([request])["m"] == [2, pytest.approx(0.21)]
+        breakdown = registry_stage_breakdown(server.metrics)
+        # The registry counts successful executions only.
+        assert breakdown["m"]["count"] == 1
         assert breakdown["m"]["retried_attempts"] == 1
-        assert breakdown["m"]["total_seconds"] == pytest.approx(0.21)
+        assert breakdown["m"]["total_seconds"] == pytest.approx(0.01)
         assert breakdown["queued"]["retried_attempts"] == 0
 
     def test_span_model_collapses_instance_and_attempt(self):
-        trace = trace_of(self._retried_response())
-        assert all(s.model == "m" for s in trace.spans)
+        _, request = self._retried()
+        assert all(s.args["stage"] == "m" for s in execute_spans(request))
 
 
 class TestRendering:
-    def test_gantt_includes_all_stages(self, two_stage_response):
-        text = render_gantt(trace_of(two_stage_response))
+    def test_gantt_includes_all_stages(self, two_stage_request):
+        text = render_gantt(two_stage_request.trace)
+        lines = text.splitlines()
+        assert lines[0].startswith(
+            f"request {two_stage_request.trace.trace_id} (ok): 7.00 ms")
         assert "pre#0" in text and "mdl#0" in text
-        assert "#" in text
+        # The 2 ms preprocess takes 17 of 60 columns from the origin;
+        # inference follows it.
+        [pre] = [line for line in lines if "pre#0" in line]
+        [mdl] = [line for line in lines if "mdl#0" in line]
+        assert pre.split()[1] == "#" * 17
+        assert mdl.split()[1].startswith("." * 17 + "#")
 
-    def test_gantt_width_validated(self, two_stage_response):
+    def test_gantt_width_validated(self, two_stage_request):
         with pytest.raises(ValueError):
-            render_gantt(trace_of(two_stage_response), width=5)
+            render_gantt(two_stage_request.trace, width=5)
 
     def test_gantt_zero_duration_trace_degenerates(self):
-        # Regression: a request shed the instant it arrived has
-        # arrival == completion; scaling bars against the total would
+        # Regression: a request shed the instant it arrived has a
+        # zero-duration root; scaling bars against the total would
         # divide by zero.  It must render as a one-column chart.
-        trace = RequestTrace(
-            request_id=9, arrival=0.5, completion=0.5,
-            status="rejected",
-            spans=(Span("queue_reject#0", 0.5, 0.5),))
-        text = render_gantt(trace)
-        lines = text.splitlines()
+        trace = TraceContext(9, start=0.5)
+        span = trace.begin("execute", 0.5, instance="m#0", attempt=0)
+        trace.end(span, 0.5)
+        trace.close(0.5, status="rejected")
+        lines = render_gantt(trace).splitlines()
         assert "0.00 ms" in lines[0]
         # Exactly one bar column at the origin, no leading dots.
-        bar = lines[1].split()[1]
-        assert bar == "#"
+        assert lines[1].split()[:2] == ["m#0", "#"]
 
     def test_gantt_zero_duration_trace_without_spans(self):
-        trace = RequestTrace(request_id=9, arrival=1.0, completion=1.0,
-                             status="rejected", spans=())
-        assert "rejected" in render_gantt(trace)
+        server = TritonLikeServer()
+        server.register(ModelConfig(
+            "m", lambda n: 1.0,
+            batcher=BatcherConfig(enabled=False, max_queue_size=1)))
+        server.submit(Request("m"))  # occupies the instance
+        server.submit(Request("m"))  # fills the queue
+        shed = traced(server, "m")
+        server.run()
+        assert gantt_rows(shed.trace) == []
+        assert render_gantt(shed.trace) == (
+            f"request {shed.trace.trace_id} (rejected): 0.00 ms "
+            "(untracked 0.00 ms)")
 
 
 class TestBreakdown:
@@ -142,21 +184,25 @@ class TestBreakdown:
         server = TritonLikeServer()
         server.register(ModelConfig("m", lambda n: 0.01, instances=2,
                                     batcher=BatcherConfig(enabled=False)))
-        for _ in range(4):
-            server.submit(Request("m"))
-        responses = server.run()
-        breakdown = stage_breakdown(responses)
+        requests = [traced(server, "m") for _ in range(4)]
+        server.run()
+        assert {s.args["instance"] for r in requests
+                for s in execute_spans(r)} == {"m#0", "m#1"}
+        assert execute_totals(requests) == {"m": [4, pytest.approx(0.04)]}
+        breakdown = registry_stage_breakdown(server.metrics)
         assert breakdown["m"]["count"] == 4
         assert breakdown["m"]["mean_seconds"] == pytest.approx(0.01)
         assert "queued" in breakdown
 
     def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
-            stage_breakdown([])
+        # The span-side aggregate across requests refuses no traces.
+        with pytest.raises(ValueError, match="no closed traces"):
+            critical_path_summary([])
 
     def test_section31_decomposition(self):
         # The Section 3.1 latency decomposition: dataset preprocessing,
-        # model preprocessing, inference — three traced stages.
+        # model preprocessing, inference.  Only the direct preprocess
+        # of "infer" runs in its chain: model_pre, then infer.
         server = TritonLikeServer()
         server.register(ModelConfig("dataset_pre", lambda n: 0.003,
                                     batcher=BatcherConfig(enabled=False)))
@@ -166,13 +212,9 @@ class TestBreakdown:
         server.register(ModelConfig("infer", lambda n: 0.004,
                                     batcher=BatcherConfig(enabled=False),
                                     preprocess_model="model_pre"))
-        server.submit(Request("infer"))
-        [response] = server.run()
-        trace = trace_of(response)
-        # Only the direct preprocess chain of "infer" runs: model_pre
-        # then infer (dataset_pre is model_pre's own preprocess and runs
-        # first in its chain).
-        assert trace.latency == pytest.approx(0.003 + 0.002 + 0.004,
-                                              abs=1e-9) or \
-            trace.latency == pytest.approx(0.002 + 0.004, abs=1e-9)
-        assert len(trace.spans) >= 2
+        request = traced(server, "infer")
+        server.run()
+        assert request.trace.latency == pytest.approx(0.006, abs=1e-9)
+        assert execute_totals([request]) == {
+            "model_pre": [1, pytest.approx(0.002)],
+            "infer": [1, pytest.approx(0.004)]}

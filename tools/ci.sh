@@ -63,6 +63,7 @@ same profile "" profile --duration 4 --fluid-duration 40 \
     --burst-rate 900 --seed 1 --forward --out profile.json \
     --speedscope profile.speedscope.json --folded-out profile.folded
 same faas "" faas --duration 3600 --seed 1 --out faas.json
+same metrics "" metrics --rate 150 --requests 120
 same sweep "--jobs 2" sweep --replications 4 --duration 600 --seed 7 \
     --jobs 1 --out sweep.json --metrics-out sweep.prom
 
