@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from tests.cli_golden import GOLDEN, assert_golden, defaults_text
 
 
 class TestReport:
@@ -58,7 +59,15 @@ class TestFigures:
         assert len(list(tmp_path.glob("*.svg"))) == 12
 
 
+class TestParserDefaults:
+    def test_simulation_defaults_match_golden(self):
+        assert defaults_text() == (GOLDEN / "defaults.json").read_text()
+
+
 class TestMetricsCommand:
+    SCRAPE = ["metrics", "--requests", "60", "--rate", "120",
+              "--seed", "3"]
+
     def test_end_to_end_smoke(self, capsys):
         assert main(["metrics", "--requests", "40"]) == 0
         out = capsys.readouterr().out
@@ -72,11 +81,10 @@ class TestMetricsCommand:
         # Tier-1 smoke: two identical simulated runs must print the
         # same timeline and the same scrape, byte for byte — the
         # observability layer adds no hidden nondeterminism.
-        args = ["metrics", "--requests", "60", "--rate", "120",
-                "--seed", "3"]
-        assert main(args) == 0
+        assert main(self.SCRAPE) == 0
         first = capsys.readouterr().out
-        assert main(args) == 0
+        assert_golden("metrics", first)
+        assert main(self.SCRAPE) == 0
         second = capsys.readouterr().out
         assert first == second
 
@@ -104,6 +112,7 @@ class TestAutoscale:
         # scaling decisions, shed counts, scrape and all.
         assert main(self.FAST) == 0
         first = capsys.readouterr().out
+        assert_golden("autoscale", first)
         assert main(self.FAST) == 0
         second = capsys.readouterr().out
         assert first == second
@@ -152,6 +161,7 @@ class TestTrace:
         args = self.FAST + ["--out", str(out_file)]
         assert main(args) == 0
         first_stdout = capsys.readouterr().out
+        assert_golden("trace", first_stdout, tmp_path)
         first_json = out_file.read_bytes()
         assert main(args) == 0
         second_stdout = capsys.readouterr().out
@@ -208,6 +218,7 @@ class TestCache:
         args = self.FAST + ["--out", str(out_file)]
         assert main(args) == 0
         first_stdout = capsys.readouterr().out
+        assert_golden("cache", first_stdout, tmp_path)
         first_json = out_file.read_bytes()
         assert main(args) == 0
         assert capsys.readouterr().out == first_stdout
@@ -277,6 +288,7 @@ class TestNetwork:
                             "--trace-out", str(trace_file)]
         assert main(args) == 0
         first_stdout = capsys.readouterr().out
+        assert_golden("network", first_stdout, tmp_path)
         first_json = out_file.read_bytes()
         first_trace = trace_file.read_bytes()
         assert main(args) == 0
@@ -363,7 +375,7 @@ class TestProfile:
             "--speedscope", str(tmp_path / "p.speedscope.json"),
             "--folded-out", str(tmp_path / "p.folded")]
         assert main(args) == 0
-        capsys.readouterr()
+        assert_golden("profile", capsys.readouterr().out, tmp_path)
         import json
         doc = json.loads((tmp_path / "p.json").read_text())
         assert doc["continuum"]["closed_traces"] > 0
@@ -379,6 +391,31 @@ class TestProfile:
     def test_bad_sample_rate_is_an_error_exit(self, capsys):
         assert main(["profile", "--sample-rate", "0"]) == 2
         assert "error" in capsys.readouterr().err
+
+
+class TestFaas:
+    FAST = ["faas", "--duration", "3600", "--seed", "1"]
+
+    def test_end_to_end_smoke(self, capsys):
+        assert main(self.FAST) == 0
+        out = capsys.readouterr().out
+        assert "== cold-start inflation ==" in out
+        assert "== scale-to-zero ==" in out
+        assert "== provisioned-concurrency policy ==" in out
+        assert "== whatif: serverless vs provisioned ==" in out
+        assert "harvest_faas_" in out
+
+    def test_output_is_deterministic_across_runs(self, capsys,
+                                                 tmp_path):
+        out_file = tmp_path / "faas.json"
+        args = self.FAST + ["--out", str(out_file)]
+        assert main(args) == 0
+        first_stdout = capsys.readouterr().out
+        assert_golden("faas", first_stdout, tmp_path)
+        first_json = out_file.read_bytes()
+        assert main(args) == 0
+        assert capsys.readouterr().out == first_stdout
+        assert out_file.read_bytes() == first_json
 
 
 class TestSweep:
@@ -404,11 +441,13 @@ class TestSweep:
 
         files = {}
         for jobs in ("1", "2"):
-            out = tmp_path / f"sweep{jobs}.json"
-            prom = tmp_path / f"sweep{jobs}.prom"
+            out_dir = tmp_path / f"jobs{jobs}"
+            out_dir.mkdir()
+            out = out_dir / "sweep.json"
+            prom = out_dir / "sweep.prom"
             assert main(self.ARGS + ["--jobs", jobs, "--out", str(out),
                                      "--metrics-out", str(prom)]) == 0
-            capsys.readouterr()
+            assert_golden("sweep", capsys.readouterr().out, out_dir)
             files[jobs] = (out.read_text(), prom.read_text())
         assert files["1"] == files["2"]
         doc = json.loads(files["1"][0])
