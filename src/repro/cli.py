@@ -36,12 +36,66 @@ Commands
                         deterministic per-shard table, aggregate
                         confidence intervals, and merged quantiles
                         (byte-identical output for any --jobs)
+
+Subcommands that run the same experiment share one private builder:
+``autoscale`` and ``trace`` take their flags from ``_step_load_parent``
+and their fleet from ``_step_load_fleet``; ``cache`` and ``network``
+replay frames through ``_two_tier_cache`` and ``_replay_frames``.
+Imports stay inside the functions, so ``repro report`` loads no
+simulator.  tests/golden/cli/ pins every simulation subcommand's
+output byte for byte.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+
+
+
+def _write(path: str, content, note: str = "") -> None:
+    """Write ``content`` to ``path`` and say so on stdout.
+
+    A dict is written as indented, key-sorted JSON ending in a newline.
+    """
+    import pathlib
+
+    if not isinstance(content, str):
+        import json
+
+        content = json.dumps(content, indent=2, sort_keys=True) + "\n"
+    pathlib.Path(path).write_text(content)
+    print(f"wrote {path}{note}")
+
+
+def _scrape_lines(registry, keep) -> list[str]:
+    """The lines of ``registry``'s scrape for which ``keep`` holds."""
+    from repro.serving.exporter import export_registry
+
+    return [line for line in export_registry(registry).splitlines()
+            if keep(line)]
+
+
+def _tally(statuses) -> str:
+    """``status=count`` pairs in status order, two spaces apart."""
+    from collections import Counter
+
+    return "  ".join(f"{status}={count}" for status, count
+                     in sorted(Counter(statuses).items()))
+
+
+def _register(server, name: str, service, batch: int, delay: float,
+              queue: int = 0, **config):
+    """Register ``name`` on ``server`` behind a dynamic batcher of up to
+    ``batch`` images, ``delay`` seconds and ``queue`` queued images
+    (0 = unbounded); returns ``server``."""
+    from repro.serving.batcher import BatcherConfig
+    from repro.serving.server import ModelConfig
+
+    server.register(ModelConfig(name, service, batcher=BatcherConfig(
+        max_batch_size=batch, max_queue_delay=delay,
+        max_queue_size=queue), **config))
+    return server
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -55,10 +109,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         text = (table.to_json(indent=2) if args.format == "json"
                 else table.to_csv())
     if args.out:
-        import pathlib
-
-        pathlib.Path(args.out).write_text(text)
-        print(f"wrote {args.out}")
+        _write(args.out, text)
     else:
         print(text)
     return 0
@@ -154,26 +205,18 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         registry_stage_breakdown,
         render_stage_breakdown,
     )
-    from repro.serving.batcher import BatcherConfig
     from repro.serving.client import OpenLoopClient
     from repro.serving.exporter import export_metrics
     from repro.serving.observability import TimeSeriesSampler
-    from repro.serving.server import ModelConfig, TritonLikeServer
+    from repro.serving.server import TritonLikeServer
 
     if args.rate <= 0:
         raise ValueError("--rate must be positive")
-    server = TritonLikeServer()
-    server.register(ModelConfig(
-        "preprocess", lambda n: 0.0008 * n,
-        batcher=BatcherConfig(max_batch_size=16,
-                              max_queue_delay=0.002)))
-    server.register(ModelConfig(
-        "infer", lambda n: 0.004 + 0.0012 * n,
-        batcher=BatcherConfig(max_batch_size=32,
-                              max_queue_delay=0.005,
-                              max_queue_size=args.queue_limit),
-        instances=args.instances,
-        preprocess_model="preprocess"))
+    server = _register(TritonLikeServer(), "preprocess",
+                       lambda n: 0.0008 * n, 16, 0.002)
+    _register(server, "infer", lambda n: 0.004 + 0.0012 * n, 32, 0.005,
+              args.queue_limit, instances=args.instances,
+              preprocess_model="preprocess")
     client = OpenLoopClient(server, "infer", rate_per_second=args.rate,
                             num_requests=args.requests, seed=args.seed)
     sampler = TimeSeriesSampler(server, interval=args.interval)
@@ -193,52 +236,43 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_autoscale(args: argparse.Namespace) -> int:
-    from repro.analysis.report import render_scaling_timeline
+def _step_load_fleet(args: argparse.Namespace, model_name: str,
+                     batch: int, queue_delay: float, max_replicas: int,
+                     slo: float, interval: float = 0.25,
+                     cooldown: float = 1.0):
+    """The replica fleet ``autoscale`` and ``trace`` replay a step into.
+
+    A simulator and registry, replicas serving ``model_name`` at
+    ``args.model``'s latency on ``args.platform``, token-bucket
+    admission, a JSQ balancer over one replica, the autoscaler, and
+    the step trace with its one-line ``header``.  Every callable in
+    ``on_replica`` receives each replica the autoscaler adds.
+    """
+    from types import SimpleNamespace
+
     from repro.engine.latency import LatencyModel
     from repro.hardware.platform import get_platform
     from repro.models.zoo import get_model
-    from repro.predict.capacity import CapacityPlanner, WorkloadSpec
     from repro.scale.admission import AdmissionConfig, AdmissionController
-    from repro.scale.autoscaler import (
-        Autoscaler,
-        AutoscalerConfig,
-        replica_ceiling,
-    )
+    from repro.scale.autoscaler import Autoscaler, AutoscalerConfig
     from repro.scale.balancer import JoinShortestQueuePolicy, LoadBalancer
-    from repro.serving.batcher import BatcherConfig
     from repro.serving.events import Simulator
-    from repro.serving.metrics import summarize_responses
     from repro.serving.observability import MetricsRegistry
-    from repro.serving.server import ModelConfig, TritonLikeServer
-    from repro.serving.traces import TraceReplayer, step_trace
+    from repro.serving.server import TritonLikeServer
+    from repro.serving.traces import step_trace
 
-    platform = get_platform(args.platform)
-    graph = get_model(args.model).graph
-    latency = LatencyModel(graph, platform)
-    slo = args.slo_ms / 1e3
-
-    max_replicas = args.max_replicas
-    ceiling_note = f"{max_replicas} (--max-replicas)"
-    if max_replicas == 0:
-        # The planner bounds what reacting may cost: size the ceiling
-        # for the trace's peak demand, with scale-out safety slack.
-        workload = WorkloadSpec(images_per_second=args.step_rate,
-                                latency_slo_seconds=slo)
-        plan = CapacityPlanner(workload).plan(graph, platform)
-        max_replicas = replica_ceiling(plan, safety_factor=1.25)
-        ceiling_note = (f"{max_replicas} (capacity plan: {plan.devices} "
-                        f"device(s) x 1.25 safety)")
-
+    latency = LatencyModel(get_model(args.model).graph,
+                           get_platform(args.platform))
     sim = Simulator()
     registry = MetricsRegistry(clock=lambda: sim.now)
+    on_replica: list = []
 
     def replica_factory() -> TritonLikeServer:
-        server = TritonLikeServer(sim, registry=registry)
-        server.register(ModelConfig(
-            "infer", lambda n: latency.latency(max(1, n)),
-            batcher=BatcherConfig(max_batch_size=32,
-                                  max_queue_delay=0.01)))
+        server = _register(TritonLikeServer(sim, registry=registry),
+                           model_name, lambda n: latency.latency(max(1, n)),
+                           batch, queue_delay)
+        for hook in on_replica:
+            hook(server)
         return server
 
     admission = AdmissionController(AdmissionConfig(
@@ -248,25 +282,56 @@ def _cmd_autoscale(args: argparse.Namespace) -> int:
                             policy=JoinShortestQueuePolicy(),
                             registry=registry, admission=admission)
     autoscaler = Autoscaler(balancer, replica_factory, AutoscalerConfig(
-        slo_p95_seconds=slo, interval=args.interval,
-        min_replicas=1, max_replicas=max_replicas,
-        cooldown_seconds=args.cooldown))
-
+        slo_p95_seconds=slo, interval=interval, min_replicas=1,
+        max_replicas=max_replicas, cooldown_seconds=cooldown))
     trace = step_trace(duration=args.duration, base_rate=args.base_rate,
                        step_rate=args.step_rate,
                        step_start=args.step_start,
                        step_end=args.step_end, seed=args.seed)
+    header = (f"trace: {args.base_rate:g}->{args.step_rate:g}->"
+              f"{args.base_rate:g} rps over {args.duration:g} s "
+              f"(step {args.step_start:g}..{args.step_end:g} s, "
+              f"seed {args.seed}), {len(trace)} requests")
+    return SimpleNamespace(sim=sim, registry=registry, balancer=balancer,
+                           autoscaler=autoscaler, trace=trace,
+                           header=header, on_replica=on_replica)
+
+
+def _cmd_autoscale(args: argparse.Namespace) -> int:
+    from repro.analysis.report import render_scaling_timeline
+    from repro.hardware.platform import get_platform
+    from repro.models.zoo import get_model
+    from repro.predict.capacity import CapacityPlanner, WorkloadSpec
+    from repro.scale.autoscaler import replica_ceiling
+    from repro.serving.metrics import summarize_responses
+    from repro.serving.traces import TraceReplayer
+
+    slo = args.slo_ms / 1e3
+    max_replicas = args.max_replicas
+    ceiling_note = f"{max_replicas} (--max-replicas)"
+    if max_replicas == 0:
+        # The planner bounds what reacting may cost: size the ceiling
+        # for the trace's peak demand, with scale-out safety slack.
+        workload = WorkloadSpec(images_per_second=args.step_rate,
+                                latency_slo_seconds=slo)
+        plan = CapacityPlanner(workload).plan(get_model(args.model).graph,
+                                              get_platform(args.platform))
+        max_replicas = replica_ceiling(plan, safety_factor=1.25)
+        ceiling_note = (f"{max_replicas} (capacity plan: {plan.devices} "
+                        f"device(s) x 1.25 safety)")
+
+    fleet = _step_load_fleet(args, "infer", 32, 0.01, max_replicas, slo,
+                             interval=args.interval,
+                             cooldown=args.cooldown)
+    balancer, autoscaler = fleet.balancer, fleet.autoscaler
     replayer = TraceReplayer(balancer, "infer")
-    replayer.schedule(trace)
+    replayer.schedule(fleet.trace)
     autoscaler.start()
     responses = balancer.run()
 
     print(f"autoscale scenario: {args.model} on {args.platform} "
           f"replicas, p95 SLO {args.slo_ms:g} ms")
-    print(f"trace: {args.base_rate:g}->{args.step_rate:g}->"
-          f"{args.base_rate:g} rps over {args.duration:g} s "
-          f"(step {args.step_start:g}..{args.step_end:g} s, "
-          f"seed {args.seed}), {len(trace)} requests")
+    print(fleet.header)
     print(f"replica ceiling: {ceiling_note}")
     print("== scaling timeline ==")
     print(render_scaling_timeline(autoscaler.events, slo_seconds=slo),
@@ -280,13 +345,7 @@ def _cmd_autoscale(args: argparse.Namespace) -> int:
           f"{replayer.submitted - int(shed.total())}  "
           f"shed rate={int(shed.value(reason='rate'))} "
           f"queue={int(shed.value(reason='queue'))}")
-    by_status: dict[str, int] = {}
-    for response in responses:
-        by_status[response.status] = by_status.get(response.status,
-                                                   0) + 1
-    rendered = "  ".join(f"{status}={count}" for status, count
-                         in sorted(by_status.items()))
-    print(f"  responses: {rendered}")
+    print(f"  responses: {_tally(r.status for r in responses)}")
     if ok:
         stats = summarize_responses(ok)
         print(f"  served p50 {stats.p50_latency * 1e3:.1f} ms  "
@@ -294,13 +353,9 @@ def _cmd_autoscale(args: argparse.Namespace) -> int:
               f"throughput {stats.throughput_ips:.0f} img/s")
     print(f"  replicas: peak {peak}, final {len(balancer.backends)}")
     print("== control metrics ==")
-    from repro.serving.exporter import export_registry
-
-    control = [line for line in
-               export_registry(registry).splitlines()
-               if ("autoscale" in line or "admission" in line
-                   or "balancer" in line)]
-    print("\n".join(control))
+    print("\n".join(_scrape_lines(
+        fleet.registry, lambda line: "autoscale" in line
+        or "admission" in line or "balancer" in line)))
     return 0
 
 
@@ -311,97 +366,49 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     )
     from repro.continuum.network import get_link
     from repro.continuum.pipeline import ContinuumReplayer
-    from repro.engine.latency import LatencyModel
-    from repro.hardware.platform import get_platform
-    from repro.models.zoo import get_model
-    from repro.scale.admission import AdmissionConfig, AdmissionController
-    from repro.scale.autoscaler import Autoscaler, AutoscalerConfig
-    from repro.scale.balancer import JoinShortestQueuePolicy, LoadBalancer
-    from repro.serving.batcher import BatcherConfig
-    from repro.serving.events import Simulator
-    from repro.serving.observability import DEFAULT_BUCKETS, MetricsRegistry
-    from repro.serving.server import ModelConfig, TritonLikeServer
+    from repro.serving.observability import DEFAULT_BUCKETS
     from repro.serving.slo import SLOConfig, SLOMonitor
     from repro.serving.trace_export import (
         critical_path_summary,
         export_chrome_trace,
         render_critical_path,
     )
-    from repro.serving.traces import TraceReplayer, step_trace
+    from repro.serving.traces import TraceReplayer
 
-    platform = get_platform(args.platform)
-    latency = LatencyModel(get_model(args.model).graph, platform)
     link = get_link(args.link)
     threshold = args.slo_ms / 1e3
-
-    sim = Simulator()
-    registry = MetricsRegistry(clock=lambda: sim.now)
+    fleet = _step_load_fleet(args, args.model, args.batch, 0.002,
+                             args.max_replicas, threshold)
     # Bucket boundary exactly at the SLO threshold, so the monitor's
     # conservative bucket counting is exact at the objective.
     buckets = tuple(sorted({*DEFAULT_BUCKETS, threshold}))
-
-    replayer: ContinuumReplayer | None = None
-
-    def replica_factory() -> TritonLikeServer:
-        server = TritonLikeServer(sim, registry=registry)
-        server.register(ModelConfig(
-            args.model, lambda n: latency.latency(max(1, n)),
-            batcher=BatcherConfig(max_batch_size=args.batch,
-                                  max_queue_delay=0.002)))
-        if replayer is not None:
-            replayer.attach_backend(server)
-        return server
-
-    admission = AdmissionController(AdmissionConfig(
-        rate_per_second=args.admit_rate, burst=args.admit_burst,
-        max_queued_requests=args.shed_queue))
-    first = replica_factory()
-    balancer = LoadBalancer([first], policy=JoinShortestQueuePolicy(),
-                            registry=registry, admission=admission)
     replayer = ContinuumReplayer(
-        balancer, link,
+        fleet.balancer, link,
         edge_preprocess_time=lambda n: args.edge_preprocess_ms / 1e3 * n,
         image_bytes=args.image_kb * 1024.0,
-        registry=registry, latency_buckets=buckets)
-    replayer.attach_backend(first)
+        registry=fleet.registry, latency_buckets=buckets)
+    replayer.attach_backend(fleet.balancer.backends[0])
+    fleet.on_replica.append(replayer.attach_backend)
 
-    autoscaler = Autoscaler(balancer, replica_factory, AutoscalerConfig(
-        slo_p95_seconds=threshold, interval=0.25, min_replicas=1,
-        max_replicas=args.max_replicas, cooldown_seconds=1.0))
     slo_config = SLOConfig(
         latency_threshold_seconds=threshold, objective=args.objective,
         fast_window_seconds=1.0, slow_window_seconds=5.0,
         rearm_seconds=2.0)
-    monitor = SLOMonitor(sim, registry, slo_config,
+    monitor = SLOMonitor(fleet.sim, fleet.registry, slo_config,
                          histogram_name="continuum_latency_seconds")
-    monitor.on_alert(autoscaler.notify_slo_alert)
-
-    trace = step_trace(duration=args.duration, base_rate=args.base_rate,
-                       step_rate=args.step_rate,
-                       step_start=args.step_start,
-                       step_end=args.step_end, seed=args.seed)
-    driver = TraceReplayer(replayer, args.model)
-    driver.schedule(trace)
-    autoscaler.start()
+    monitor.on_alert(fleet.autoscaler.notify_slo_alert)
+    TraceReplayer(replayer, args.model).schedule(fleet.trace)
+    fleet.autoscaler.start()
     monitor.start()
-    balancer.run()
+    fleet.balancer.run()
 
     print(f"trace scenario: {args.model} on {args.platform} replicas "
           f"behind {link.name}, {args.slo_ms:g} ms / "
           f"{args.objective:.0%} SLO")
-    print(f"trace: {args.base_rate:g}->{args.step_rate:g}->"
-          f"{args.base_rate:g} rps over {args.duration:g} s "
-          f"(step {args.step_start:g}..{args.step_end:g} s, "
-          f"seed {args.seed}), {len(trace)} requests")
-
+    print(fleet.header)
     closed = replayer.completed_traces()
-    by_status: dict[str, int] = {}
-    for ctx in closed:
-        by_status[ctx.status] = by_status.get(ctx.status, 0) + 1
-    rendered = "  ".join(f"{status}={count}" for status, count
-                         in sorted(by_status.items()))
     print(f"  traces: {len(closed)} closed of {len(replayer.traces)} "
-          f"({rendered})")
+          f"({_tally(ctx.status for ctx in closed)})")
 
     print("== critical path ==")
     served = [t for t in closed if t.status == "ok"]
@@ -413,51 +420,97 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     print("== slo burn alerts ==")
     print(render_slo_alerts(monitor.alerts, slo_config), end="")
     print("== scaling timeline ==")
-    print(render_scaling_timeline(autoscaler.events,
+    print(render_scaling_timeline(fleet.autoscaler.events,
                                   slo_seconds=threshold), end="")
     if args.out:
-        import pathlib
-
         text = export_chrome_trace(closed)
-        pathlib.Path(args.out).write_text(text)
         events = text.count('"ph"')
-        print(f"wrote {args.out} ({len(closed)} traces, "
-              f"{events} events)")
+        _write(args.out, text, f" ({len(closed)} traces, {events} events)")
     return 0
 
 
-def _cache_p95(traces: list) -> float:
-    """p95 end-to-end latency over served traces (0.0 when empty)."""
-    import math
-
-    latencies = sorted(t.latency for t in traces)
-    if not latencies:
-        return 0.0
-    return latencies[max(0, math.ceil(0.95 * len(latencies)) - 1)]
-
-
-def _cmd_cache(args: argparse.Namespace) -> int:
-    import numpy as np
-
-    from repro.analysis.report import render_cache_table
-    from repro.cache.keys import fingerprint
-    from repro.cache.store import CacheStore, FrequencySketch
+def _two_tier_cache(server, edge_kb: float, cloud_mb: float, ttl: float,
+                    threshold: int = 0, admission=None):
+    """An edge result tier over a cloud tensor tier on ``server``'s
+    clock and registry (``threshold`` is the Hamming match budget)."""
+    from repro.cache.store import CacheStore
     from repro.cache.tiers import (
         CLOUD_TENSOR,
         EDGE_RESULT,
         CacheHierarchy,
         CacheTier,
     )
-    from repro.continuum.network import get_link
-    from repro.continuum.pipeline import ContinuumReplayer
-    from repro.data.datasets import get_dataset
+
+    def clock() -> float:
+        return server.sim.now
+
+    edge = CacheStore(capacity_bytes=edge_kb * 1024.0, clock=clock,
+                      match_threshold=threshold, ttl_seconds=ttl,
+                      admission=admission, name=EDGE_RESULT)
+    cloud = CacheStore(capacity_bytes=cloud_mb * 1024.0 * 1024.0,
+                       clock=clock, match_threshold=threshold,
+                       name=CLOUD_TENSOR)
+    return CacheHierarchy(
+        edge=CacheTier(EDGE_RESULT, edge, stage="uplink+serving",
+                       registry=server.metrics),
+        cloud=CacheTier(CLOUD_TENSOR, cloud, stage="preprocess",
+                        registry=server.metrics))
+
+
+def _camera_frames(spec, count: int, scene_change_rate: float, seed):
+    """Fingerprints of one camera's correlated frame sequence, and
+    the size of one frame in bytes."""
+    import numpy as np
+
+    from repro.cache.keys import fingerprint
     from repro.data.synthetic import synth_frame_sequence
-    from repro.predict.whatif import cache_effective_qps
-    from repro.serving.batcher import BatcherConfig
-    from repro.serving.events import Simulator
-    from repro.serving.observability import MetricsRegistry
+
+    frames = synth_frame_sequence(spec, count, scene_change_rate,
+                                  np.random.default_rng(seed))
+    return [fingerprint(frame) for frame in frames], float(frames[0].nbytes)
+
+
+def _replay_frames(server, transport, sequences: list[list],
+                   interval: float, image_bytes: float, cache=None):
+    """Replay fingerprinted frames through a ``ContinuumReplayer``.
+
+    ``sequences`` holds one fingerprint list per endpoint; endpoints
+    capture in lockstep, one frame each every ``interval`` seconds.
+    Runs ``server``'s simulator to completion and returns the
+    replayer, its closed traces, and the sorted latencies of the
+    served ones.
+    """
+    from repro.continuum.pipeline import ContinuumReplayer
     from repro.serving.request import Request
-    from repro.serving.server import ModelConfig, TritonLikeServer
+
+    replayer = ContinuumReplayer(
+        server, transport, edge_preprocess_time=lambda n: 0.002 * n,
+        image_bytes=image_bytes, registry=server.metrics, cache=cache)
+    if cache is not None:
+        server.attach_cache(cache)
+    endpoints = len(sequences)
+    for index in range(len(sequences[0])):
+        for endpoint, fingerprints in enumerate(sequences):
+            request = Request("infer", num_images=1,
+                              request_id=index * endpoints + endpoint + 1,
+                              cache_key=fingerprints[index])
+            request.endpoint = endpoint
+            server.sim.schedule_at(index * interval,
+                                   lambda r=request: replayer.submit(r))
+    server.run()
+    closed = replayer.completed_traces()
+    latencies = sorted(t.latency for t in closed if t.status == "ok")
+    return replayer, closed, latencies
+
+
+def _cmd_cache(args: argparse.Namespace) -> int:
+    from repro.analysis.report import render_cache_table
+    from repro.cache.store import FrequencySketch
+    from repro.continuum.network import get_link
+    from repro.data.datasets import get_dataset
+    from repro.predict.whatif import cache_effective_qps
+    from repro.serving.metrics import ceil_rank
+    from repro.serving.server import TritonLikeServer
 
     rates = [float(token) for token in
              args.scene_change_rates.split(",") if token.strip()]
@@ -471,57 +524,24 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         raise ValueError("--rate must be positive")
     spec = get_dataset(args.dataset)
     link = get_link(args.link)
-    interval = 1.0 / args.rate
-
-    def build_cache(registry, clock) -> CacheHierarchy:
-        edge = CacheStore(
-            capacity_bytes=args.edge_capacity_kb * 1024.0, clock=clock,
-            match_threshold=args.threshold,
-            ttl_seconds=args.edge_ttl,
-            admission=FrequencySketch(), name=EDGE_RESULT)
-        cloud = CacheStore(
-            capacity_bytes=args.cloud_capacity_mb * 1024.0 * 1024.0,
-            clock=clock, match_threshold=args.threshold,
-            name=CLOUD_TENSOR)
-        return CacheHierarchy(
-            edge=CacheTier(EDGE_RESULT, edge, stage="uplink+serving",
-                           registry=registry),
-            cloud=CacheTier(CLOUD_TENSOR, cloud, stage="preprocess",
-                            registry=registry))
 
     def replay(fingerprints, image_bytes: float, cached: bool):
-        sim = Simulator()
-        registry = MetricsRegistry(clock=lambda: sim.now)
-        server = TritonLikeServer(sim, registry=registry)
         # CRSA's CPU-bound perspective warp: linear in batch size, so
         # batching does not raise throughput and the uncached run
         # saturates whenever rate * preprocess time > 1.
-        server.register(ModelConfig(
-            "preprocess", lambda n: args.preprocess_ms / 1e3 * n,
-            batcher=BatcherConfig(max_batch_size=8,
-                                  max_queue_delay=0.001)))
-        server.register(ModelConfig(
-            "infer", lambda n: 0.004 + 0.0012 * n,
-            batcher=BatcherConfig(max_batch_size=8,
-                                  max_queue_delay=0.002),
-            preprocess_model="preprocess"))
-        cache = (build_cache(registry, lambda: sim.now)
+        server = _register(TritonLikeServer(), "preprocess",
+                           lambda n: args.preprocess_ms / 1e3 * n, 8, 0.001)
+        _register(server, "infer", lambda n: 0.004 + 0.0012 * n, 8, 0.002,
+                  preprocess_model="preprocess")
+        cache = (_two_tier_cache(server, args.edge_capacity_kb,
+                                 args.cloud_capacity_mb, args.edge_ttl,
+                                 args.threshold, FrequencySketch())
                  if cached else None)
-        replayer = ContinuumReplayer(
-            server, link,
-            edge_preprocess_time=lambda n: 0.002 * n,
-            image_bytes=image_bytes, registry=registry, cache=cache)
-        if cache is not None:
-            server.attach_cache(cache)
-        for index, fp in enumerate(fingerprints):
-            request = Request("infer", num_images=1,
-                              request_id=index + 1, cache_key=fp)
-            sim.schedule(index * interval,
-                         lambda r=request: replayer.submit(r))
-        server.run()
-        served = [t for t in replayer.completed_traces()
-                  if t.status == "ok"]
-        return replayer, cache, served
+        replayer, _, latencies = _replay_frames(
+            server, link, [fingerprints], 1.0 / args.rate, image_bytes,
+            cache)
+        p95 = ceil_rank(latencies, 0.95) if latencies else 0.0
+        return replayer, cache, len(latencies), p95
 
     print(f"cache scenario: {spec.name} frames behind {link.name}, "
           f"{args.frames} frames @ {args.rate:g} rps")
@@ -531,17 +551,12 @@ def _cmd_cache(args: argparse.Namespace) -> int:
           f"{args.cloud_capacity_mb:g} MiB (seed {args.seed})")
     report_rows = []
     for rate in rates:
-        rng = np.random.default_rng([args.seed,
-                                     int(round(rate * 1000))])
-        frames = synth_frame_sequence(spec, args.frames, rate, rng)
-        fingerprints = [fingerprint(frame) for frame in frames]
-        image_bytes = float(frames[0].nbytes)
-        base_replayer, _, base_served = replay(fingerprints,
-                                               image_bytes, False)
-        replayer, cache, served = replay(fingerprints, image_bytes,
-                                         True)
-        p95_uncached = _cache_p95(base_served)
-        p95_cached = _cache_p95(served)
+        fingerprints, image_bytes = _camera_frames(
+            spec, args.frames, rate, [args.seed, int(round(rate * 1000))])
+        _, _, base_served, p95_uncached = replay(fingerprints,
+                                                 image_bytes, False)
+        replayer, cache, served, p95_cached = replay(fingerprints,
+                                                     image_bytes, True)
         edge_ratio = cache.edge.hit_ratio
         multiplier = (cache_effective_qps(args.rate, edge_ratio, 1.0)
                       / args.rate)
@@ -550,7 +565,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         print(render_cache_table(cache.summaries()), end="")
         print(f"  p95 latency: cached {p95_cached * 1e3:.1f} ms / "
               f"uncached {p95_uncached * 1e3:.1f} ms "
-              f"({len(served)} and {len(base_served)} served)")
+              f"({served} and {base_served} served)")
         print(f"  uplink bytes saved: "
               f"{replayer.uplink_bytes_saved:.0f} "
               f"({saved_frames} of {args.frames} frames)")
@@ -569,10 +584,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             "tiers": cache.summaries(),
         })
     if args.out:
-        import json
-        import pathlib
-
-        payload = {
+        _write(args.out, {
             "scenario": {
                 "dataset": spec.name, "link": link.name,
                 "frames": args.frames, "rate_per_second": args.rate,
@@ -581,43 +593,25 @@ def _cmd_cache(args: argparse.Namespace) -> int:
                 "seed": args.seed,
             },
             "rates": report_rows,
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        pathlib.Path(args.out).write_text(text)
-        print(f"wrote {args.out} ({len(report_rows)} rates)")
+        }, f" ({len(report_rows)} rates)")
     return 0
 
 
 def _cmd_network(args: argparse.Namespace) -> int:
     import dataclasses as _dc
 
-    import numpy as np
-
-    from repro.cache.keys import fingerprint
-    from repro.cache.store import CacheStore
-    from repro.cache.tiers import (
-        CLOUD_TENSOR,
-        EDGE_RESULT,
-        CacheHierarchy,
-        CacheTier,
-    )
     from repro.continuum.broker import Broker
     from repro.continuum.network import get_link
-    from repro.continuum.pipeline import ContinuumReplayer
     from repro.continuum.uplink import SharedUplink, StoreAndForward
     from repro.data.datasets import get_dataset
-    from repro.data.synthetic import synth_frame_sequence
     from repro.engine.latency import LatencyModel
     from repro.hardware.platform import get_platform
     from repro.models.zoo import get_model
     from repro.predict.whatif import uplink_fair_share_rate
-    from repro.serving.batcher import BatcherConfig
     from repro.serving.events import Simulator
-    from repro.serving.exporter import export_registry
     from repro.serving.faults import LinkOutageModel
-    from repro.serving.observability import MetricsRegistry
-    from repro.serving.request import Request
-    from repro.serving.server import ModelConfig, TritonLikeServer
+    from repro.serving.metrics import ceil_rank
+    from repro.serving.server import TritonLikeServer
 
     if args.endpoints < 1:
         raise ValueError("--endpoints must be >= 1")
@@ -625,6 +619,8 @@ def _cmd_network(args: argparse.Namespace) -> int:
         raise ValueError("--frames must be >= 1")
     if args.rate <= 0:
         raise ValueError("--rate must be positive")
+    if args.broker_messages < 0:
+        raise ValueError("--broker-messages must be >= 0")
     link = get_link(args.link)
     if args.loss is not None or args.jitter_ms is not None:
         link = _dc.replace(
@@ -647,70 +643,9 @@ def _cmd_network(args: argparse.Namespace) -> int:
     horizon = args.frames * interval + 60.0
 
     # Per-endpoint correlated frame sequences (shared seed family).
-    sequences = []
-    for endpoint in range(args.endpoints):
-        rng = np.random.default_rng([args.seed, endpoint])
-        frames = synth_frame_sequence(spec, args.frames,
-                                      args.scene_change_rate, rng)
-        sequences.append([fingerprint(frame) for frame in frames])
-
-    def replay(cached: bool):
-        sim = Simulator()
-        registry = MetricsRegistry(clock=lambda: sim.now)
-        server = TritonLikeServer(sim, registry=registry)
-        server.register(ModelConfig(
-            "infer", lambda n: latency.latency(max(1, n)),
-            batcher=BatcherConfig(max_batch_size=8,
-                                  max_queue_delay=0.002)))
-        uplink = SharedUplink(link, sim, seed=args.seed,
-                              registry=registry)
-        transport = uplink
-        buffer = None
-        if outage is not None:
-            buffer = StoreAndForward(uplink, sim, outage=outage,
-                                     registry=registry)
-            buffer.start(horizon)
-            transport = buffer
-        cache = None
-        if cached:
-            edge = CacheStore(capacity_bytes=64.0 * 1024.0,
-                              clock=lambda: sim.now,
-                              ttl_seconds=args.edge_ttl,
-                              name=EDGE_RESULT)
-            cloud = CacheStore(capacity_bytes=32.0 * 1024.0 * 1024.0,
-                               clock=lambda: sim.now, name=CLOUD_TENSOR)
-            cache = CacheHierarchy(
-                edge=CacheTier(EDGE_RESULT, edge,
-                               stage="uplink+serving",
-                               registry=registry),
-                cloud=CacheTier(CLOUD_TENSOR, cloud, stage="preprocess",
-                                registry=registry))
-        replayer = ContinuumReplayer(
-            server, transport,
-            edge_preprocess_time=lambda n: 0.002 * n,
-            image_bytes=image_bytes, registry=registry, cache=cache)
-        if cache is not None:
-            server.attach_cache(cache)
-        # Co-located endpoints capture in lockstep (synchronized
-        # triggers), so every tick puts `endpoints` transfers on the
-        # bottleneck at once — the contention the uplink must absorb.
-        for index in range(args.frames):
-            for endpoint in range(args.endpoints):
-                request = Request(
-                    "infer", num_images=1,
-                    request_id=index * args.endpoints + endpoint + 1,
-                    cache_key=sequences[endpoint][index])
-                request.endpoint = endpoint
-                sim.schedule_at(index * interval,
-                                lambda r=request: replayer.submit(r))
-        server.run()
-        closed = replayer.completed_traces()
-        served = [t for t in closed if t.status == "ok"]
-        return {
-            "replayer": replayer, "uplink": uplink, "buffer": buffer,
-            "cache": cache, "registry": registry, "served": served,
-            "closed": closed,
-        }
+    sequences = [_camera_frames(spec, args.frames, args.scene_change_rate,
+                                [args.seed, endpoint])[0]
+                 for endpoint in range(args.endpoints)]
 
     def uplink_span_stats(closed):
         durations = sorted(
@@ -744,18 +679,31 @@ def _cmd_network(args: argparse.Namespace) -> int:
           f"({fair * args.endpoints:.2f} aggregate ceiling, expected "
           f"uncontended transfer {uncontended_ms:.0f} ms)")
 
-    results = {}
-    for label, cached in (("uncached", False), ("cached", True)):
-        run = replay(cached)
-        results[label] = run
-        spans = uplink_span_stats(run["closed"])
-        p95 = _cache_p95(run["served"])
-        latencies = sorted(t.latency for t in run["served"])
+    runs = {}
+    for label, with_cache in (("uncached", False), ("cached", True)):
+        server = _register(TritonLikeServer(), "infer",
+                           lambda n: latency.latency(max(1, n)), 8, 0.002)
+        uplink = SharedUplink(link, server.sim, seed=args.seed,
+                              registry=server.metrics)
+        buffer = None
+        if outage is not None:
+            buffer = StoreAndForward(uplink, server.sim, outage=outage,
+                                     registry=server.metrics)
+            buffer.start(horizon)
+        cache = (_two_tier_cache(server, 64.0, 32.0, args.edge_ttl)
+                 if with_cache else None)
+        # Co-located endpoints capture in lockstep (synchronized
+        # triggers), so every tick puts `endpoints` transfers on the
+        # bottleneck at once — the contention the uplink must absorb.
+        replayer, closed, latencies = _replay_frames(
+            server, uplink if buffer is None else buffer, sequences,
+            interval, image_bytes, cache)
+        spans = uplink_span_stats(closed)
+        p95 = ceil_rank(latencies, 0.95) if latencies else 0.0
         p50 = latencies[len(latencies) // 2] if latencies else 0.0
         print(f"== {label} replay ==")
-        print(f"  served {len(run['served'])}/{total}  p50 "
+        print(f"  served {len(latencies)}/{total}  p50 "
               f"{p50 * 1e3:.1f} ms  p95 {p95 * 1e3:.1f} ms")
-        uplink = run["uplink"]
         print(f"  uplink: {spans['transfers']} transfers, "
               f"{uplink.total_retransmits} retransmits, peak "
               f"concurrency {uplink.peak_concurrency}")
@@ -764,33 +712,28 @@ def _cmd_network(args: argparse.Namespace) -> int:
                   f"max {spans['max_ms']:.1f} ms "
                   f"({spans['mean_ms'] / uncontended_ms:.2f}x the "
                   f"uncontended transfer)")
-        if run["buffer"] is not None:
-            buffer = run["buffer"]
+        if buffer is not None:
             print(f"  store-and-forward: {buffer.outages} outage(s), "
                   f"{buffer.buffered_total} buffered, max depth "
                   f"{buffer.max_buffer_depth}, {buffer.dropped} "
                   f"dropped")
-        if cached:
-            cache = run["cache"]
-            replayer = run["replayer"]
-            print(f"  edge cache: hit ratio "
-                  f"{cache.edge.hit_ratio:.1%}, uplink bytes saved "
-                  f"{replayer.uplink_bytes_saved:.0f} "
-                  f"({len(replayer.cache_responses)} of {total} "
-                  f"frames)")
-        run["summary"] = {
-            "served": len(run["served"]),
+        summary = {
+            "served": len(latencies),
             "p50_ms": round(p50 * 1e3, 3),
             "p95_ms": round(p95 * 1e3, 3),
             "uplink_spans": spans,
             "retransmits": uplink.total_retransmits,
             "peak_concurrency": uplink.peak_concurrency,
         }
-        if cached:
-            run["summary"]["edge_hit_ratio"] = round(
-                run["cache"].edge.hit_ratio, 6)
-            run["summary"]["uplink_bytes_saved"] = \
-                run["replayer"].uplink_bytes_saved
+        if with_cache:
+            print(f"  edge cache: hit ratio "
+                  f"{cache.edge.hit_ratio:.1%}, uplink bytes saved "
+                  f"{replayer.uplink_bytes_saved:.0f} "
+                  f"({len(replayer.cache_responses)} of {total} "
+                  f"frames)")
+            summary["edge_hit_ratio"] = round(cache.edge.hit_ratio, 6)
+            summary["uplink_bytes_saved"] = replayer.uplink_bytes_saved
+        runs[label] = (summary, closed, server.metrics)
 
     # Broker leg: co-located sensors publishing telemetry over the same
     # (idle) link — QoS 0 pays loss in drops, QoS 1 in duplicates.
@@ -824,25 +767,18 @@ def _cmd_network(args: argparse.Namespace) -> int:
     print(f"  message loss probability (2 KiB, unacknowledged): "
           f"{loss_2k:.2%}")
 
+    uncached, uncached_closed, _ = runs["uncached"]
+    cached, _, cached_registry = runs["cached"]
     print("== link metrics (cached run) ==")
-    lines = [line for line in
-             export_registry(results["cached"]["registry"]).splitlines()
-             if "link_" in line]
-    print("\n".join(lines))
+    print("\n".join(_scrape_lines(cached_registry,
+                                  lambda line: "link_" in line)))
 
     if args.trace_out:
-        import pathlib
-
         from repro.serving.trace_export import export_chrome_trace
 
-        text = export_chrome_trace(results["uncached"]["closed"])
-        pathlib.Path(args.trace_out).write_text(text)
-        print(f"wrote {args.trace_out} "
-              f"({len(results['uncached']['closed'])} traces)")
+        _write(args.trace_out, export_chrome_trace(uncached_closed),
+               f" ({len(uncached_closed)} traces)")
     if args.out:
-        import json
-        import pathlib
-
         payload = {
             "scenario": {
                 "link": link.name,
@@ -860,32 +796,24 @@ def _cmd_network(args: argparse.Namespace) -> int:
                 "platform": args.platform,
                 "seed": args.seed,
             },
-            "uncached": results["uncached"]["summary"],
-            "cached": results["cached"]["summary"],
+            "uncached": uncached,
+            "cached": cached,
             "broker": broker_stats,
             "fair_share_images_per_second": round(fair, 6),
         }
-        cached_p95 = results["cached"]["summary"]["p95_ms"]
-        if cached_p95 > 0:
+        if cached["p95_ms"] > 0:
             payload["p95_speedup"] = round(
-                results["uncached"]["summary"]["p95_ms"] / cached_p95,
-                3)
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        pathlib.Path(args.out).write_text(text)
-        print(f"wrote {args.out}")
+                uncached["p95_ms"] / cached["p95_ms"], 3)
+        _write(args.out, payload)
     return 0
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.continuum.network import get_link
     from repro.continuum.pipeline import ContinuumReplayer
-    from repro.serving.batcher import BatcherConfig
-    from repro.serving.events import Simulator
-    from repro.serving.exporter import export_registry
     from repro.serving.fluid import HybridReplayer, render_regime_timeline
-    from repro.serving.observability import MetricsRegistry
     from repro.serving.profiler import SimProfiler
-    from repro.serving.server import ModelConfig, TritonLikeServer
+    from repro.serving.server import TritonLikeServer
     from repro.serving.trace_export import explain_tail, render_attribution
     from repro.serving.traces import TraceReplayer, burst_trace, step_trace
 
@@ -893,18 +821,17 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         raise ValueError("--sample-rate must lie in (0, 1]")
     link = get_link(args.link)
 
+    def profiled_server(batch: int, delay: float):
+        server = _register(TritonLikeServer(), "infer",
+                           lambda n: 0.004 + 0.0012 * n, batch, delay)
+        profiler = SimProfiler(clock=lambda: server.sim.now)
+        server.attach_profiler(profiler)
+        return server, server.metrics, profiler
+
     # Leg 1: a continuum step trace with the profiler and exemplars on.
     # Everything printed derives from sim time, so two runs with the
     # same arguments produce byte-identical output (the CI contract).
-    sim = Simulator()
-    registry = MetricsRegistry(clock=lambda: sim.now)
-    profiler = SimProfiler(clock=lambda: sim.now)
-    server = TritonLikeServer(sim, registry=registry)
-    server.register(ModelConfig(
-        "infer", lambda n: 0.004 + 0.0012 * n,
-        batcher=BatcherConfig(max_batch_size=8,
-                              max_queue_delay=0.002)))
-    server.attach_profiler(profiler)
+    server, registry, profiler = profiled_server(8, 0.002)
     server.enable_exemplars()
     replayer = ContinuumReplayer(
         server, link,
@@ -931,10 +858,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     print("== folded stacks (sim-time) ==")
     print(profiler.render_folded("sim"), end="")
     print("== exemplars ==")
-    exemplar_lines = [line for line in
-                      export_registry(registry).splitlines()
-                      if " # {" in line]
-    print("\n".join(exemplar_lines))
+    print("\n".join(_scrape_lines(registry, lambda line: " # {" in line)))
     print("== tail attribution ==")
     report = explain_tail(registry, replayer.traces,
                           quantile=args.quantile)
@@ -942,15 +866,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
     # Leg 2: a saturated burst trace through the hybrid engine, so the
     # regime controller's decisions become visible.
-    sim2 = Simulator()
-    registry2 = MetricsRegistry(clock=lambda: sim2.now)
-    profiler2 = SimProfiler(clock=lambda: sim2.now)
-    server2 = TritonLikeServer(sim2, registry=registry2)
-    server2.register(ModelConfig(
-        "infer", lambda n: 0.004 + 0.0012 * n,
-        batcher=BatcherConfig(max_batch_size=32,
-                              max_queue_delay=0.005)))
-    server2.attach_profiler(profiler2)
+    server2, registry2, profiler2 = profiled_server(32, 0.005)
     hybrid = HybridReplayer(server2, "infer")
     trace2 = burst_trace(duration=args.fluid_duration,
                          background_rate=2.0, bursts=2,
@@ -1000,22 +916,12 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             print(f"  {';'.join(path):<24s} x{count}")
 
     if args.folded_out:
-        import pathlib
-
-        pathlib.Path(args.folded_out).write_text(
-            profiler.render_folded("sim"))
-        print(f"wrote {args.folded_out}")
+        _write(args.folded_out, profiler.render_folded("sim"))
     if args.speedscope:
-        import pathlib
-
-        pathlib.Path(args.speedscope).write_text(
-            profiler.export_speedscope("repro-profile", "sim"))
-        print(f"wrote {args.speedscope}")
+        _write(args.speedscope,
+               profiler.export_speedscope("repro-profile", "sim"))
     if args.out:
-        import json
-        import pathlib
-
-        payload = {
+        _write(args.out, {
             "scenario": {
                 "link": link.name,
                 "duration_seconds": args.duration,
@@ -1037,16 +943,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
                 "intervals": intervals,
                 "folded_arrivals": folded,
             },
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        pathlib.Path(args.out).write_text(text)
-        print(f"wrote {args.out}")
+        })
     return 0
 
 
 def _cmd_faas(args: argparse.Namespace) -> int:
-    import json
-
     from repro.engine.latency import LatencyModel
     from repro.faas import (
         FaaSBackend,
@@ -1061,12 +962,13 @@ def _cmd_faas(args: argparse.Namespace) -> int:
         FaaSPolicyConfig,
     )
     from repro.serving.events import Simulator
-    from repro.serving.exporter import export_registry
     from repro.serving.metrics import nearest_rank_quantile as quantile
     from repro.serving.observability import MetricsRegistry
     from repro.serving.slo import SLOConfig, SLOMonitor
     from repro.serving.traces import TraceReplayer, sparse_diurnal_trace
 
+    if args.max_events < 0:
+        raise ValueError("--max-events must be >= 0")
     platform = get_platform(args.platform)
     faas_platform = get_faas_platform(args.faas_platform)
     latency = LatencyModel(get_model(args.model).graph, platform)
@@ -1185,15 +1087,12 @@ def _cmd_faas(args: argparse.Namespace) -> int:
           f"{trace.duration / 3600:.1f} h")
 
     print("== faas metrics ==")
-    for line in export_registry(registry).splitlines():
-        if line.startswith("harvest_faas_") and \
-                not line.startswith("# "):
-            print(f"  {line}")
+    for line in _scrape_lines(registry,
+                              lambda line: line.startswith("harvest_faas_")):
+        print(f"  {line}")
 
     if args.out:
-        import pathlib
-
-        payload = {
+        _write(args.out, {
             "scenario": {
                 "model": args.model,
                 "platform": args.platform,
@@ -1233,10 +1132,7 @@ def _cmd_faas(args: argparse.Namespace) -> int:
             "whatif": {
                 k: (round(v, 8) if isinstance(v, float) else v)
                 for k, v in whatif.items() if k != "bins"},
-        }
-        pathlib.Path(args.out).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {args.out}")
+        })
     return 0
 
 
@@ -1250,15 +1146,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         normal_ci,
     )
 
+    params = {
+        "duration": args.duration,
+        "peak_rate": args.peak_rate,
+        "night_rate": args.night_rate,
+        "instances": args.instances,
+    }
     spec = SweepSpec(
         worker="repro.sweep.workloads:replay_sparse_diurnal",
-        base_params={
-            "duration": args.duration,
-            "peak_rate": args.peak_rate,
-            "night_rate": args.night_rate,
-            "instances": args.instances,
-        },
-        replications=args.replications,
+        base_params=params, replications=args.replications,
         base_seed=args.seed)
     result = SweepRunner(jobs=args.jobs).run(spec)
     errors = result.errors()
@@ -1306,26 +1202,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
               f"{min(wall):.2f}-{max(wall):.2f}s "
               "(host timings; not deterministic)")
     if args.metrics_out:
-        import pathlib
-
-        scrape = export_registry(
-            merge_registries(v["registry"] for v in values))
-        pathlib.Path(args.metrics_out).write_text(scrape)
-        print(f"wrote {args.metrics_out}")
+        _write(args.metrics_out, export_registry(
+            merge_registries(v["registry"] for v in values)))
     if args.out:
-        import json
-        import pathlib
-
-        doc = {
+        _write(args.out, {
             "workload": "sparse_diurnal_replay",
-            "params": {
-                "duration": args.duration,
-                "peak_rate": args.peak_rate,
-                "night_rate": args.night_rate,
-                "instances": args.instances,
-                "replications": args.replications,
-                "base_seed": args.seed,
-            },
+            "params": {**params, "replications": args.replications,
+                       "base_seed": args.seed},
             "shards": [
                 {k: v[k] for k in ("shard_index", "seed", "arrivals",
                                    "completed", "p50", "p95", "p99",
@@ -1339,11 +1222,42 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 "p95_ci95": hw_p95,
                 "merged": merged.as_dict(),
             },
-        }
-        pathlib.Path(args.out).write_text(
-            json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {args.out}")
+        })
     return 0
+
+
+def _step_load_parent(**defaults) -> argparse.ArgumentParser:
+    """The step-load fleet flags ``autoscale`` and ``trace`` share,
+    with each subcommand's own defaults."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--model", default="resnet50",
+                   help="model whose latency curve the replicas serve")
+    p.add_argument("--platform", default="jetson",
+                   help="platform each replica models (one device)")
+    p.add_argument("--slo-ms", type=float,
+                   help="latency SLO (ms): the p95 autoscale defends, "
+                        "the threshold trace's burn alerts watch")
+    p.add_argument("--base-rate", type=float,
+                   help="background arrival rate (requests/s)")
+    p.add_argument("--step-rate", type=float,
+                   help="arrival rate during the step (requests/s)")
+    p.add_argument("--step-start", type=float)
+    p.add_argument("--step-end", type=float)
+    p.add_argument("--duration", type=float,
+                   help="trace length (s); leave tail for scale-in")
+    p.add_argument("--max-replicas", type=int,
+                   help="replica ceiling (autoscale: 0 = derive from "
+                        "the capacity planner at the step rate)")
+    p.add_argument("--admit-rate", type=float,
+                   help="token-bucket admission rate (req/s; 0 = off)")
+    p.add_argument("--admit-burst", type=int,
+                   help="token-bucket burst capacity")
+    p.add_argument("--shed-queue", type=int,
+                   help="shed arrivals past this many queued requests "
+                        "(0 = off)")
+    p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(**defaults)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1403,75 +1317,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "autoscale",
-        help="replay a step-load trace through the replica autoscaler")
-    p.add_argument("--model", default="resnet50",
-                   help="model whose latency curve the replicas serve")
-    p.add_argument("--platform", default="jetson",
-                   help="platform each replica models (one device)")
-    p.add_argument("--slo-ms", type=float, default=100.0,
-                   help="p95 latency SLO the autoscaler defends")
-    p.add_argument("--base-rate", type=float, default=200.0,
-                   help="background arrival rate (requests/s)")
-    p.add_argument("--step-rate", type=float, default=3000.0,
-                   help="arrival rate during the step (requests/s)")
-    p.add_argument("--step-start", type=float, default=5.0)
-    p.add_argument("--step-end", type=float, default=15.0)
-    p.add_argument("--duration", type=float, default=30.0,
-                   help="trace length (s); leave tail for scale-in")
+        help="replay a step-load trace through the replica autoscaler",
+        parents=[_step_load_parent(
+            slo_ms=100.0, base_rate=200.0, step_rate=3000.0,
+            step_start=5.0, step_end=15.0, duration=30.0, max_replicas=0,
+            admit_rate=3500.0, admit_burst=200, shed_queue=500)])
     p.add_argument("--interval", type=float, default=0.25,
                    help="autoscaler evaluation interval (s)")
     p.add_argument("--cooldown", type=float, default=1.0,
                    help="seconds between scaling actions")
-    p.add_argument("--max-replicas", type=int, default=0,
-                   help="replica ceiling (0 = derive from the "
-                        "capacity planner at the step rate)")
-    p.add_argument("--admit-rate", type=float, default=3500.0,
-                   help="token-bucket admission rate (req/s; 0 = off)")
-    p.add_argument("--admit-burst", type=int, default=200,
-                   help="token-bucket burst capacity")
-    p.add_argument("--shed-queue", type=int, default=500,
-                   help="shed arrivals past this many queued requests "
-                        "(0 = off)")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_autoscale)
 
     p = sub.add_parser(
         "trace",
         help="replay a trace across the continuum with end-to-end "
-             "tracing, Perfetto export, and SLO burn-rate alerts")
-    p.add_argument("--model", default="resnet50",
-                   help="model whose latency curve the replicas serve")
-    p.add_argument("--platform", default="jetson",
-                   help="platform each cloud replica models")
+             "tracing, Perfetto export, and SLO burn-rate alerts",
+        parents=[_step_load_parent(
+            slo_ms=1000.0 / 60.0, base_rate=60.0, step_rate=900.0,
+            step_start=3.0, step_end=8.0, duration=15.0, max_replicas=4,
+            admit_rate=0.0, admit_burst=100, shed_queue=300)])
     p.add_argument("--link", default="station_ethernet",
                    help="edge->cloud network link preset")
-    p.add_argument("--slo-ms", type=float, default=1000.0 / 60.0,
-                   help="latency threshold (ms); default the paper's "
-                        "60 QPS frame budget")
     p.add_argument("--objective", type=float, default=0.99,
                    help="fraction of requests that must meet the "
                         "threshold")
     p.add_argument("--batch", type=int, default=4,
                    help="replica max batch size")
-    p.add_argument("--base-rate", type=float, default=60.0,
-                   help="background arrival rate (requests/s)")
-    p.add_argument("--step-rate", type=float, default=900.0,
-                   help="arrival rate during the burst (requests/s)")
-    p.add_argument("--step-start", type=float, default=3.0)
-    p.add_argument("--step-end", type=float, default=8.0)
-    p.add_argument("--duration", type=float, default=15.0)
     p.add_argument("--edge-preprocess-ms", type=float, default=2.0,
                    help="edge preprocessing time per image (ms)")
     p.add_argument("--image-kb", type=float, default=128.0,
                    help="uplink payload per image (KiB)")
-    p.add_argument("--max-replicas", type=int, default=4)
-    p.add_argument("--admit-rate", type=float, default=0.0,
-                   help="token-bucket admission rate (req/s; 0 = off)")
-    p.add_argument("--admit-burst", type=int, default=100)
-    p.add_argument("--shed-queue", type=int, default=300,
-                   help="shed arrivals past this many queued requests "
-                        "(0 = off)")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None,
                    help="write Chrome/Perfetto trace-event JSON here")
     p.set_defaults(func=_cmd_trace)

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import math
+from typing import Sequence, TypeVar
 
 import numpy as np
 
 from repro.serving.request import Response
+
+T = TypeVar("T")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -31,16 +35,28 @@ class LatencyStats:
 
 
 def nearest_rank_quantile(values: list[float], frac: float) -> float:
-    """Exact nearest-rank quantile of raw samples (0.0 when empty).
+    """Rounded-rank quantile of raw samples (0.0 when empty).
 
-    Unlike ``np.percentile`` this never interpolates: the result is
-    always one of the samples.
+    Returns ``sorted(values)[round(frac * (n - 1))]`` with Python's
+    half-to-even rounding.  Unlike ``np.percentile`` this never
+    interpolates, but it is not the textbook nearest rank (see
+    :func:`ceil_rank`): on ``[1, 2, 3, 4]`` at 0.5 it returns 3.
     """
     if not values:
         return 0.0
     ordered = sorted(values)
     return ordered[min(len(ordered) - 1,
                        round(frac * (len(ordered) - 1)))]
+
+
+def ceil_rank(ordered: Sequence[T], frac: float) -> T:
+    """Textbook nearest-rank quantile of an already-sorted sequence.
+
+    Returns ``ordered[ceil(frac * n) - 1]`` (the first element at
+    ``frac`` 0); on ``[1, 2, 3, 4]`` at 0.5 it returns 2.  Raises
+    ``IndexError`` when ``ordered`` is empty.
+    """
+    return ordered[max(0, math.ceil(frac * len(ordered)) - 1)]
 
 
 def summarize_responses(responses: list[Response],

@@ -71,9 +71,6 @@ class Metric:
         #: Bound per-label-set handles, keyed like the value stores.
         self._children: dict[LabelKey, object] = {}
 
-    def _touch(self, key: LabelKey) -> None:
-        self.last_updated[key] = self._clock()
-
     def labels(self, **labels: str):
         """A handle bound to one label set (the steady-state fast path).
 
@@ -270,11 +267,7 @@ class Counter(Metric):
 
     def inc(self, amount: float = 1.0, **labels: str) -> None:
         """Add ``amount`` (must be >= 0) to the labelled series."""
-        if amount < 0:
-            raise ValueError(f"counter {self.name} cannot decrease")
-        key = _label_key(labels)
-        self._values[key] = self._values.get(key, 0.0) + amount
-        self._touch(key)
+        self.labels(**labels).inc(amount)
 
     def _make_child(self, key: LabelKey) -> BoundCounter:
         return BoundCounter(self, key)
@@ -318,15 +311,11 @@ class Gauge(Metric):
 
     def set(self, value: float, **labels: str) -> None:
         """Set the labelled series to ``value``."""
-        key = _label_key(labels)
-        self._values[key] = float(value)
-        self._touch(key)
+        self.labels(**labels).set(value)
 
     def add(self, amount: float, **labels: str) -> None:
         """Adjust the labelled series by ``amount`` (either sign)."""
-        key = _label_key(labels)
-        self._values[key] = self._values.get(key, 0.0) + amount
-        self._touch(key)
+        self.labels(**labels).add(amount)
 
     def _make_child(self, key: LabelKey) -> BoundGauge:
         return BoundGauge(self, key)
@@ -442,18 +431,7 @@ class Histogram(Metric):
         when the value exceeds every bound.  ``trace_id`` attaches an
         exemplar when the family has :meth:`enable_exemplars` on.
         """
-        key = _label_key(labels)
-        series = self._ensure_series(key)
-        index = bisect_left(self.buckets, value)
-        series.bucket_counts[index] += 1
-        series.sum += value
-        series.count += 1
-        if trace_id is not None and self._exemplars_enabled:
-            exemplars = series.exemplars
-            if exemplars is None:
-                exemplars = series.exemplars = {}
-            exemplars[index] = (value, str(trace_id), self._clock())
-        self._touch(key)
+        self.labels(**labels).observe(value, trace_id)
 
     def observe_many(self, values, **labels: str) -> None:
         """Vectorized batch ingestion into the labelled series (see

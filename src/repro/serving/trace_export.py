@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 
+from repro.serving.metrics import ceil_rank
 from repro.serving.tracectx import SpanRecord, TraceContext
 
 #: Seconds -> trace-event microseconds, rounded to nanoseconds so float
@@ -252,7 +253,7 @@ def critical_path_summary(traces: list[TraceContext],
     ranked = sorted(closed, key=lambda t: (t.latency, t.trace_id))
     out: dict[str, dict] = {}
     for q in quantiles:
-        witness = ranked[max(0, math.ceil(q * len(ranked)) - 1)]
+        witness = ceil_rank(ranked, q)
         stages = critical_path(witness)
         out[f"p{q * 100:g}"] = _entry(witness.latency, stages,
                                       trace_id=witness.trace_id)

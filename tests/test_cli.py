@@ -321,6 +321,8 @@ class TestNetwork:
         assert "error" in capsys.readouterr().err
         assert main(["network", "--link", "nope"]) == 2
         assert "error" in capsys.readouterr().err
+        assert main(["network", "--broker-messages", "-1"]) == 2
+        assert "error" in capsys.readouterr().err
 
 
 class TestBacktest:
@@ -416,6 +418,10 @@ class TestFaas:
         assert main(args) == 0
         assert capsys.readouterr().out == first_stdout
         assert out_file.read_bytes() == first_json
+
+    def test_negative_max_events_is_an_error_exit(self, capsys):
+        assert main(["faas", "--max-events", "-1"]) == 2
+        assert "--max-events" in capsys.readouterr().err
 
 
 class TestSweep:

@@ -9,11 +9,14 @@ WORK="$(mktemp -d -t harvest_ci.XXXXXX)"
 trap 'rm -rf "$WORK"' EXIT
 
 # Tier 1: byte-compile every module, then run the full test suite,
-# listing the ten slowest tests and the suite's wall time.
+# listing the ten slowest tests and the suite's wall time, next to the
+# line counts of src/ and of the CLI.
 python -m compileall -q src
 tier1_start=$(date +%s)
 python -m pytest -x -q --durations=10
-echo "tier-1 wall: $(( $(date +%s) - tier1_start )) s"
+echo "tier-1 wall: $(( $(date +%s) - tier1_start )) s;" \
+    "src/ $(find src -name '*.py' | xargs cat | wc -l) lines," \
+    "cli.py $(wc -l < src/repro/cli.py) lines"
 # Benchmark smoke: the four end-to-end workloads of bench/ run, pass
 # their correctness gate, and emit every metric BENCHMARK.json lists.
 python -m pytest -q bench/test_bench.py
@@ -39,11 +42,11 @@ same() {
     echo "$name smoke ok: deterministic across runs"
 }
 
-# Trace smoke: a short traced continuum replay must pass the Chrome
-# trace-event schema check.
-repro trace trace --duration 6 --step-start 1 --step-end 3 \
+# Trace smoke: a short traced continuum replay is deterministic and
+# must pass the Chrome trace-event schema check.
+same trace "" trace --duration 6 --step-start 1 --step-end 3 \
     --step-rate 700 --base-rate 60 --seed 2 --out trace.json
-python - "$WORK/trace/trace.json" <<'EOF'
+python - "$WORK/trace.a/trace.json" <<'EOF'
 import sys
 from repro.serving.trace_export import validate_chrome_trace
 
@@ -54,6 +57,8 @@ EOF
 
 # Determinism: identical invocations (and a sweep at one worker vs a
 # two-process pool) produce byte-identical stdout and files.
+same autoscale "" autoscale --duration 12 --step-start 2 --step-end 6 \
+    --step-rate 2000 --base-rate 150 --seed 5
 same cache "" cache --frames 80 --seed 1 \
     --scene-change-rates 0.0,0.05,0.5 --out cache.json
 same network "" network --frames 15 --seed 1 --broker-messages 60 \
