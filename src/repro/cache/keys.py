@@ -52,44 +52,61 @@ def luma(frame: np.ndarray) -> np.ndarray:
     return arr.mean(axis=2)
 
 
+def _integral(plane: np.ndarray) -> np.ndarray:
+    """The zero-padded integral image of a non-empty 2-D plane."""
+    if plane.ndim != 2:
+        raise ValueError("block_means needs a 2-D plane")
+    h, w = plane.shape
+    if h < 1 or w < 1:
+        raise ValueError("plane must be non-empty")
+    integral = np.zeros((h + 1, w + 1), dtype=np.float64)
+    integral[1:, 1:] = plane.cumsum(axis=0).cumsum(axis=1)
+    return integral
+
+
+def _cell_means(integral: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """Every ``(rows, cols)`` cell mean of an integral image at once."""
+    h, w = integral.shape[0] - 1, integral.shape[1] - 1
+    ys = np.linspace(0, h, rows + 1).round().astype(np.int64)
+    xs = np.linspace(0, w, cols + 1).round().astype(np.int64)
+    # Degenerate cells (input smaller than the grid) borrow the nearest
+    # pixel so every cell stays defined and non-empty.
+    y0 = np.minimum(ys[:-1], h - 1)
+    y1 = np.minimum(np.maximum(ys[1:], y0 + 1), h)
+    x0 = np.minimum(xs[:-1], w - 1)
+    x1 = np.minimum(np.maximum(xs[1:], x0 + 1), w)
+    total = (integral[np.ix_(y1, x1)] - integral[np.ix_(y0, x1)]
+             - integral[np.ix_(y1, x0)] + integral[np.ix_(y0, x0)])
+    return total / np.outer(y1 - y0, x1 - x0)
+
+
 def block_means(plane: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """Area-mean downsample of a 2-D plane to ``(rows, cols)``.
 
     Cell boundaries come from ``np.linspace`` over each axis, so any
     input resolution works (no divisibility requirement) and the result
     is deterministic.  Inputs smaller than the grid repeat pixels.
+    Every cell is four reads of one integral image, whatever its size.
     """
-    if plane.ndim != 2:
-        raise ValueError("block_means needs a 2-D plane")
-    h, w = plane.shape
-    if h < 1 or w < 1:
-        raise ValueError("plane must be non-empty")
-    # Integral image: cell sums in O(1) per cell regardless of size.
-    integral = np.zeros((h + 1, w + 1), dtype=np.float64)
-    integral[1:, 1:] = plane.cumsum(axis=0).cumsum(axis=1)
-    ys = np.linspace(0, h, rows + 1).round().astype(np.int64)
-    xs = np.linspace(0, w, cols + 1).round().astype(np.int64)
-    out = np.empty((rows, cols), dtype=np.float64)
-    for i in range(rows):
-        # Degenerate cells (input smaller than the grid) borrow the
-        # nearest pixel so every cell stays defined and non-empty.
-        y0 = min(int(ys[i]), h - 1)
-        y1 = min(max(int(ys[i + 1]), y0 + 1), h)
-        for j in range(cols):
-            x0 = min(int(xs[j]), w - 1)
-            x1 = min(max(int(xs[j + 1]), x0 + 1), w)
-            total = (integral[y1, x1] - integral[y0, x1]
-                     - integral[y1, x0] + integral[y0, x0])
-            out[i, j] = total / ((y1 - y0) * (x1 - x0))
-    return out
+    return _cell_means(_integral(plane), rows, cols)
 
 
 def _pack_bits(bits: np.ndarray) -> int:
-    """Fold a flat boolean array into an int, MSB first."""
-    value = 0
-    for bit in bits.ravel():
-        value = (value << 1) | int(bool(bit))
-    return value
+    """Fold a boolean array into an int, MSB first."""
+    bits = bits.ravel()
+    value = int.from_bytes(np.packbits(bits).tobytes(), "big")
+    return value >> (-bits.size % 8)
+
+
+def _dhash_of(integral: np.ndarray, hash_size: int) -> int:
+    means = _cell_means(integral, hash_size, hash_size + 1)
+    return _pack_bits(means[:, :-1] < means[:, 1:])
+
+
+def _blocks_of(plane: np.ndarray, integral: np.ndarray,
+               block_grid: int) -> int:
+    means = _cell_means(integral, block_grid, block_grid)
+    return _pack_bits(means > plane.mean())
 
 
 def dhash_bits(frame: np.ndarray, hash_size: int = 8) -> int:
@@ -103,8 +120,7 @@ def dhash_bits(frame: np.ndarray, hash_size: int = 8) -> int:
     """
     if hash_size < 2:
         raise ValueError("hash_size must be >= 2")
-    means = block_means(luma(frame), hash_size, hash_size + 1)
-    return _pack_bits(means[:, :-1] < means[:, 1:])
+    return _dhash_of(_integral(luma(frame)), hash_size)
 
 
 def block_signature_bits(frame: np.ndarray, block_grid: int = 4) -> int:
@@ -116,8 +132,7 @@ def block_signature_bits(frame: np.ndarray, block_grid: int = 4) -> int:
     if block_grid < 1:
         raise ValueError("block_grid must be >= 1")
     plane = luma(frame)
-    means = block_means(plane, block_grid, block_grid)
-    return _pack_bits(means > plane.mean())
+    return _blocks_of(plane, _integral(plane), block_grid)
 
 
 def hamming(a: int, b: int) -> int:
@@ -129,29 +144,41 @@ def hamming(a: int, b: int) -> int:
 class FrameFingerprint:
     """A frame's perceptual identity: dHash + block-mean signature.
 
-    Hashable and totally ordered by its packed bits, so fingerprints
-    can key dicts, sort deterministically, and feed the TinyLFU
-    frequency sketch directly.
+    Hashable, and keyed by its packed bits, so fingerprints can key
+    dicts and feed the TinyLFU frequency sketch directly.  ``dhash``
+    must fit in ``hash_size**2`` bits and ``blocks`` in
+    ``block_grid**2``; under that invariant the two signatures occupy
+    disjoint bits of :attr:`packed`, so the Hamming distance of two
+    same-geometry fingerprints is one XOR and popcount of their packed
+    keys.
     """
 
     dhash: int
     blocks: int
     hash_size: int = 8
     block_grid: int = 4
+    #: Both signatures folded into one integer key (computed once).
+    packed: int = dataclasses.field(init=False, repr=False,
+                                    compare=False)
 
     def __post_init__(self) -> None:
         if self.hash_size < 2 or self.block_grid < 1:
             raise ValueError("invalid fingerprint geometry")
+        dhash_width = self.hash_size ** 2
+        block_width = self.block_grid ** 2
+        if not 0 <= self.dhash < 1 << dhash_width:
+            raise ValueError(
+                f"dhash must be a non-negative {dhash_width}-bit value")
+        if not 0 <= self.blocks < 1 << block_width:
+            raise ValueError(
+                f"blocks must be a non-negative {block_width}-bit value")
+        object.__setattr__(self, "packed",
+                           (self.dhash << block_width) | self.blocks)
 
     @property
     def nbits(self) -> int:
         """Total bit width of the fingerprint."""
         return self.hash_size ** 2 + self.block_grid ** 2
-
-    @property
-    def packed(self) -> int:
-        """Both signatures folded into one integer key."""
-        return (self.dhash << (self.block_grid ** 2)) | self.blocks
 
     def distance(self, other: "FrameFingerprint") -> int:
         """Hamming distance to another fingerprint (same geometry)."""
@@ -161,8 +188,7 @@ class FrameFingerprint:
                 "cannot compare fingerprints of different geometry: "
                 f"{self.hash_size}/{self.block_grid} vs "
                 f"{other.hash_size}/{other.block_grid}")
-        return hamming(self.dhash, other.dhash) + hamming(self.blocks,
-                                                          other.blocks)
+        return hamming(self.packed, other.packed)
 
     def matches(self, other: "FrameFingerprint", threshold: int) -> bool:
         """Whether ``other`` is within ``threshold`` differing bits.
@@ -177,10 +203,20 @@ class FrameFingerprint:
 
 def fingerprint(frame: np.ndarray, hash_size: int = 8,
                 block_grid: int = 4) -> FrameFingerprint:
-    """Fingerprint one frame (any resolution, grayscale or color)."""
+    """Fingerprint one frame (any resolution, grayscale or color).
+
+    One pass: the luma plane and its integral image are computed once
+    and serve both the dHash and the block-signature grids.
+    """
+    if hash_size < 2:
+        raise ValueError("hash_size must be >= 2")
+    plane = luma(frame)
+    integral = _integral(plane)
+    if block_grid < 1:
+        raise ValueError("block_grid must be >= 1")
     return FrameFingerprint(
-        dhash=dhash_bits(frame, hash_size=hash_size),
-        blocks=block_signature_bits(frame, block_grid=block_grid),
+        dhash=_dhash_of(integral, hash_size),
+        blocks=_blocks_of(plane, integral, block_grid),
         hash_size=hash_size,
         block_grid=block_grid,
     )

@@ -28,7 +28,7 @@ from __future__ import annotations
 import abc
 import dataclasses
 import itertools
-from collections.abc import Callable
+from collections.abc import Callable, Collection
 
 from repro.cache.keys import FrameFingerprint
 
@@ -113,8 +113,9 @@ class EvictionPolicy(abc.ABC):
     name = "abstract"
 
     @abc.abstractmethod
-    def victim(self, entries: list[CacheEntry]) -> CacheEntry:
-        """The entry to evict (``entries`` is non-empty)."""
+    def victim(self, entries: Collection[CacheEntry]) -> CacheEntry:
+        """The entry to evict (``entries`` is non-empty, in insertion
+        order)."""
 
 
 class LRUEviction(EvictionPolicy):
@@ -122,7 +123,7 @@ class LRUEviction(EvictionPolicy):
 
     name = "lru"
 
-    def victim(self, entries: list[CacheEntry]) -> CacheEntry:
+    def victim(self, entries: Collection[CacheEntry]) -> CacheEntry:
         """Oldest ``last_access_at`` wins; insertion order breaks ties."""
         return min(entries, key=lambda e: (e.last_access_at, e.sequence))
 
@@ -132,7 +133,7 @@ class FIFOEviction(EvictionPolicy):
 
     name = "fifo"
 
-    def victim(self, entries: list[CacheEntry]) -> CacheEntry:
+    def victim(self, entries: Collection[CacheEntry]) -> CacheEntry:
         """Lowest insertion sequence wins."""
         return min(entries, key=lambda e: e.sequence)
 
@@ -216,7 +217,14 @@ class CacheStore:
         self.pool = pool
         self.name = name
         self.stats = CacheStats()
-        self._entries: list[CacheEntry] = []
+        # Resident entries keyed by packed fingerprint, in insertion
+        # (= sequence) order.  A near-duplicate insert drops its match
+        # first, so each packed key is resident at most once.
+        self._entries: dict[int, CacheEntry] = {}
+        #: (hash_size, block_grid) shared by every resident entry.
+        self._geometry: tuple[int, int] | None = None
+        # Running Σ size_bytes; the int 0 of an empty sum when empty.
+        self._used_bytes: float = 0
         self._sequence = itertools.count()
 
     # ------------------------------------------------------------------
@@ -225,25 +233,36 @@ class CacheStore:
 
     @property
     def used_bytes(self) -> float:
-        """Bytes held by resident entries."""
-        return sum(e.size_bytes for e in self._entries)
+        """Bytes held by resident entries (a running total)."""
+        return self._used_bytes
 
     def entries(self) -> list[CacheEntry]:
         """Snapshot of resident entries in insertion order."""
-        return sorted(self._entries, key=lambda e: e.sequence)
+        return list(self._entries.values())
 
     # ------------------------------------------------------------------
     def _match(self, fp: FrameFingerprint) -> CacheEntry | None:
-        """Closest resident entry within the threshold (ties: oldest)."""
-        best: tuple[int, int] | None = None
-        found: CacheEntry | None = None
-        for entry in self._entries:
-            distance = fp.distance(entry.fingerprint)
-            if distance > self.match_threshold:
-                continue
-            rank = (distance, entry.sequence)
-            if best is None or rank < best:
-                best, found = rank, entry
+        """Closest resident entry within the threshold (ties: oldest).
+
+        An exact key is the unique distance-0 entry, so it needs one
+        dict lookup; otherwise one XOR-and-popcount per resident entry,
+        in sequence order, keeps the first closest.
+        """
+        entries = self._entries
+        if not entries:
+            return None
+        if (fp.hash_size, fp.block_grid) != self._geometry:
+            # Raises the geometry error against a resident entry.
+            fp.distance(next(iter(entries.values())).fingerprint)
+        key = fp.packed
+        found = entries.get(key)
+        if found is not None or self.match_threshold == 0:
+            return found
+        best = self.match_threshold + 1
+        for packed, entry in entries.items():
+            distance = (key ^ packed).bit_count()
+            if distance < best:
+                best, found = distance, entry
         return found
 
     def _expired(self, entry: CacheEntry, now: float) -> bool:
@@ -251,7 +270,9 @@ class CacheStore:
                 and now - entry.inserted_at > self.ttl_seconds)
 
     def _drop(self, entry: CacheEntry) -> None:
-        self._entries.remove(entry)
+        del self._entries[entry.fingerprint.packed]
+        self._used_bytes = (self._used_bytes - entry.size_bytes
+                            if self._entries else 0)
         if entry.allocation is not None:
             self.pool.free(entry.allocation)
             entry.allocation = None
@@ -288,10 +309,14 @@ class CacheStore:
                size_bytes: float) -> bool:
         """Make a value resident; returns whether it was admitted.
 
-        Evicts per the policy until the candidate fits; with TinyLFU
-        admission the candidate must be at least as hot as every victim
-        it displaces, otherwise the insert is refused and the resident
-        set is left untouched.
+        A resident near-duplicate (the closest match within the
+        threshold) is dropped first: the new value replaces it.  Then
+        entries are evicted per the policy until the candidate fits.
+        With TinyLFU admission the candidate must be at least as hot as
+        every victim it displaces; the first hotter victim refuses the
+        insert, but the drops already made stand: the replaced
+        near-duplicate and every victim evicted before the refusal are
+        gone.
         """
         if size_bytes <= 0:
             raise ValueError("size_bytes must be positive")
@@ -303,8 +328,8 @@ class CacheStore:
         if existing is not None:
             # Re-insert refreshes the value and the freshness clock.
             self._drop(existing)
-        while self.used_bytes + size_bytes > self.capacity_bytes:
-            victim = self.eviction.victim(self._entries)
+        while self._used_bytes + size_bytes > self.capacity_bytes:
+            victim = self.eviction.victim(self._entries.values())
             if (self.admission is not None
                     and self.admission.estimate(fp.packed)
                     < self.admission.estimate(
@@ -320,17 +345,21 @@ class CacheStore:
                 # preprocessing buffers): shed cache entries first, and
                 # give up gracefully if the cache alone cannot help.
                 while self._entries and not self.pool.can_fit(size_bytes):
-                    self._drop(self.eviction.victim(self._entries))
+                    self._drop(self.eviction.victim(
+                        self._entries.values()))
                     self.stats.evictions += 1
                 if not self.pool.can_fit(size_bytes):
                     self.stats.uncacheable += 1
                     return False
             allocation = self.pool.allocate(size_bytes,
                                             tag=f"cache:{self.name}")
-        self._entries.append(CacheEntry(
+        entry = CacheEntry(
             fingerprint=fp, value=value, size_bytes=float(size_bytes),
             inserted_at=now, last_access_at=now,
-            sequence=next(self._sequence), allocation=allocation))
+            sequence=next(self._sequence), allocation=allocation)
+        self._entries[fp.packed] = entry
+        self._geometry = (fp.hash_size, fp.block_grid)
+        self._used_bytes += entry.size_bytes
         self.stats.insertions += 1
         return True
 
@@ -339,7 +368,8 @@ class CacheStore:
         if self.ttl_seconds is None:
             return 0
         now = self._clock()
-        expired = [e for e in self._entries if self._expired(e, now)]
+        expired = [e for e in self._entries.values()
+                   if self._expired(e, now)]
         for entry in expired:
             self._drop(entry)
         self.stats.evictions += len(expired)
@@ -347,5 +377,5 @@ class CacheStore:
 
     def clear(self) -> None:
         """Drop every resident entry (stats are kept)."""
-        for entry in list(self._entries):
+        for entry in list(self._entries.values()):
             self._drop(entry)

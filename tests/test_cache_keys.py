@@ -1,7 +1,11 @@
 """Tests for perceptual frame fingerprinting (repro.cache.keys)."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache.keys import (
     FrameFingerprint,
@@ -131,6 +135,13 @@ class TestFingerprint:
         with pytest.raises(ValueError, match="geometry"):
             FrameFingerprint(0, 0, hash_size=1)
 
+    def test_packed_is_not_a_constructor_field(self):
+        fp = FrameFingerprint(dhash=0b101, blocks=0b11)
+        assert fp.packed == 0b101 << 16 | 0b11
+        assert "packed" not in repr(fp)
+        with pytest.raises(TypeError):
+            FrameFingerprint(dhash=1, blocks=0, packed=1)
+
     def test_hamming_counts_bits(self):
         assert hamming(0b1010, 0b0110) == 2
 
@@ -145,6 +156,49 @@ class TestFingerprint:
     def test_deterministic_across_calls(self):
         frame = _frame(9)
         assert fingerprint(frame) == fingerprint(frame)
+
+
+geometries = st.tuples(st.integers(2, 9), st.integers(1, 7))
+
+
+def _out_of_range(width):
+    """A negative value or one wider than ``width`` bits."""
+    return st.one_of(st.integers(max_value=-1),
+                     st.integers(min_value=1 << width,
+                                 max_value=1 << (width + 70)))
+
+
+class TestFingerprintRange:
+    """Signatures must fit their geometry, so packed keys stay exact."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(data=st.data(), geometry=geometries)
+    def test_out_of_range_signatures_rejected(self, data, geometry):
+        hash_size, block_grid = geometry
+        dhash_ok = st.integers(0, (1 << hash_size ** 2) - 1)
+        blocks_ok = st.integers(0, (1 << block_grid ** 2) - 1)
+        bad_dhash = data.draw(st.booleans())
+        dhash = data.draw(_out_of_range(hash_size ** 2) if bad_dhash
+                          else dhash_ok)
+        blocks = data.draw(blocks_ok if bad_dhash
+                           else _out_of_range(block_grid ** 2))
+        field = "dhash" if bad_dhash else "blocks"
+        with pytest.raises(ValueError, match=field):
+            FrameFingerprint(dhash, blocks, hash_size, block_grid)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(data=st.data(), geometry=geometries)
+    def test_packed_distance_is_the_per_signature_sum(self, data,
+                                                      geometry):
+        hash_size, block_grid = geometry
+        dhash = st.integers(0, (1 << hash_size ** 2) - 1)
+        blocks = st.integers(0, (1 << block_grid ** 2) - 1)
+        a, b = (FrameFingerprint(data.draw(dhash), data.draw(blocks),
+                                 hash_size, block_grid)
+                for _ in range(2))
+        assert a.distance(b) == (hamming(a.dhash, b.dhash)
+                                 + hamming(a.blocks, b.blocks))
+        assert a.packed >> block_grid ** 2 == a.dhash
 
 
 class TestSceneDiscrimination:
@@ -165,3 +219,105 @@ class TestSceneDiscrimination:
         distances = [fingerprint(frames[i]).distance(
             fingerprint(frames[i + 1])) for i in range(5)]
         assert min(distances) > 8
+
+
+def _reference_block_means(plane, rows, cols):
+    """The per-cell integral-image loop ``block_means`` must equal."""
+    h, w = plane.shape
+    integral = np.zeros((h + 1, w + 1), dtype=np.float64)
+    integral[1:, 1:] = plane.cumsum(axis=0).cumsum(axis=1)
+    ys = np.linspace(0, h, rows + 1).round().astype(np.int64)
+    xs = np.linspace(0, w, cols + 1).round().astype(np.int64)
+    out = np.empty((rows, cols), dtype=np.float64)
+    for i in range(rows):
+        y0 = min(int(ys[i]), h - 1)
+        y1 = min(max(int(ys[i + 1]), y0 + 1), h)
+        for j in range(cols):
+            x0 = min(int(xs[j]), w - 1)
+            x1 = min(max(int(xs[j + 1]), x0 + 1), w)
+            total = (integral[y1, x1] - integral[y0, x1]
+                     - integral[y1, x0] + integral[y0, x0])
+            out[i, j] = total / ((y1 - y0) * (x1 - x0))
+    return out
+
+
+def _reference_pack_bits(bits):
+    """Fold a boolean array into an int, MSB first, one bit at a time."""
+    value = 0
+    for bit in bits.ravel():
+        value = (value << 1) | int(bool(bit))
+    return value
+
+
+def _reference_fingerprint(frame, hash_size, block_grid):
+    plane = luma(frame)
+    grad = _reference_block_means(plane, hash_size, hash_size + 1)
+    cells = _reference_block_means(plane, block_grid, block_grid)
+    return (_reference_pack_bits(grad[:, :-1] < grad[:, 1:]),
+            _reference_pack_bits(cells > plane.mean()))
+
+
+#: (hash_size, block_grid); (9, 7) makes an 81-bit dHash.
+GEOMETRIES = [(2, 1), (5, 3), (8, 4), (9, 7)]
+#: (height, width): a single pixel, frames smaller than every grid or
+#: than some grids, and ordinary non-divisible resolutions.
+SHAPES = [(1, 1), (1, 3), (2, 2), (3, 5), (6, 4), (9, 10), (27, 48),
+          (54, 96)]
+#: None = a grayscale (H, W) frame; otherwise the channel count.
+CHANNELS = [None, 1, 3, 4]
+#: SHA-256 of the packed keys over ``_parity_frames(seed=11)`` and all
+#: of ``GEOMETRIES``, recorded from the per-cell, per-bit code.
+PINNED_PACKED_SHA256 = (
+    "106fb21454d158b3c22ce3b5eae3865dc0dc5b9342da6fdcf64db8b263cda864")
+
+
+def _parity_frames(seed=2024):
+    """Seeded frames over every shape, channel layout and dtype.
+
+    Low-range uint8 frames make equal block means common, so the
+    strict comparisons see exact ties.
+    """
+    rng = np.random.default_rng(seed)
+    for height, width in SHAPES:
+        for channels in CHANNELS:
+            shape = ((height, width) if channels is None
+                     else (height, width, channels))
+            yield rng.integers(0, 256, shape, dtype=np.uint8)
+            yield rng.integers(0, 2, shape, dtype=np.uint8)
+            yield rng.random(shape) * 255.0
+            yield rng.random(shape).astype(np.float32)
+
+
+class TestVectorisedParity:
+    """Fingerprints are bit-identical to the per-cell, per-bit code."""
+
+    @pytest.mark.parametrize("hash_size,block_grid", GEOMETRIES)
+    def test_fingerprint_bits_match_reference(self, hash_size,
+                                              block_grid):
+        for frame in _parity_frames():
+            fp = fingerprint(frame, hash_size=hash_size,
+                             block_grid=block_grid)
+            assert (fp.dhash, fp.blocks) == _reference_fingerprint(
+                frame, hash_size, block_grid), frame.shape
+            assert fp.dhash == dhash_bits(frame, hash_size=hash_size)
+            assert fp.blocks == block_signature_bits(
+                frame, block_grid=block_grid)
+
+    @pytest.mark.parametrize("rows,cols", [(1, 1), (2, 3), (5, 6),
+                                           (9, 10), (7, 7)])
+    def test_block_means_match_reference(self, rows, cols):
+        for frame in _parity_frames(seed=5):
+            plane = luma(frame)
+            assert np.array_equal(
+                block_means(plane, rows, cols),
+                _reference_block_means(plane, rows, cols)), plane.shape
+
+    def test_packed_fingerprints_are_pinned(self):
+        digest = hashlib.sha256()
+        for hash_size, block_grid in GEOMETRIES:
+            for frame in _parity_frames(seed=11):
+                fp = fingerprint(frame, hash_size=hash_size,
+                                 block_grid=block_grid)
+                digest.update(f"{fp.packed:x};".encode())
+        assert digest.hexdigest() == PINNED_PACKED_SHA256
+

@@ -184,6 +184,7 @@ class TestTrace:
 class TestCache:
     FAST = ["cache", "--frames", "80", "--rate", "20",
             "--scene-change-rates", "0.05", "--seed", "1"]
+    EXACT = FAST + ["--threshold", "0"]
 
     def test_end_to_end_smoke(self, capsys):
         assert main(self.FAST) == 0
@@ -223,6 +224,12 @@ class TestCache:
         assert main(args) == 0
         assert capsys.readouterr().out == first_stdout
         assert out_file.read_bytes() == first_json
+
+    def test_exact_match_output_matches_golden(self, capsys, tmp_path):
+        # threshold 0: every probe is an exact-key lookup, never a scan.
+        args = self.EXACT + ["--out", str(tmp_path / "cache.json")]
+        assert main(args) == 0
+        assert_golden("cache_exact", capsys.readouterr().out, tmp_path)
 
     def test_hit_ratio_decays_with_scene_change_rate(self, capsys,
                                                      tmp_path):

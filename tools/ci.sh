@@ -61,6 +61,8 @@ same autoscale "" autoscale --duration 12 --step-start 2 --step-end 6 \
     --step-rate 2000 --base-rate 150 --seed 5
 same cache "" cache --frames 80 --seed 1 \
     --scene-change-rates 0.0,0.05,0.5 --out cache.json
+same cache_exact "" cache --threshold 0 --frames 80 --seed 1 \
+    --scene-change-rates 0.0,0.05,0.5 --out cache.json
 same network "" network --frames 15 --seed 1 --broker-messages 60 \
     --outage-start 5 --outage-seconds 3 --out network.json \
     --trace-out network.trace.json

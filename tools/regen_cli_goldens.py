@@ -32,6 +32,7 @@ CASES = {
     "autoscale": (t.TestAutoscale.FAST, {}),
     "trace": (t.TestTrace.FAST, {"--out": "trace.json"}),
     "cache": (t.TestCache.FAST, {"--out": "cache.json"}),
+    "cache_exact": (t.TestCache.EXACT, {"--out": "cache.json"}),
     "network": (t.TestNetwork.FAST, {"--out": "network.json",
                                      "--trace-out": "network.trace.json"}),
     "profile": (t.TestProfile.FAST, {
