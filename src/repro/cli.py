@@ -21,11 +21,11 @@ Commands
                         at several scene-change rates; print the
                         tier-by-tier hit table, uplink bytes saved,
                         and p95 with/without the cache
-``profile``             run deterministic serving scenarios with the
-                        sim-time profiler and exemplars enabled; print
-                        the cost tree, folded stacks, the exemplar-
-                        joined tail attribution, and the fluid regime
-                        timeline
+``profile``             run deterministic serving scenarios with
+                        exemplars enabled; print the sim-time cost
+                        tree derived from the run, folded stacks, the
+                        exemplar-joined tail attribution, and the
+                        fluid regime timeline
 ``faas``                replay a sparse nighttime diurnal trace
                         through the serverless backend: cold-start
                         p99 inflation, scale-to-zero reaping, the
@@ -812,7 +812,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.continuum.network import get_link
     from repro.continuum.pipeline import ContinuumReplayer
     from repro.serving.fluid import HybridReplayer, render_regime_timeline
-    from repro.serving.profiler import SimProfiler
+    from repro.serving.profiler import SimProfiler, profile_run
     from repro.serving.server import TritonLikeServer
     from repro.serving.trace_export import explain_tail, render_attribution
     from repro.serving.traces import TraceReplayer, burst_trace, step_trace
@@ -821,24 +821,23 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         raise ValueError("--sample-rate must lie in (0, 1]")
     link = get_link(args.link)
 
-    def profiled_server(batch: int, delay: float):
-        server = _register(TritonLikeServer(), "infer",
-                           lambda n: 0.004 + 0.0012 * n, batch, delay)
-        profiler = SimProfiler(clock=lambda: server.sim.now)
-        server.attach_profiler(profiler)
-        return server, server.metrics, profiler
+    def server_for(batch: int, delay: float):
+        return _register(TritonLikeServer(), "infer",
+                         lambda n: 0.004 + 0.0012 * n, batch, delay)
 
-    # Leg 1: a continuum step trace with the profiler and exemplars on.
+    # Leg 1: a continuum step trace with exemplars on; its profile is
+    # derived after the run from the registry and the retained traces.
     # Everything printed derives from sim time, so two runs with the
     # same arguments produce byte-identical output (the CI contract).
-    server, registry, profiler = profiled_server(8, 0.002)
+    server = server_for(8, 0.002)
+    registry = server.metrics
     server.enable_exemplars()
     replayer = ContinuumReplayer(
         server, link,
         edge_preprocess_time=lambda n: 0.002 * n,
         image_bytes=args.image_kb * 1024.0,
         registry=registry, trace_sample_rate=args.sample_rate,
-        exemplars=True, profiler=profiler)
+        exemplars=True)
     trace = step_trace(duration=args.duration, base_rate=args.base_rate,
                        step_rate=args.step_rate,
                        step_start=args.duration * 0.2,
@@ -846,6 +845,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     driver = TraceReplayer(replayer, "infer")
     driver.schedule(trace)
     server.run()
+    profiler = profile_run(server.sim.now, registry, replayer.traces)
 
     closed = replayer.completed_traces()
     print(f"profile scenario: continuum step trace behind {link.name}, "
@@ -866,7 +866,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
     # Leg 2: a saturated burst trace through the hybrid engine, so the
     # regime controller's decisions become visible.
-    server2, registry2, profiler2 = profiled_server(32, 0.005)
+    server2 = server_for(32, 0.005)
+    registry2 = server2.metrics
     hybrid = HybridReplayer(server2, "infer")
     trace2 = burst_trace(duration=args.fluid_duration,
                          background_rate=2.0, bursts=2,
@@ -875,6 +876,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
                          seed=args.seed)
     hybrid.schedule(trace2)
     server2.run()
+    profiler2 = profile_run(server2.sim.now, registry2,
+                            fluid_intervals=hybrid.intervals)
 
     intervals = int(registry2.get("fluid_intervals_total").total())
     folded = int(registry2.get("fluid_folded_arrivals_total").total())
@@ -1430,8 +1433,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "profile",
-        help="run deterministic serving scenarios with the profiler "
-             "and exemplars on; print the sim-time cost tree, folded "
+        help="run deterministic serving scenarios with exemplars on; "
+             "print the sim-time cost tree derived from the run, folded "
              "stacks, tail attribution, and fluid regime timeline")
     p.add_argument("--link", default="station_ethernet",
                    help="edge->cloud network link preset")
@@ -1445,7 +1448,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="uplink payload per image (KiB)")
     p.add_argument("--sample-rate", type=float, default=1.0,
                    help="fraction of traces retained (deterministic "
-                        "fractional sampling)")
+                        "fractional sampling); the continuum;* profile "
+                        "nodes cover only the retained traces")
     p.add_argument("--quantile", type=float, default=0.99,
                    help="tail quantile the attribution report explains")
     p.add_argument("--fluid-duration", type=float, default=120.0,

@@ -30,7 +30,7 @@ from repro.hardware.platform import PlatformSpec
 from repro.models.graph import ModelGraph
 from repro.preprocessing.frameworks import DALI, PreprocessFramework
 from repro.serving.request import Request, Response
-from repro.serving.tracectx import SpanPool, TraceContext
+from repro.serving.tracectx import TraceContext
 
 
 def e2e_batch_size(platform: PlatformSpec, graph: ModelGraph,
@@ -204,7 +204,7 @@ class ContinuumReplayer:
                  latency_buckets=None, cache=None,
                  cache_lookup_time: float = 0.0002,
                  trace_sample_rate: float = 1.0,
-                 exemplars: bool = False, profiler=None):
+                 exemplars: bool = False):
         if image_bytes <= 0:
             raise ValueError("image_bytes must be positive")
         if result_bytes < 0:
@@ -235,19 +235,14 @@ class ContinuumReplayer:
         #: keeps exactly every 10th request's trace.  Sampled-out
         #: requests still carry a full context while in flight — every
         #: span, baggage flag, and latency metric behaves identically —
-        #: but the records come from a shared pool and are recycled at
-        #: finalize, so a long replay retains memory only for the kept
-        #: fraction.  The default of 1.0 keeps everything (the
-        #: byte-identical legacy behaviour).
+        #: but the request drops it at finalize, so a long replay
+        #: retains memory only for the kept fraction.  The default of
+        #: 1.0 keeps everything.
         self.trace_sample_rate = trace_sample_rate
         #: Whether end-to-end latency observations carry OpenMetrics
         #: exemplars (deterministic: every finalized request has a
         #: trace id even when its spans are sampled out).
         self._exemplars = bool(exemplars)
-        #: Optional :class:`~repro.serving.profiler.SimProfiler`;
-        #: attributes each leg's sim time to ``continuum;<leg>``.
-        self.profiler = profiler
-        self._span_pool = SpanPool()
         self._sample_accum = 0.0
         self._next_trace_id = itertools.count(1)
         #: Every *retained* trace context, in submission order.
@@ -307,8 +302,7 @@ class ContinuumReplayer:
             sampled = self._sample_accum >= 1.0 - 1e-9
             if sampled:
                 self._sample_accum -= 1.0
-        ctx = TraceContext(next(self._next_trace_id), start=sim.now,
-                           pool=None if sampled else self._span_pool)
+        ctx = TraceContext(next(self._next_trace_id), start=sim.now)
         ctx.sampled = sampled
         ctx.baggage["model"] = request.model_name
         endpoint = getattr(request, "endpoint", None)
@@ -341,9 +335,6 @@ class ContinuumReplayer:
         duration = self.edge_preprocess_time(request.num_images)
         if duration < 0:
             raise ValueError("edge preprocess time must be >= 0")
-        if self.profiler is not None:
-            self.profiler.record(("continuum", "edge_preprocess"),
-                                 sim_seconds=duration)
         if placement == "edge":
             sim.schedule(duration,
                          lambda: self._edge_serve(request, pre_span))
@@ -373,9 +364,6 @@ class ContinuumReplayer:
             ctx.close(self.sim.now, status="ok")
             self.cache_responses.append(
                 Response(request, self.sim.now, status="ok"))
-            if self.profiler is not None:
-                self.profiler.record(("continuum", "cache_hit"),
-                                     sim_seconds=self.cache_lookup_time)
             self._finalize(ctx, request)
 
         self.sim.schedule(self.cache_lookup_time, served)
@@ -385,13 +373,9 @@ class ContinuumReplayer:
         ctx.end(pre_span, self.sim.now)
         span = ctx.begin("edge_inference", self.sim.now,
                          category="continuum")
-        t0 = self.sim.now
 
         def done() -> None:
             ctx.end(span, self.sim.now)
-            if self.profiler is not None:
-                self.profiler.record(("continuum", "edge_inference"),
-                                     sim_seconds=self.sim.now - t0)
             ctx.close(self.sim.now, status="ok")
             self.edge_responses.append(
                 Response(request, self.sim.now, status="ok"))
@@ -404,12 +388,8 @@ class ContinuumReplayer:
         ctx.end(pre_span, self.sim.now)
         ctx.baggage["awaiting_downlink"] = True
         payload = self.image_bytes * request.num_images
-        t0 = self.sim.now
 
         def arrived() -> None:
-            if self.profiler is not None:
-                self.profiler.record(("continuum", "uplink"),
-                                     sim_seconds=self.sim.now - t0)
             self.target.submit(request)
             # A synchronous rejection (admission shed, drain refusal,
             # queue-full) closes the trace before submit returns and
@@ -433,12 +413,8 @@ class ContinuumReplayer:
         if response.status == "rejected":
             self._finalize(ctx, response.request)
             return
-        t0 = self.sim.now
 
         def delivered() -> None:
-            if self.profiler is not None:
-                self.profiler.record(("continuum", "downlink"),
-                                     sim_seconds=self.sim.now - t0)
             ctx.close(self.sim.now, status=response.status)
             if (self.cache is not None and response.status == "ok"
                     and response.request.cache_key is not None):
@@ -476,11 +452,9 @@ class ContinuumReplayer:
                 handles[0].observe(ctx.latency)
             handles[1].inc()
         if not ctx.sampled:
-            # Metrics recorded above; the spans go back to the pool and
-            # the request drops its reference so nothing keeps the
-            # recycled records reachable.
+            # Metrics recorded above; the request drops its reference
+            # so the discarded spans become garbage.
             request.trace = None
-            ctx.recycle()
 
     # ------------------------------------------------------------------
     def completed_traces(self) -> list[TraceContext]:

@@ -31,8 +31,8 @@ deterministic discrete-event core:
   export, critical-path analysis over those contexts, and the
   exemplar-joined tail-latency attribution report;
 * :mod:`repro.serving.profiler` — sim-time/wall-clock cost attribution
-  across the component hierarchy with folded-stack and speedscope
-  export;
+  across the component hierarchy, derived after a run from its
+  registry and spans, with folded-stack and speedscope export;
 * :mod:`repro.serving.slo` — error budgets and multi-window burn-rate
   alerting over the registry's latency histograms.
 """
@@ -83,8 +83,8 @@ from repro.serving.observability import (
     SamplePoint,
     TimeSeriesSampler,
 )
-from repro.serving.profiler import ProfileScope, SimProfiler
-from repro.serving.tracectx import SpanPool, SpanRecord, TraceContext
+from repro.serving.profiler import ProfileScope, SimProfiler, profile_run
+from repro.serving.tracectx import SpanRecord, TraceContext
 from repro.serving.trace_export import (
     critical_path,
     critical_path_summary,
@@ -137,7 +137,7 @@ __all__ = [
     "TimeSeriesSampler",
     "ProfileScope",
     "SimProfiler",
-    "SpanPool",
+    "profile_run",
     "SpanRecord",
     "TraceContext",
     "critical_path",

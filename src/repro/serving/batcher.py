@@ -110,11 +110,6 @@ class DynamicBatcher:
                 buckets=self.SIZE_BUCKETS).labels(stage=self._stage)
         else:
             self._c_enqueued = self._h_wait = self._h_size = None
-        #: Optional :class:`~repro.serving.profiler.SimProfiler` (wired
-        #: by ``TritonLikeServer.attach_profiler``); attributes each
-        #: dispatched request's queue wait to
-        #: ``serve;<stage>;queue_wait``.
-        self.profiler = None
 
     def __len__(self) -> int:
         return len(self._queue)
@@ -236,13 +231,6 @@ class DynamicBatcher:
                 self._h_wait.observe(
                     now - self._queue[index].enqueue_time)
             self._h_size.observe(sum(r.num_images for r in batch))
-        profiler = self.profiler
-        if profiler is not None and now is not None:
-            profiler.record(
-                ("serve", self._stage, "queue_wait"),
-                sim_seconds=sum(now - self._queue[i].enqueue_time
-                                for i in picked),
-                count=len(picked))
         batch_images = sum(r.num_images for r in batch)
         for index in picked:
             queued = self._queue[index]

@@ -177,11 +177,6 @@ class Simulator:
         #: are pruned lazily as the run loop passes over them).
         self._streams: list[EventStream] = []
         self.events_processed = 0
-        #: Optional :class:`~repro.serving.profiler.SimProfiler`; when
-        #: attached (and enabled) :meth:`run` brackets the whole loop
-        #: in a ``("sim", "run")`` scope.  Checked once per ``run()``
-        #: call, never inside the dispatch loop.
-        self.profiler = None
 
     def schedule(self, delay: float, callback: Callable[[], None],
                  daemon: bool = False) -> Event:
@@ -193,7 +188,7 @@ class Simulator:
         "while the simulation has work" cannot keep each other alive
         after the real work has drained.
         """
-        if delay < 0:
+        if not delay >= 0:  # NaN compares false too
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         seq = self._seq
         self._seq = seq + 1
@@ -236,8 +231,12 @@ class Simulator:
         """
         stream = EventStream(self, times, callback, daemon=daemon)
         ts = stream.times
-        if any(b < a for a, b in zip(ts, ts[1:])):
-            raise ValueError("stream times must be nondecreasing")
+        # ``not b >= a`` also catches NaN, which compares false; a
+        # one-entry stream has no pair, so its entry is checked alone.
+        if any(not b >= a for a, b in zip(ts, ts[1:])) or (
+                len(ts) == 1 and ts[0] != ts[0]):
+            raise ValueError("stream times must be nondecreasing "
+                             "and not NaN")
         if ts:
             behind = self.now - ts[0]
             if behind > 0:
@@ -288,14 +287,6 @@ class Simulator:
         ``max_events`` guards against runaway self-scheduling loops
         (stream firings count toward the budget too).
         """
-        profiler = self.profiler
-        if profiler is not None and profiler.enabled:
-            with profiler.scope("sim", "run"):
-                self._run(until, max_events)
-            return
-        self._run(until, max_events)
-
-    def _run(self, until: float | None, max_events: int) -> None:
         heap = self._heap
         processed = 0
         while True:

@@ -52,7 +52,6 @@ traffic source during a fluid stretch.
 from __future__ import annotations
 
 import dataclasses
-import time
 
 import numpy as np
 
@@ -244,7 +243,6 @@ class HybridReplayer:
         """Integrate the saturated stretch and arm the exit handoff."""
         server, model, cfg = self.server, self.model_name, self.config
         sim = server.sim
-        wall0 = time.perf_counter()
         t0 = sim.now
         queued = server.handoff_out(model)
         inflight = server.inflight_images(model)
@@ -358,11 +356,6 @@ class HybridReplayer:
             "fluid_exit", resume_time, category="regime",
             integrated_requests=n_complete,
             restored_requests=len(restored))
-        profiler = server.profiler
-        if profiler is not None:
-            profiler.record(("regime", "fluid"),
-                            sim_seconds=resume_time - t0,
-                            wall_seconds=time.perf_counter() - wall0)
 
     # ------------------------------------------------------------------
     # Reporting

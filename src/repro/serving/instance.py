@@ -92,11 +92,6 @@ class BackendInstance:
         else:
             self._h_exec = self._c_batches = self._c_images = None
             self._c_failures = self._c_fault_seconds = None
-        #: Optional :class:`~repro.serving.profiler.SimProfiler` (wired
-        #: by ``TritonLikeServer.attach_profiler``); attributes batch
-        #: service time to ``serve;<stage>;execute`` and fault
-        #: detection windows to ``serve;<stage>;fault``.
-        self.profiler = None
 
     def execute(self, batch: list[Request],
                 on_complete: Callable[[list[Request]], None],
@@ -109,9 +104,10 @@ class BackendInstance:
             raise ValueError("cannot execute an empty batch")
         images = sum(r.num_images for r in batch)
         duration = self.service_time(images)
-        if duration < 0:
+        if not duration >= 0:  # NaN compares false too
             raise ValueError(
-                f"service time for {images} images is negative")
+                f"service time for {images} images is negative or NaN "
+                f"({duration})")
         self.busy = True
         self.current_images = images
         start = self.sim.now
@@ -148,10 +144,6 @@ class BackendInstance:
                 if self._c_failures is not None:
                     self._c_failures.inc()
                     self._c_fault_seconds.inc(detect)
-                if self.profiler is not None:
-                    self.profiler.record(
-                        ("serve", self._stage, "fault"),
-                        sim_seconds=detect)
                 on_failure(batch)
 
             self.sim.schedule(detect, fail)
@@ -169,10 +161,6 @@ class BackendInstance:
                 self._h_exec.observe(duration)
                 self._c_batches.inc()
                 self._c_images.inc(images)
-            if self.profiler is not None:
-                self.profiler.record(
-                    ("serve", self._stage, "execute"),
-                    sim_seconds=duration)
             on_complete(batch)
 
         self.sim.schedule(duration, finish)

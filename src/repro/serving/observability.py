@@ -24,7 +24,6 @@ summarizes the per-stage histograms.
 from __future__ import annotations
 
 import dataclasses
-import time
 from bisect import bisect_left
 from collections.abc import Callable, Iterable
 
@@ -752,14 +751,7 @@ class TimeSeriesSampler:
     def _tick(self) -> None:
         if not self._running:
             return
-        profiler = getattr(self.server, "profiler", None)
-        if profiler is not None:
-            wall0 = time.perf_counter()
-            self.sample_now()
-            profiler.record(("control", "sampler"),
-                            wall_seconds=time.perf_counter() - wall0)
-        else:
-            self.sample_now()
+        self.sample_now()
         if len(self.samples) >= self.max_samples:
             self._running = False
             if not self.truncated:

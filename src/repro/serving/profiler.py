@@ -1,33 +1,30 @@
 """Sim-time / wall-clock profiler with folded-stack and speedscope export.
 
-``SimProfiler`` attributes cost to a component hierarchy (server →
-batcher → instance → kernel; continuum legs; fluid vs DES regime;
-control loops) along two axes at once:
+``SimProfiler`` attributes cost to a component hierarchy (serving
+stages, continuum legs, fluid vs DES regime, NumPy kernel phases)
+along two axes at once:
 
 * **sim-time** — seconds of simulated time a component accounts for.
   Deterministic: two identical runs produce byte-identical sim-time
   profiles, so CLI output and CI checks use this axis.
-* **wall-clock** — host seconds the *simulator itself* spent inside a
-  component, measured with ``time.perf_counter``.  Nondeterministic by
-  nature; exported only on request.
+* **wall-clock** — host seconds spent inside a component, measured
+  with ``time.perf_counter``.  Nondeterministic by nature; exported
+  only on request.
 
 Two attribution styles compose:
 
-* ``with profiler.scope("regime", "fluid"):`` — a nested scoped timer.
-  Scopes stack: a scope's *self* cost is its elapsed cost minus the
-  cost of scopes opened inside it, so a parent never double-counts its
-  children (standard flamegraph semantics).
+* ``with profiler.scope("kernel", "attention"):`` — a nested wall
+  timer.  Scopes stack: a scope's *self* cost is its elapsed time minus
+  the time of scopes opened inside it, so a parent never double-counts
+  its children (standard flamegraph semantics).
 * ``profiler.record(("serve", "vit_tiny", "execute"), sim_seconds=d)``
-  — event-driven attribution at an **absolute** path, independent of
-  whatever scopes happen to be open.  Discrete-event components use
-  this because their cost is known at completion time, not bracketed
-  by a Python call.
+  — attribution at an **absolute** path, independent of whatever
+  scopes happen to be open.
 
-The zero-cost-when-disabled contract: every instrumentation site in
-the serving stack guards on ``profiler is not None``, and a disabled
-profiler's ``scope``/``record`` are O(1) early returns, so scrapes and
-Chrome traces stay byte-identical with the profiler off (checked by
-``tests/test_serving_profiler.py::TestZeroCostContract``).
+The serving stack carries no profiler: :func:`profile_run` derives a
+run's sim-time profile afterwards from what the run already recorded —
+the registry's per-stage series, the retained traces' leg spans and
+the hybrid engine's fluid intervals.
 
 Exports: ``folded()`` (collapsed flamegraph dict), ``render_folded``
 (``a;b;c <int microseconds>`` text for ``flamegraph.pl`` and friends),
@@ -39,12 +36,16 @@ from __future__ import annotations
 
 import json
 import time
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-__all__ = ["SimProfiler", "ProfileScope"]
+__all__ = ["SimProfiler", "ProfileScope", "profile_run"]
 
 #: Valid weight axes for the export helpers.
 _WEIGHTS = ("sim", "wall")
+
+#: Continuum span names attributed to ``continuum;<leg>``.
+_CONTINUUM_LEGS = frozenset({"edge_preprocess", "cache_hit",
+                             "edge_inference", "uplink", "downlink"})
 
 
 class _Node:
@@ -59,93 +60,48 @@ class _Node:
 
 
 class ProfileScope:
-    """One active scoped timer; use via ``SimProfiler.scope``."""
+    """One active scoped wall timer; use via ``SimProfiler.scope``."""
 
-    __slots__ = ("_profiler", "_path", "_wall0", "_sim0",
-                 "child_wall", "child_sim")
+    __slots__ = ("_profiler", "_path", "_wall0", "child_wall")
 
     def __init__(self, profiler: "SimProfiler",
                  path: tuple[str, ...]) -> None:
         self._profiler = profiler
         self._path = path
         self._wall0 = 0.0
-        self._sim0 = 0.0
         self.child_wall = 0.0
-        self.child_sim = 0.0
 
     def __enter__(self) -> "ProfileScope":
-        prof = self._profiler
-        prof._stack.append(self)
-        self._sim0 = prof._clock()
+        self._profiler._stack.append(self)
         self._wall0 = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         wall = time.perf_counter() - self._wall0
         prof = self._profiler
-        sim = prof._clock() - self._sim0
         stack = prof._stack
         stack.pop()
         if stack:
-            parent = stack[-1]
-            parent.child_wall += wall
-            parent.child_sim += sim
+            stack[-1].child_wall += wall
         node = prof._node(self._path)
-        node.sim += sim - self.child_sim
         node.wall += wall - self.child_wall
         node.count += 1
 
 
-class _NullScope:
-    """Shared no-op scope returned while the profiler is disabled."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullScope":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        return None
-
-
-_NULL_SCOPE = _NullScope()
-
-
-def _zero_clock() -> float:
-    """Clock restored on unpickled profilers (no simulator to read)."""
-    return 0.0
-
-
 class SimProfiler:
-    """Hierarchical sim-time + wall-clock cost attribution.
+    """Hierarchical sim-time + wall-clock cost attribution."""
 
-    Parameters
-    ----------
-    clock:
-        Zero-argument callable returning the current sim time (pass
-        ``lambda: sim.now``).  Defaults to a constant 0 clock, which
-        turns scopes into pure wall-clock timers.
-    enabled:
-        Start enabled (default) or disabled.  A disabled profiler's
-        methods are O(1) no-ops, so it can stay attached permanently.
-    """
-
-    def __init__(self, clock: Callable[[], float] | None = None,
-                 enabled: bool = True) -> None:
-        self._clock = clock if clock is not None else lambda: 0.0
-        self.enabled = bool(enabled)
+    def __init__(self) -> None:
         self._nodes: dict[tuple[str, ...], _Node] = {}
         self._stack: list[ProfileScope] = []
 
     # -- recording ---------------------------------------------------
-    def scope(self, *names: str):
-        """Context manager timing a nested scope.
+    def scope(self, *names: str) -> ProfileScope:
+        """Context manager timing a nested scope in wall time.
 
         The scope's path is the enclosing scope's path extended by
         ``names`` (absolute when no scope is open).
         """
-        if not self.enabled:
-            return _NULL_SCOPE
         if not names:
             raise ValueError("scope requires at least one name")
         base = self._stack[-1]._path if self._stack else ()
@@ -153,13 +109,7 @@ class SimProfiler:
 
     def record(self, path: Sequence[str], sim_seconds: float = 0.0,
                wall_seconds: float = 0.0, count: int = 1) -> None:
-        """Attribute cost to an absolute ``path``, ignoring open scopes.
-
-        Event-driven components (batcher picks, instance completions,
-        continuum legs) call this when a cost becomes known.
-        """
-        if not self.enabled:
-            return
+        """Attribute cost to an absolute ``path``, ignoring open scopes."""
         node = self._node(tuple(path))
         node.sim += sim_seconds
         node.wall += wall_seconds
@@ -174,49 +124,6 @@ class SimProfiler:
                     f"profile path must be non-empty strings: {path!r}")
             node = self._nodes[path] = _Node()
         return node
-
-    def reset(self) -> None:
-        """Drop all accumulated nodes (open scopes stay valid)."""
-        self._nodes.clear()
-
-    def merge(self, other: "SimProfiler") -> "SimProfiler":
-        """Fold another profiler's accumulated nodes into this one.
-
-        Self-costs and counts add per path — the folded profile of N
-        merged shards equals the profile one process would have
-        accumulated running them back to back, so
-        :meth:`render_folded` over a merged profiler is deterministic
-        on the sim axis regardless of merge order or worker count.
-        (Wall costs add too, but wall time never reproduces exactly.)
-        ``other`` must not have open scopes.
-        """
-        if other._stack:
-            raise ValueError(
-                "cannot merge a profiler with open scopes")
-        for path, theirs in other._nodes.items():
-            node = self._node(path)
-            node.sim += theirs.sim
-            node.wall += theirs.wall
-            node.count += theirs.count
-        return self
-
-    # A profiler rides along when a sweep shard returns its results to
-    # the parent process; the clock holds a reference into the shard's
-    # simulator and freezes at 0 on the other side (recorded costs are
-    # preserved — merge folds state, it never re-records).
-    def __getstate__(self) -> dict:
-        if self._stack:
-            raise ValueError(
-                "cannot pickle a profiler with open scopes")
-        state = self.__dict__.copy()
-        state["_clock"] = None
-        state["_stack"] = []
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        if self._clock is None:
-            self._clock = _zero_clock
 
     # -- reading -----------------------------------------------------
     def nodes(self) -> dict[tuple[str, ...], tuple[float, float, int]]:
@@ -337,6 +244,47 @@ class SimProfiler:
         return json.dumps(self.speedscope(name, weight),
                           sort_keys=True,
                           separators=(",", ":")) + "\n"
+
+
+def profile_run(sim_seconds: float, registry,
+                traces: Iterable = (),
+                fluid_intervals: Iterable = ()) -> SimProfiler:
+    """A finished run's sim-time profile, derived from what it recorded.
+
+    * ``serve;<stage>;execute`` / ``queue_wait`` — the per-stage
+      ``execution_seconds`` / ``queue_wait_seconds`` series (sum and
+      observation count: batches executed, requests dispatched);
+    * ``serve;<stage>;fault`` — ``fault_seconds_total``, counted by
+      ``execution_failures_total``;
+    * ``continuum;<leg>`` — the closed leg spans of ``traces``.  Pass a
+      replayer's retained traces: under trace sampling these nodes
+      cover only the retained requests, while ``serve;*`` covers all;
+    * ``regime;fluid`` — the hybrid engine's fluid intervals;
+    * ``sim;run`` — ``sim_seconds``, the simulated horizon.
+    """
+    prof = SimProfiler()
+    for metric, kind in (("execution_seconds", "execute"),
+                         ("queue_wait_seconds", "queue_wait")):
+        hist = registry.get(metric)
+        for key, series in hist.items() if hist is not None else ():
+            prof.record(("serve", dict(key)["stage"], kind),
+                        sim_seconds=series.sum, count=series.count)
+    failures = registry.get("execution_failures_total")
+    lost = registry.get("fault_seconds_total")
+    for key, value in failures.items() if failures is not None else ():
+        stage = dict(key)["stage"]
+        prof.record(("serve", stage, "fault"),
+                    sim_seconds=lost.value(stage=stage), count=int(value))
+    for ctx in traces:
+        for span in ctx.spans:
+            if span.name in _CONTINUUM_LEGS and span.end is not None:
+                prof.record(("continuum", span.name),
+                            sim_seconds=span.end - span.start)
+    for interval in fluid_intervals:
+        prof.record(("regime", "fluid"),
+                    sim_seconds=interval.resumed - interval.entered)
+    prof.record(("sim", "run"), sim_seconds=sim_seconds)
+    return prof
 
 
 def _check_weight(weight: str) -> None:

@@ -106,10 +106,6 @@ class TritonLikeServer:
         self._cache_tensor_bytes = 0.0
         self.responses: list[Response] = []
         self._on_response: Callable[[Response], None] | None = None
-        #: Optional :class:`~repro.serving.profiler.SimProfiler`; see
-        #: :meth:`attach_profiler`.  ``None`` keeps every
-        #: instrumentation site on its zero-cost branch.
-        self.profiler = None
         #: Whether completed-request latency observations carry
         #: exemplars (see :meth:`enable_exemplars`).
         self._exemplars = False
@@ -164,11 +160,6 @@ class TritonLikeServer:
                             metrics=self.metrics)
             for i in range(config.instances)
         ]
-        if self.profiler is not None:
-            # Models loaded after attach_profiler() get the same hooks.
-            self._batchers[config.name].profiler = self.profiler
-            for instance in self._instances[config.name]:
-                instance.profiler = self.profiler
 
     def register_ensemble(self, config: EnsembleConfig) -> None:
         """Load a shared-preprocessing ensemble.
@@ -224,25 +215,6 @@ class TritonLikeServer:
     def on_response(self, callback: Callable[[Response], None]) -> None:
         """Register a completion callback (e.g. closed-loop clients)."""
         self._on_response = callback
-
-    def attach_profiler(self, profiler) -> None:
-        """Wire a :class:`~repro.serving.profiler.SimProfiler` through
-        the whole serving stack.
-
-        Propagates to the simulator (the ``sim;run`` wall scope), every
-        loaded batcher (``serve;<stage>;queue_wait``), and every backend
-        instance (``serve;<stage>;execute`` / ``fault``); models
-        registered later inherit it.  Attaching a *disabled* profiler
-        is the supported always-on wiring: each site guards on the
-        attribute and a disabled profiler's methods are O(1) no-ops.
-        """
-        self.profiler = profiler
-        self.sim.profiler = profiler
-        for batcher in self._batchers.values():
-            batcher.profiler = profiler
-        for instances in self._instances.values():
-            for instance in instances:
-                instance.profiler = profiler
 
     def enable_exemplars(self) -> None:
         """Record request-latency exemplars for traced requests.

@@ -79,52 +79,6 @@ class SpanRecord:
         return self.end is not None
 
 
-class SpanPool:
-    """A free list of reusable :class:`SpanRecord` instances.
-
-    Spans from recycled contexts (see :meth:`TraceContext.recycle`) come
-    back here and are handed out again by :meth:`acquire`, fields
-    overwritten in place — including the ``args`` dict, which is cleared
-    and refilled rather than reallocated.  In a sampled continuum replay
-    the unsampled majority of requests therefore reach a steady state of
-    zero span allocations.
-    """
-
-    __slots__ = ("_free",)
-
-    def __init__(self) -> None:
-        self._free: list[SpanRecord] = []
-
-    def __len__(self) -> int:
-        """Records currently parked on the free list."""
-        return len(self._free)
-
-    def acquire(self, span_id: int, parent_id: int | None, name: str,
-                category: str, start: float,
-                args: dict[str, object]) -> SpanRecord:
-        """A record with the given fields (reused when one is free)."""
-        free = self._free
-        if not free:
-            return SpanRecord(span_id=span_id, parent_id=parent_id,
-                              name=name, category=category, start=start,
-                              args=dict(args))
-        span = free.pop()
-        span.span_id = span_id
-        span.parent_id = parent_id
-        span.name = name
-        span.category = category
-        span.start = start
-        span.end = None
-        reused = span.args
-        reused.clear()
-        reused.update(args)
-        return span
-
-    def release(self, spans: list[SpanRecord]) -> None:
-        """Park finished records for reuse."""
-        self._free.extend(spans)
-
-
 class TraceContext:
     """The per-request span accumulator propagated through the stack.
 
@@ -134,22 +88,14 @@ class TraceContext:
     byte-identical traces.  ``baggage`` carries cross-layer annotations
     (e.g. the continuum replayer marks requests that owe a downlink
     leg).
-
-    With a :class:`SpanPool` attached the context draws its records from
-    the pool instead of allocating, and :meth:`recycle` returns them when
-    the trace is discarded (the sampled-out path): the spans still exist
-    while the request is in flight — every instrumenting layer works
-    unchanged — but nothing survives the request.
     """
 
     def __init__(self, trace_id: int, start: float = 0.0,
-                 root_name: str = "request",
-                 pool: SpanPool | None = None):
+                 root_name: str = "request"):
         self.trace_id = trace_id
         self.baggage: dict[str, object] = {}
         self.spans: list[SpanRecord] = []
         self._next_span_id = 0
-        self._pool = pool
         #: Whether the trace is retained (False on the sampled-out path;
         #: purely informational — the owner decides what to keep).
         self.sampled = True
@@ -171,14 +117,9 @@ class TraceContext:
         if self.spans:  # the root itself has no parent
             parent_id = (parent.span_id if parent is not None
                          else self.root.span_id)
-        if self._pool is not None:
-            span = self._pool.acquire(self._next_span_id, parent_id,
-                                      name, category, at, args)
-        else:
-            span = SpanRecord(span_id=self._next_span_id,
-                              parent_id=parent_id, name=name,
-                              category=category, start=at,
-                              args=dict(args))
+        span = SpanRecord(span_id=self._next_span_id,
+                          parent_id=parent_id, name=name,
+                          category=category, start=at, args=dict(args))
         self._next_span_id += 1
         self.spans.append(span)
         return span
@@ -211,20 +152,6 @@ class TraceContext:
                              "closed")
         self.root.end = at
         self.status = status
-
-    def recycle(self) -> None:
-        """Return every span (root included) to the attached pool.
-
-        Terminal: the context must not be used afterwards — ``root`` is
-        dropped so a stale read fails loudly instead of observing a
-        record that has been handed to another trace.  No-op without a
-        pool.
-        """
-        if self._pool is None:
-            return
-        self._pool.release(self.spans)
-        self.spans = []
-        self.root = None
 
     # ------------------------------------------------------------------
     @property

@@ -19,13 +19,15 @@ The three-layer contract:
   with one bounded retry, and re-sorts outcomes by shard index.
 * :mod:`repro.sweep.merge` — reduce it.  Mergeable summaries compute
   quantiles by bucket re-accumulation (never quantile averaging), and
-  registry/profiler folds are commutative, so 1-worker and 16-worker
-  sweeps produce byte-identical scrapes, tables, and folded profiles.
+  registry folds are commutative, so 1-worker and 16-worker sweeps
+  produce byte-identical scrapes and tables.  A sim-time profile of
+  the merged sweep is a function of the merged registry
+  (:func:`repro.serving.profiler.profile_run`), so it needs no merge
+  of its own.
 """
 
 from repro.sweep.merge import (
     BucketSummary,
-    merge_profiles,
     merge_registries,
     merge_summaries,
     normal_ci,
@@ -49,7 +51,6 @@ __all__ = [
     "SweepRunner",
     "SweepSpec",
     "derive_seed",
-    "merge_profiles",
     "merge_registries",
     "merge_summaries",
     "normal_ci",

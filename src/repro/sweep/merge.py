@@ -17,9 +17,6 @@ completion order:
   :class:`~repro.serving.observability.MetricsRegistry` objects into a
   fresh one (counters add, gauges keep the freshest reading,
   histograms add per bucket with layout validation).
-* :func:`merge_profiles` — fold shard
-  :class:`~repro.serving.profiler.SimProfiler` objects into one
-  profiler whose folded stacks equal a single-process run's.
 * :func:`normal_ci` — a deterministic aggregate confidence interval
   across per-shard scalars (normal approximation; no bootstrap RNG,
   so sweep tables reproduce byte for byte).
@@ -159,20 +156,6 @@ def merge_registries(registries: Iterable) -> object:
     merged = MetricsRegistry()
     for registry in registries:
         merged.merge(registry)
-    return merged
-
-
-def merge_profiles(profilers: Iterable) -> object:
-    """Fold shard profilers into a fresh ``SimProfiler``.
-
-    The merged profiler's sim-axis folded stacks equal those of one
-    process that had run every shard back to back.
-    """
-    from repro.serving.profiler import SimProfiler
-
-    merged = SimProfiler()
-    for profiler in profilers:
-        merged.merge(profiler)
     return merged
 
 

@@ -37,9 +37,11 @@ def replay_sparse_diurnal(params: dict) -> dict:
     The sweep's canonical shard: builds the paper's orchard-gateway
     arrival pattern (quiet nights, scouting-flight mornings) for the
     shard's derived ``seed``, serves it, and returns mergeable pieces —
-    a metrics registry, a sim-time profiler, and a
-    :class:`~repro.sweep.merge.BucketSummary` over request latencies —
-    alongside scalar per-shard fields for the sweep table.
+    a metrics registry (from which
+    :func:`~repro.serving.profiler.profile_run` derives the sim-time
+    profile) and a :class:`~repro.sweep.merge.BucketSummary` over
+    request latencies — alongside scalar per-shard fields for the
+    sweep table.
 
     Recognized ``params`` (beyond the runner-injected ``seed`` /
     ``shard_index`` / ``replication``): ``duration``, ``peak_rate``,
@@ -50,7 +52,6 @@ def replay_sparse_diurnal(params: dict) -> dict:
     from repro.serving.observability import MetricsRegistry
     from repro.serving.events import Simulator
     from repro.serving.metrics import nearest_rank_quantile
-    from repro.serving.profiler import SimProfiler
     from repro.serving.server import ModelConfig, TritonLikeServer
     from repro.serving.traces import TraceReplayer, sparse_diurnal_trace
     from repro.sweep.merge import BucketSummary
@@ -65,8 +66,6 @@ def replay_sparse_diurnal(params: dict) -> dict:
     sim = Simulator()
     registry = MetricsRegistry(clock=lambda: sim.now)
     server = TritonLikeServer(sim, registry=registry)
-    profiler = SimProfiler(clock=lambda: sim.now)
-    server.attach_profiler(profiler)
     base = float(params.get("service_time_base", 0.012))
     per_image = float(params.get("service_time_per_image", 0.004))
     server.register(ModelConfig(
@@ -95,7 +94,6 @@ def replay_sparse_diurnal(params: dict) -> dict:
         "p99": nearest_rank_quantile(latencies, 0.99),
         "summary": summary,
         "registry": registry,
-        "profiler": profiler,
     }
 
 

@@ -3,8 +3,8 @@
 Covers the regression guarantees the optimization pass makes:
 ``schedule_at`` round-off clamping, bounded cancel state, firing-order
 parity between the tuple-heap simulator and the seed simulator kept
-below as a reference, bound-handle export parity, trace sampling + span
-pooling, MAC-accounting parity on the packed kernel path, and the
+below as a reference, bound-handle export parity, trace sampling,
+MAC-accounting parity on the packed kernel path, and the
 preprocessing grid cache.
 """
 
@@ -353,24 +353,6 @@ class TestTraceSampling:
         assert replayer.traces == []
         finished = registry.get("continuum_requests_total")
         assert finished.total() == 40.0
-
-    def test_span_pool_reuses_records(self):
-        from repro.serving.tracectx import SpanPool, TraceContext
-
-        pool = SpanPool()
-        ctx = TraceContext(1, pool=pool)
-        first = ctx.begin("a", 0.0)
-        ctx.end(first, 1.0)
-        ctx.close(1.0)
-        released = {id(ctx.root), id(first)}
-        ctx.recycle()
-        assert len(pool) == 2
-        ctx2 = TraceContext(2, pool=pool)
-        reused = ctx2.begin("b", 2.0)
-        # Both records of the new context come from the freed pool —
-        # zero allocations for the unsampled steady state.
-        assert {id(ctx2.root), id(reused)} == released
-        assert reused.name == "b" and not reused.closed
 
     def test_invalid_rate_rejected(self):
         with pytest.raises(ValueError, match="sample"):

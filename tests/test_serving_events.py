@@ -54,6 +54,17 @@ class TestScheduling:
         with pytest.raises(ValueError, match="past"):
             Simulator().schedule(-0.1, lambda: None)
 
+    def test_nan_delay_rejected(self):
+        # A NaN entry would sit on the heap forever: the same-time
+        # batch loop compares it with ``==``, which NaN never satisfies.
+        sim = Simulator()
+        with pytest.raises(ValueError, match="nan"):
+            sim.schedule(float("nan"), lambda: None)
+        with pytest.raises(ValueError, match="nan"):
+            sim.schedule_at(float("nan"), lambda: None)
+        sim.run()
+        assert sim.events_processed == 0
+
 
 class TestRunControl:
     def test_run_until_pauses_and_resumes(self):
@@ -245,6 +256,17 @@ class TestEventStream:
     def test_nondecreasing_enforced(self):
         with pytest.raises(ValueError, match="nondecreasing"):
             Simulator().add_stream([2.0, 1.0], lambda i: None)
+
+    @pytest.mark.parametrize("times", [
+        [0.0, float("nan"), 2.0],
+        [float("nan"), 1.0],
+        [float("nan")],
+    ])
+    def test_nan_times_rejected(self, times):
+        sim = Simulator()
+        with pytest.raises(ValueError, match="NaN"):
+            sim.add_stream(times, lambda i: None)
+        assert sim.peek_time() is None
 
     def test_cannot_stream_into_the_past(self):
         sim = Simulator()

@@ -1,4 +1,4 @@
-"""Tests for repro.serving.profiler — attribution, export, zero cost."""
+"""Tests for repro.serving.profiler — attribution, export, derivation."""
 
 import json
 
@@ -9,12 +9,12 @@ from repro.serving.client import OpenLoopClient
 from repro.serving.events import Simulator
 from repro.serving.exporter import export_registry
 from repro.serving.observability import MetricsRegistry, TimeSeriesSampler
-from repro.serving.profiler import _NULL_SCOPE, SimProfiler
+from repro.serving.profiler import SimProfiler, profile_run
 from repro.serving.server import ModelConfig, TritonLikeServer
 
 
 class FakeClock:
-    """Manually advanced sim clock for exact scope arithmetic."""
+    """Manually advanced ``time.perf_counter`` for exact scope arithmetic."""
 
     def __init__(self) -> None:
         self.now = 0.0
@@ -23,20 +23,25 @@ class FakeClock:
         return self.now
 
 
+@pytest.fixture
+def clock(monkeypatch):
+    fake = FakeClock()
+    monkeypatch.setattr("repro.serving.profiler.time.perf_counter", fake)
+    return fake
+
+
 class TestScopes:
-    def test_nested_scopes_attribute_self_time(self):
-        clock = FakeClock()
-        prof = SimProfiler(clock=clock)
-        with prof.scope("sim", "run"):
+    def test_nested_scopes_attribute_self_time(self, clock):
+        prof = SimProfiler()
+        with prof.scope("kernel", "forward"):
             clock.now = 1.0
             with prof.scope("inner"):
                 clock.now = 4.0
             clock.now = 5.0
         nodes = prof.nodes()
         # Parent self = 5.0 elapsed - 3.0 spent in the child.
-        assert nodes[("sim", "run")][0] == pytest.approx(2.0)
-        assert nodes[("sim", "run", "inner")][0] == pytest.approx(3.0)
-        assert nodes[("sim", "run")][2] == 1
+        assert nodes[("kernel", "forward")] == (0.0, 2.0, 1)
+        assert nodes[("kernel", "forward", "inner")] == (0.0, 3.0, 1)
 
     def test_scope_paths_nest_under_enclosing_scope(self):
         prof = SimProfiler()
@@ -53,24 +58,14 @@ class TestScopes:
         nodes = prof.nodes()
         assert nodes[("serve", "infer", "execute")] == (2.0, 0.0, 3)
 
-    def test_sibling_scopes_accumulate(self):
-        clock = FakeClock()
-        prof = SimProfiler(clock=clock)
+    def test_sibling_scopes_accumulate(self, clock):
+        prof = SimProfiler()
         for _ in range(3):
             with prof.scope("leg"):
                 clock.now += 0.5
-        sim, _, count = prof.nodes()[("leg",)]
-        assert sim == pytest.approx(1.5)
+        _, wall, count = prof.nodes()[("leg",)]
+        assert wall == pytest.approx(1.5)
         assert count == 3
-
-    def test_disabled_profiler_is_a_no_op(self):
-        prof = SimProfiler(enabled=False)
-        assert prof.scope("a") is _NULL_SCOPE
-        with prof.scope("a"):
-            pass
-        prof.record(("b",), sim_seconds=1.0)
-        assert prof.nodes() == {}
-        assert prof.total() == 0.0
 
     def test_scope_requires_names(self):
         with pytest.raises(ValueError, match="at least one name"):
@@ -82,12 +77,6 @@ class TestScopes:
             prof.record((), sim_seconds=1.0)
         with pytest.raises(ValueError, match="non-empty strings"):
             prof.record(("a", ""), sim_seconds=1.0)
-
-    def test_reset_clears_nodes(self):
-        prof = SimProfiler()
-        prof.record(("a",), sim_seconds=1.0)
-        prof.reset()
-        assert prof.nodes() == {}
 
 
 class TestExports:
@@ -145,17 +134,15 @@ class TestExports:
             1000000, 250000, 500000]
 
 
-def _run_serving(profiler=None, requests: int = 120):
+def _run_serving(requests: int = 120, seed: int = 3):
     sim = Simulator()
     server = TritonLikeServer(sim)
     server.register(ModelConfig(
         "infer", lambda n: 0.002 + 0.001 * n,
         batcher=BatcherConfig(max_batch_size=8,
                               max_queue_delay=0.004)))
-    if profiler is not None:
-        server.attach_profiler(profiler)
     client = OpenLoopClient(server, "infer", rate_per_second=300.0,
-                            num_requests=requests, seed=3)
+                            num_requests=requests, seed=seed)
     client.start()
     server.run()
     return server
@@ -163,100 +150,46 @@ def _run_serving(profiler=None, requests: int = 120):
 
 class TestServingIntegration:
     def test_execute_attribution_matches_instance_stats(self):
-        sim_holder = {}
-        prof = SimProfiler(clock=lambda: sim_holder["sim"].now)
-        sim = Simulator()
-        sim_holder["sim"] = sim
-        server = TritonLikeServer(sim)
-        server.register(ModelConfig(
-            "infer", lambda n: 0.002 + 0.001 * n,
-            batcher=BatcherConfig(max_batch_size=8,
-                                  max_queue_delay=0.004)))
-        server.attach_profiler(prof)
-        client = OpenLoopClient(server, "infer", rate_per_second=300.0,
-                                num_requests=120, seed=3)
-        client.start()
-        server.run()
-        nodes = prof.nodes()
+        server = _run_serving()
+        nodes = profile_run(server.sim.now, server.metrics).nodes()
         busy = sum(inst.stats.busy_seconds
                    for inst in server._instances["infer"])
         assert nodes[("serve", "infer", "execute")][0] == (
             pytest.approx(busy))
         # Every response waited in exactly one queue-pick.
         assert nodes[("serve", "infer", "queue_wait")][2] == 120
-        # The run scope covers the whole virtual horizon.
-        assert nodes[("sim", "run")][0] == pytest.approx(sim.now)
-
-    def test_models_registered_after_attach_inherit_profiler(self):
-        prof = SimProfiler()
-        sim = Simulator()
-        server = TritonLikeServer(sim)
-        server.attach_profiler(prof)
-        server.register(ModelConfig(
-            "late", lambda n: 0.001,
-            batcher=BatcherConfig(max_batch_size=4,
-                                  max_queue_delay=0.001)))
-        assert server._batchers["late"].profiler is prof
-        assert all(inst.profiler is prof
-                   for inst in server._instances["late"])
+        # The run node covers the whole virtual horizon.
+        assert nodes[("sim", "run")] == (server.sim.now, 0.0, 1)
 
     def test_sim_time_profile_is_deterministic(self):
         def folded():
-            sim = Simulator()
-            prof = SimProfiler(clock=lambda: sim.now)
-            server = TritonLikeServer(sim)
-            server.register(ModelConfig(
-                "infer", lambda n: 0.002 + 0.001 * n,
-                batcher=BatcherConfig(max_batch_size=8,
-                                      max_queue_delay=0.004)))
-            server.attach_profiler(prof)
-            client = OpenLoopClient(server, "infer",
-                                    rate_per_second=300.0,
-                                    num_requests=150, seed=11)
-            client.start()
-            server.run()
-            return prof.render_folded("sim")
+            server = _run_serving(requests=150, seed=11)
+            return profile_run(server.sim.now,
+                               server.metrics).render_folded("sim")
 
         assert folded() == folded()
 
 
-def _profiled_replay(requests: int, mode: str) -> tuple:
-    """The serving replay with the profiler ``"none"``/``"off"``/``"on"``.
-
-    Returns ``(responses, events_processed, scrape)`` — the scrape is
-    part of the result on purpose: comparing it byte for byte across
-    modes *is* the zero-instrumentation-cost contract (attaching a
-    profiler must not change what a run reports).
-    """
-    sim = Simulator()
-    registry = MetricsRegistry(clock=lambda: sim.now)
-    server = TritonLikeServer(sim, registry=registry)
-    server.register(ModelConfig(
-        "vit_tiny", lambda n: 0.0004 + 0.00012 * n,
-        batcher=BatcherConfig(max_batch_size=16, max_queue_delay=0.002)))
-    if mode != "none":
-        server.attach_profiler(SimProfiler(clock=lambda: sim.now,
-                                           enabled=(mode == "on")))
-    client = OpenLoopClient(server, "vit_tiny", rate_per_second=800.0,
-                            num_requests=requests, seed=7)
-    sampler = TimeSeriesSampler(server, interval=0.05)
-    client.start()
-    sampler.start()
-    sim.run()
-    return (len(server.responses), sim.events_processed,
-            export_registry(registry))
-
-
 class TestZeroCostContract:
     def test_scrapes_identical_across_profiler_modes(self):
-        bare = _profiled_replay(400, "none")
-        off = _profiled_replay(400, "off")
-        on = _profiled_replay(400, "on")
-        assert bare == off[:2] + (off[2],)
-        assert bare[0] == on[0] and bare[1] == on[1]
-        assert bare[2] == off[2] == on[2]
+        # The profile is a read of the finished run: deriving it (even
+        # twice) changes nothing the run reports.
+        def replay(derive: bool):
+            sim = Simulator()
+            registry = MetricsRegistry(clock=lambda: sim.now)
+            server = TritonLikeServer(sim, registry=registry)
+            server.register(ModelConfig(
+                "vit_tiny", lambda n: 0.0004 + 0.00012 * n,
+                batcher=BatcherConfig(max_batch_size=16,
+                                      max_queue_delay=0.002)))
+            OpenLoopClient(server, "vit_tiny", rate_per_second=800.0,
+                           num_requests=400, seed=7).start()
+            TimeSeriesSampler(server, interval=0.05).start()
+            sim.run()
+            if derive:
+                for _ in range(2):
+                    profile_run(sim.now, registry)
+            return (len(server.responses), sim.events_processed,
+                    export_registry(registry))
 
-    def test_disabled_profiler_records_nothing_through_the_stack(self):
-        prof = SimProfiler(enabled=False)
-        _run_serving(prof)
-        assert prof.nodes() == {}
+        assert replay(derive=True) == replay(derive=False)

@@ -58,6 +58,15 @@ class TestBackendInstance:
         with pytest.raises(ValueError):
             inst.execute([Request("m")], lambda b: None)
 
+    def test_nan_service_time_rejected(self):
+        # Served through the whole stack: the run raises instead of
+        # spinning on an unfireable NaN completion event.
+        server = TritonLikeServer()
+        server.register(ModelConfig("m", constant_service(float("nan"))))
+        server.submit(Request("m"))
+        with pytest.raises(ValueError, match="service time .* NaN"):
+            server.run()
+
 
 class TestServerBasics:
     def make_server(self, service=0.01, **batcher_kw):

@@ -323,10 +323,9 @@ class TestContinuumInstrumentation:
 
 
 class TestContinuumExemplarsAndProfile:
-    def _run(self, sample_rate=1.0, exemplars=True, profiler=False,
-             requests=60):
+    def _run(self, sample_rate=1.0, exemplars=True, requests=60):
         from repro.serving.exporter import export_registry
-        from repro.serving.profiler import SimProfiler
+        from repro.serving.profiler import profile_run
 
         sim = Simulator()
         registry = MetricsRegistry(clock=lambda: sim.now)
@@ -335,17 +334,16 @@ class TestContinuumExemplarsAndProfile:
             "m", lambda n: 0.01,
             batcher=BatcherConfig(max_batch_size=4,
                                   max_queue_delay=0.002)))
-        prof = SimProfiler(clock=lambda: sim.now) if profiler else None
         replayer = ContinuumReplayer(
             server, get_link("station_ethernet"),
             edge_preprocess_time=lambda n: 0.002 * n,
             image_bytes=100_000.0, registry=registry,
-            trace_sample_rate=sample_rate, exemplars=exemplars,
-            profiler=prof)
+            trace_sample_rate=sample_rate, exemplars=exemplars)
         for i in range(requests):
             sim.schedule_at(0.01 * i,
                             lambda: replayer.submit(Request("m")))
         sim.run()
+        prof = profile_run(sim.now, registry, replayer.traces)
         return replayer, export_registry(registry), prof
 
     def test_exemplars_deterministic_under_sampling(self):
@@ -377,7 +375,7 @@ class TestContinuumExemplarsAndProfile:
         assert " # {" not in scrape
 
     def test_profiler_attributes_continuum_legs(self):
-        replayer, _, prof = self._run(profiler=True)
+        replayer, _, prof = self._run()
         nodes = prof.nodes()
         [ctx] = [replayer.traces[0]]
         for leg in ("edge_preprocess", "uplink", "downlink"):

@@ -1,9 +1,9 @@
-"""Merge-determinism tests: registries, profilers, summaries.
+"""Merge-determinism tests: registries and summaries.
 
 The sweep engine's contract is that merged output is byte-identical
 regardless of worker count, completion order, or merge order.  These
 tests attack each reduction from that angle: shuffle the fold order,
-vary the pool size, and compare scrapes/folded profiles byte for byte.
+vary the pool size, and compare scrapes and tables byte for byte.
 """
 
 import pickle
@@ -13,12 +13,10 @@ import pytest
 
 from repro.serving.exporter import export_registry
 from repro.serving.observability import MetricsRegistry
-from repro.serving.profiler import SimProfiler
 from repro.sweep import (
     BucketSummary,
     SweepRunner,
     SweepSpec,
-    merge_profiles,
     merge_registries,
     merge_summaries,
     normal_ci,
@@ -138,40 +136,6 @@ class TestRegistryMerge:
         assert (export_registry(clone) == export_registry(registry))
 
 
-class TestProfilerMerge:
-    def test_merged_folds_equal_sequential_accumulation(self):
-        parts = []
-        combined = SimProfiler()
-        for shard in range(4):
-            profiler = SimProfiler()
-            for target in (profiler, combined):
-                target.record(("serve", f"model{shard % 2}"),
-                              sim_seconds=0.5 * (shard + 1),
-                              count=shard + 1)
-            parts.append(profiler)
-        random.Random(1).shuffle(parts)
-        merged = merge_profiles(parts)
-        assert merged.render_folded() == combined.render_folded()
-        assert merged.nodes() == combined.nodes()
-
-    def test_open_scope_blocks_merge_and_pickle(self):
-        profiler = SimProfiler()
-        scope = profiler.scope("busy")
-        scope.__enter__()
-        with pytest.raises(ValueError):
-            SimProfiler().merge(profiler)
-        with pytest.raises(ValueError):
-            pickle.dumps(profiler)
-        scope.__exit__(None, None, None)
-        assert SimProfiler().merge(profiler).folded()
-
-    def test_pickled_profiler_keeps_recorded_costs(self):
-        profiler = SimProfiler(clock=lambda: 1.0)
-        profiler.record(("a", "b"), sim_seconds=2.0)
-        clone = pickle.loads(pickle.dumps(profiler))
-        assert clone.render_folded() == profiler.render_folded()
-
-
 class TestBucketSummary:
     def test_quantiles_reaccumulate_rather_than_average(self):
         # Two skewed shards: averaging their p95s would be ~5.05; the
@@ -257,11 +221,9 @@ class TestEndToEndDeterminism:
             random.Random(shuffle_seed).shuffle(values)
         scrape = export_registry(
             merge_registries(v["registry"] for v in values))
-        folded = merge_profiles(
-            v["profiler"] for v in values).render_folded()
         table = merge_summaries(
             v["summary"] for v in values).as_dict()
-        return scrape, folded, table
+        return scrape, table
 
     def test_byte_identical_across_worker_counts(self):
         reference = self._merged(1)

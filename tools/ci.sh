@@ -69,6 +69,8 @@ same network "" network --frames 15 --seed 1 --broker-messages 60 \
 same profile "" profile --duration 4 --fluid-duration 40 \
     --burst-rate 900 --seed 1 --forward --out profile.json \
     --speedscope profile.speedscope.json --folded-out profile.folded
+same profile_sampled "" profile --duration 4 --fluid-duration 40 \
+    --burst-rate 900 --seed 1 --sample-rate 0.5 --out profile.json
 same faas "" faas --duration 3600 --seed 1 --out faas.json
 same metrics "" metrics --rate 150 --requests 120
 same sweep "--jobs 2" sweep --replications 4 --duration 600 --seed 7 \
