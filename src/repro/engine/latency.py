@@ -71,6 +71,10 @@ class LatencyModel:
                 platform.theoretical_tflops[precision]
                 / platform.theoretical_tflops[
                     platform.benchmark_precision])
+        #: ``latency`` per batch size: a pure function of the batch and
+        #: the state fixed above, and a serving replay asks for the same
+        #: few sizes once per request.
+        self._latency: dict[int, float] = {}
 
     @property
     def effective_flops(self) -> float:
@@ -84,7 +88,11 @@ class LatencyModel:
 
     def latency(self, batch_size: int) -> float:
         """Seconds to serve one batch request."""
-        return batch_size / self.throughput(batch_size)
+        seconds = self._latency.get(batch_size)
+        if seconds is None:
+            seconds = batch_size / self.throughput(batch_size)
+            self._latency[batch_size] = seconds
+        return seconds
 
     def theoretical_latency(self, batch_size: int) -> float:
         """The ideal (dashed-line) latency at 100% practical FLOPS."""

@@ -74,7 +74,7 @@ class FaaSFunctionConfig:
     def __post_init__(self) -> None:
         if self.concurrency_limit < 1:
             raise ValueError("concurrency limit must be >= 1")
-        if self.keep_alive_seconds < 0:
+        if not self.keep_alive_seconds >= 0:  # NaN compares false too
             raise ValueError("keep-alive must be >= 0")
         if self.max_queue_depth < 0:
             raise ValueError("max queue depth must be >= 0")
@@ -463,10 +463,10 @@ class FaaSBackend:
             inst.reap_event = None
         inst.state = "busy"
         duration = fn.config.service_time(request.num_images)
-        if duration < 0:
+        if not duration >= 0:  # NaN compares false too
             raise ValueError(
                 f"service time for {request.num_images} images is "
-                "negative")
+                f"negative or NaN ({duration})")
         start = self.sim.now
         if request.first_start is None:
             request.first_start = start

@@ -397,7 +397,7 @@ class FaaSPolicyConfig:
     hold_seconds: float = 30.0
 
     def __post_init__(self) -> None:
-        if self.interval <= 0:
+        if not self.interval > 0:  # NaN compares false too
             raise ValueError("evaluation interval must be positive")
         if self.min_provisioned < 0:
             raise ValueError("min provisioned must be >= 0")
@@ -405,7 +405,7 @@ class FaaSPolicyConfig:
             raise ValueError("max provisioned must be >= min")
         if self.step < 1:
             raise ValueError("step must be >= 1")
-        if self.hold_seconds < 0:
+        if not self.hold_seconds >= 0:
             raise ValueError("hold_seconds must be >= 0")
 
 

@@ -290,7 +290,18 @@ class Simulator:
         heap = self._heap
         processed = 0
         while True:
-            stream = self._earliest_stream() if self._streams else None
+            # One live stream (a replay's arrival trace) is the common
+            # case: check its head directly instead of scanning.
+            streams = self._streams
+            if not streams:
+                stream = None
+            elif len(streams) == 1:
+                stream = streams[0]
+                if stream.cancelled or stream.index >= len(stream.times):
+                    self._streams = []
+                    stream = None
+            else:
+                stream = self._earliest_stream()
             if not heap and stream is None:
                 break
             if stream is not None and (

@@ -10,7 +10,8 @@ rejection storm *while it happens*; this module can:
 
 * :class:`MetricsRegistry` — a Prometheus-style registry of
   :class:`Counter`, :class:`Gauge`, and fixed-bucket :class:`Histogram`
-  metrics, every update stamped on the simulator clock;
+  metrics; gauge updates are stamped on the simulator clock, and
+  histogram exemplars carry their sim time;
 * :class:`TimeSeriesSampler` — a periodic sampler the server drives on
   its own event loop, recording queue depth, queued images, busy/total
   instances and in-flight batches per model as a time series.
@@ -47,10 +48,11 @@ def _frozen_clock() -> float:
     """Clock restored on unpickled metrics (no simulator to read).
 
     A metric that crossed a process boundary (a sweep shard returning
-    its registry to the parent) has no live simulator behind it; its
-    recorded ``last_updated`` stamps are preserved, and any *further*
-    update in the parent is stamped 0.0 — merge folds recorded state,
-    it never re-observes.
+    its registry to the parent) has no live simulator behind it.  A
+    gauge's recorded ``last_updated`` stamps (and a histogram's
+    exemplar stamps) are preserved, and any *further* gauge update or
+    exemplar in the parent is stamped 0.0 — merge folds recorded
+    state, it never re-observes.
     """
     return 0.0
 
@@ -65,8 +67,6 @@ class Metric:
         self.name = name
         self.help = help
         self._clock = clock
-        #: Simulator time of the most recent update per label set.
-        self.last_updated: dict[LabelKey, float] = {}
         #: Bound per-label-set handles, keyed like the value stores.
         self._children: dict[LabelKey, object] = {}
 
@@ -93,14 +93,9 @@ class Metric:
 
     def label_sets(self) -> list[LabelKey]:
         """Every label set this metric has been updated with."""
-        return sorted(self.last_updated)
+        raise NotImplementedError
 
-    def _merge_freshness(self, other: "Metric") -> None:
-        """Fold ``other``'s freshness stamps (per-key max) into ours."""
-        mine = self.last_updated
-        for key, stamp in other.last_updated.items():
-            if stamp > mine.get(key, float("-inf")):
-                mine[key] = stamp
+    def _merge_help(self, other: "Metric") -> None:
         if not self.help and other.help:
             self.help = other.help
 
@@ -134,12 +129,10 @@ class Metric:
 class BoundCounter:
     """A :class:`Counter` handle pre-bound to one label set."""
 
-    __slots__ = ("_values", "_last", "_clock", "_key", "name")
+    __slots__ = ("_values", "_key", "name")
 
     def __init__(self, parent: "Counter", key: LabelKey):
         self._values = parent._values
-        self._last = parent.last_updated
-        self._clock = parent._clock
         self._key = key
         self.name = parent.name
 
@@ -149,7 +142,6 @@ class BoundCounter:
             raise ValueError(f"counter {self.name} cannot decrease")
         values, key = self._values, self._key
         values[key] = values.get(key, 0.0) + amount
-        self._last[key] = self._clock()
 
     def value(self) -> float:
         """Current value of the bound series (0 if never set)."""
@@ -192,15 +184,14 @@ class BoundHistogram:
     (exactly the keyword-path behaviour).
     """
 
-    __slots__ = ("_parent", "_key", "_series", "_bounds", "_last",
-                 "_clock", "name")
+    __slots__ = ("_parent", "_key", "_series", "_bounds", "_clock",
+                 "name")
 
     def __init__(self, parent: "Histogram", key: LabelKey):
         self._parent = parent
         self._key = key
         self._series: _HistogramSeries | None = parent._series.get(key)
         self._bounds = parent.buckets
-        self._last = parent.last_updated
         self._clock = parent._clock
         self.name = parent.name
 
@@ -225,7 +216,6 @@ class BoundHistogram:
             if exemplars is None:
                 exemplars = series.exemplars = {}
             exemplars[index] = (value, str(trace_id), self._clock())
-        self._last[self._key] = self._clock()
 
     def observe_many(self, values) -> None:
         """Record a whole array of observations in one vectorized pass.
@@ -251,7 +241,6 @@ class BoundHistogram:
                 bucket_counts[index] += int(count)
         series.sum += float(values.sum())
         series.count += int(values.size)
-        self._last[self._key] = self._clock()
 
 
 class Counter(Metric):
@@ -282,8 +271,11 @@ class Counter(Metric):
         values = self._values
         for key, value in other._values.items():
             values[key] = values.get(key, 0.0) + value
-        self._merge_freshness(other)
+        self._merge_help(other)
         return self
+
+    def label_sets(self) -> list[LabelKey]:
+        return sorted(self._values)
 
     def value(self, **labels: str) -> float:
         """Current value of the labelled series (0 if never set)."""
@@ -299,7 +291,12 @@ class Counter(Metric):
 
 
 class Gauge(Metric):
-    """A value that can go up and down per label set."""
+    """A value that can go up and down per label set.
+
+    Gauges are the only metrics stamped on the clock: a point-in-time
+    reading needs its time for :meth:`merge` to keep the freshest one,
+    while counters and histograms merge by summing.
+    """
 
     kind = "gauge"
 
@@ -307,6 +304,8 @@ class Gauge(Metric):
                  clock: Callable[[], float]):
         super().__init__(name, help, clock)
         self._values: dict[LabelKey, float] = {}
+        #: Simulator time of the most recent update per label set.
+        self.last_updated: dict[LabelKey, float] = {}
 
     def set(self, value: float, **labels: str) -> None:
         """Set the labelled series to ``value``."""
@@ -338,7 +337,18 @@ class Gauge(Metric):
                     theirs == ours and value > values[key]):
                 values[key] = value
         self._merge_freshness(other)
+        self._merge_help(other)
         return self
+
+    def _merge_freshness(self, other: "Gauge") -> None:
+        """Fold ``other``'s freshness stamps (per-key max) into ours."""
+        mine = self.last_updated
+        for key, stamp in other.last_updated.items():
+            if stamp > mine.get(key, float("-inf")):
+                mine[key] = stamp
+
+    def label_sets(self) -> list[LabelKey]:
+        return sorted(self._values)
 
     def value(self, **labels: str) -> float:
         """Current value of the labelled series (0 if never set)."""
@@ -479,8 +489,11 @@ class Histogram(Metric):
                         exemplars[index] = candidate
         self._exemplars_enabled = (self._exemplars_enabled
                                    or other._exemplars_enabled)
-        self._merge_freshness(other)
+        self._merge_help(other)
         return self
+
+    def label_sets(self) -> list[LabelKey]:
+        return sorted(self._series)
 
     def count(self, **labels: str) -> int:
         """Observations recorded for the labelled series."""
@@ -518,9 +531,11 @@ class Histogram(Metric):
 class MetricsRegistry:
     """A named collection of metrics sharing one clock.
 
-    ``clock`` supplies the timestamp stamped on every update — wire it
-    to the simulator (``lambda: sim.now``) so metric freshness lives on
-    virtual time, exactly like a scraped production endpoint.  Metric
+    ``clock`` supplies the timestamp stamped on every gauge update and
+    histogram exemplar — wire it to the simulator (``lambda: sim.now``)
+    so gauge freshness lives on virtual time, exactly like a scraped
+    production endpoint.  Counter and histogram updates never read
+    it: they merge by summing, so they need no stamp.  Metric
     constructors are get-or-create: instrumenting code may re-request a
     metric by name and receives the existing instance (a kind mismatch
     is a programming error and raises).

@@ -29,6 +29,7 @@ sustained budget burn as a scale-out signal.
 from __future__ import annotations
 
 import dataclasses
+from bisect import bisect_right
 from collections import deque
 from collections.abc import Callable
 
@@ -60,22 +61,55 @@ class SLOConfig:
     rearm_seconds: float = 5.0
 
     def __post_init__(self) -> None:
-        if self.latency_threshold_seconds <= 0:
+        # Every check is written so that NaN, which compares false,
+        # fails it.
+        if not self.latency_threshold_seconds > 0:
             raise ValueError("latency threshold must be positive")
         if not 0 < self.objective < 1:
             raise ValueError("objective must be in (0, 1)")
-        if self.interval <= 0:
+        if not self.interval > 0:
             raise ValueError("evaluation interval must be positive")
-        if self.fast_window_seconds <= 0 or \
-                self.slow_window_seconds < self.fast_window_seconds:
+        if not (self.fast_window_seconds > 0 and
+                self.slow_window_seconds >= self.fast_window_seconds):
             raise ValueError(
                 "windows must be positive with slow >= fast")
-        if self.fast_burn_threshold <= 0 or self.slow_burn_threshold <= 0:
+        if not (self.fast_burn_threshold > 0 and
+                self.slow_burn_threshold > 0):
             raise ValueError("burn thresholds must be positive")
         if self.min_window_samples < 1:
             raise ValueError("min_window_samples must be >= 1")
-        if self.rearm_seconds < 0:
+        if not self.rearm_seconds >= 0:
             raise ValueError("rearm_seconds must be >= 0")
+
+
+class _Window:
+    """The ticks inside one trailing window and their running sums.
+
+    A tick at ``time`` is inside the window at ``now`` while
+    ``time > now - seconds``; ticks arrive in time order, so every
+    push evicts from the left exactly the ticks that left the window
+    and keeps ``(violations, total)`` equal to the sum over the rest.
+    """
+
+    __slots__ = ("seconds", "ticks", "violations", "total")
+
+    def __init__(self, seconds: float):
+        self.seconds = seconds
+        self.ticks: deque[tuple[float, int, int]] = deque()
+        self.violations = 0
+        self.total = 0
+
+    def push(self, now: float, violations: int, total: int) -> None:
+        """Add the tick at ``now`` and evict the ticks now outside."""
+        ticks = self.ticks
+        ticks.append((now, violations, total))
+        self.violations += violations
+        self.total += total
+        horizon = now - self.seconds
+        while ticks and ticks[0][0] <= horizon:
+            _, old_violations, old_total = ticks.popleft()
+            self.violations -= old_violations
+            self.total -= old_total
 
 
 @dataclasses.dataclass(frozen=True)
@@ -116,25 +150,27 @@ class SLOMonitor:
         self.alerts: list[BurnAlert] = []
         self._callbacks: list[Callable[[BurnAlert], None]] = []
         self._running = False
-        #: Per-tick (time, violations, total) deltas covering both
-        #: alert windows.
-        self._ticks: deque[tuple[float, int, int]] = deque()
+        #: Per-tick (time, violations, total) deltas inside each alert
+        #: window, with their running (violations, total) sums.
+        self._fast = _Window(config.fast_window_seconds)
+        self._slow = _Window(config.slow_window_seconds)
         self._last_violations = 0
         self._last_total = 0
         self._cum_violations = 0
         self._cum_total = 0
         self._last_alert_time: float | None = None
         self._c_alerts = registry.counter(
-            "slo_burn_alerts_total", "Burn-rate alerts fired.")
+            "slo_burn_alerts_total", "Burn-rate alerts fired.").labels()
         self._g_fast = registry.gauge(
             "slo_fast_burn_rate", "Error-budget burn over the fast "
-            "window.")
+            "window.").labels()
         self._g_slow = registry.gauge(
             "slo_slow_burn_rate", "Error-budget burn over the slow "
-            "window.")
+            "window.").labels()
         self._g_budget = registry.gauge(
             "slo_error_budget_remaining",
-            "Unspent error-budget fraction since monitoring began.")
+            "Unspent error-budget fraction since monitoring began."
+        ).labels()
 
     # ------------------------------------------------------------------
     def on_alert(self, callback: Callable[[BurnAlert], None]) -> None:
@@ -169,29 +205,16 @@ class SLOMonitor:
         histogram = self._histogram()
         if histogram is None:
             return 0, 0
-        threshold = self.config.latency_threshold_seconds
-        good_index = -1
-        for i, bound in enumerate(histogram.buckets):
-            if bound <= threshold:
-                good_index = i
-            else:
-                break
+        # Buckets whose upper bound is <= the threshold hold the good
+        # observations.
+        good_buckets = bisect_right(histogram.buckets,
+                                    self.config.latency_threshold_seconds)
         total = 0
         good = 0
         for _, series in histogram.items():
             total += series.count
-            good += sum(series.bucket_counts[:good_index + 1])
+            good += sum(series.bucket_counts[:good_buckets])
         return total - good, total
-
-    def _window(self, seconds: float) -> tuple[int, int]:
-        """(violations, total) across ticks inside the window."""
-        cutoff = self.sim.now - seconds
-        violations = total = 0
-        for time, v, t in self._ticks:
-            if time > cutoff:
-                violations += v
-                total += t
-        return violations, total
 
     def _burn(self, violations: int, total: int) -> float:
         if total == 0:
@@ -216,15 +239,12 @@ class SLOMonitor:
         self._cum_violations += d_viol
         self._cum_total += d_total
         now = self.sim.now
-        self._ticks.append((now, d_viol, d_total))
-        horizon = now - cfg.slow_window_seconds
-        while self._ticks and self._ticks[0][0] <= horizon:
-            self._ticks.popleft()
-
-        fast_viol, fast_total = self._window(cfg.fast_window_seconds)
-        slow_viol, slow_total = self._window(cfg.slow_window_seconds)
+        fast, slow = self._fast, self._slow
+        fast.push(now, d_viol, d_total)
+        slow.push(now, d_viol, d_total)
+        fast_viol, fast_total = fast.violations, fast.total
         fast_burn = self._burn(fast_viol, fast_total)
-        slow_burn = self._burn(slow_viol, slow_total)
+        slow_burn = self._burn(slow.violations, slow.total)
         consumed = self.budget_consumed()
         self._g_fast.set(fast_burn)
         self._g_slow.set(slow_burn)

@@ -404,6 +404,11 @@ class TestProfile:
 
 class TestFaas:
     FAST = ["faas", "--duration", "3600", "--seed", "1"]
+    # Short keep-alive and a tight SLO: both burn windows fire and
+    # re-arm, the policy acts, and idle instances are reaped.
+    CHURN = ["faas", "--duration", "3600", "--seed", "2",
+             "--keep-alive", "10", "--slo-ms", "25",
+             "--hold-seconds", "300"]
 
     def test_end_to_end_smoke(self, capsys):
         assert main(self.FAST) == 0
@@ -426,9 +431,27 @@ class TestFaas:
         assert capsys.readouterr().out == first_stdout
         assert out_file.read_bytes() == first_json
 
+    def test_churn_run_matches_golden(self, capsys, tmp_path):
+        out_file = tmp_path / "faas.json"
+        assert main(self.CHURN + ["--out", str(out_file)]) == 0
+        assert_golden("faas_churn", capsys.readouterr().out, tmp_path)
+
     def test_negative_max_events_is_an_error_exit(self, capsys):
         assert main(["faas", "--max-events", "-1"]) == 2
         assert "--max-events" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option, message", [
+        ("--slo-ms", "latency threshold"),
+        ("--keep-alive", "keep-alive"),
+        ("--hold-seconds", "hold_seconds"),
+    ])
+    def test_nan_option_is_rejected_before_the_run(self, capsys, option,
+                                                   message):
+        argv = ["faas", "--duration", "600", "--seed", "1", option, "nan"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
 
 class TestSweep:

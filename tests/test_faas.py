@@ -119,6 +119,21 @@ class TestCostModel:
             CostModel(gb_second_price=-1.0)
 
 
+class TestFunctionConfig:
+    @pytest.mark.parametrize("keep_alive", [-1.0, float("nan")])
+    def test_keep_alive_must_be_a_nonnegative_number(self, keep_alive):
+        with pytest.raises(ValueError, match="keep-alive"):
+            make_backend(keep_alive_seconds=keep_alive)
+
+    @pytest.mark.parametrize("seconds", [-0.5, float("nan")])
+    def test_bad_service_time_is_named(self, seconds):
+        sim, backend = make_backend(seed=None,
+                                    service_time=lambda n: seconds)
+        sim.schedule(0.0, lambda: backend.submit(Request("fn")))
+        with pytest.raises(ValueError, match="service time for 1 images"):
+            sim.run()
+
+
 class TestColdAndWarmStarts:
     def test_first_request_pays_the_cold_start(self):
         sim, backend = make_backend(seed=None)

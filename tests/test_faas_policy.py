@@ -50,6 +50,12 @@ class TestPolicyConfig:
         with pytest.raises(ValueError, match="hold_seconds"):
             FaaSPolicyConfig(hold_seconds=-1.0)
 
+    @pytest.mark.parametrize("field, message", [
+        ("interval", "interval"), ("hold_seconds", "hold_seconds")])
+    def test_nan_rejected(self, field, message):
+        with pytest.raises(ValueError, match=message):
+            FaaSPolicyConfig(**{field: float("nan")})
+
 
 class TestProvisionRelease:
     def test_start_applies_the_minimum_floor(self):

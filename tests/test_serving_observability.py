@@ -96,15 +96,47 @@ class TestRegistry:
         assert [m.name for m in reg.collect()] == ["a", "z"]
 
     def test_updates_stamped_on_simulator_clock(self):
+        # Gauge updates carry their sim time, which merge needs to keep
+        # the freshest reading; counters and histograms merge by
+        # summing and carry no stamp.
         sim = Simulator()
         server = TritonLikeServer(sim)
         server.register(ModelConfig(
             "m", lambda n: 0.25, batcher=BatcherConfig(enabled=False)))
+        depth = server.metrics.gauge("probe_depth")
         server.submit(Request("m"))
+        sim.schedule(0.1, lambda: depth.set(3.0, model="m"))
+        sim.schedule(0.2, lambda: depth.add(1.0, model="m"))
         server.run()
+        assert depth.last_updated == {(("model", "m"),): 0.2}
         latency = server.metrics.get("request_latency_seconds")
-        [key] = latency.label_sets()
-        assert latency.last_updated[key] == pytest.approx(0.25)
+        assert latency.label_sets() == [(("model", "m"),)]
+        assert latency.count(model="m") == 1
+        assert not hasattr(latency, "last_updated")
+
+    def test_label_sets_survive_merge_and_pickling(self):
+        import pickle
+
+        def shard(stamp, model):
+            registry = MetricsRegistry(clock=lambda: stamp)
+            registry.counter("reqs").inc(model=model)
+            registry.histogram("lat").observe(0.01, model=model)
+            registry.gauge("depth").set(stamp, tier="edge")
+            return registry
+
+        fresh, stale = shard(5.0, "a"), shard(2.0, "b")
+        fresh.counter("reqs").labels(model="idle")  # bound, never hit
+        fresh.histogram("lat").labels(model="idle")
+        keys = [(("model", "a"),), (("model", "b"),)]
+        for first, second in ((fresh, stale), (stale, fresh)):
+            merged = MetricsRegistry().merge(first).merge(second)
+            for registry in (merged, pickle.loads(pickle.dumps(merged))):
+                assert registry.get("reqs").label_sets() == keys
+                assert registry.get("lat").label_sets() == keys
+                depth = registry.get("depth")
+                assert depth.label_sets() == [(("tier", "edge"),)]
+                assert depth.value(tier="edge") == 5.0
+                assert depth.last_updated == {(("tier", "edge"),): 5.0}
 
 
 def _loaded_server(instances=1, queue_limit=0, fault=None, retries=2):

@@ -1,6 +1,10 @@
 """Tests for repro.serving.slo — error budgets and burn-rate alerts."""
 
+from collections import deque
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.scale.autoscaler import Autoscaler, AutoscalerConfig
 from repro.scale.balancer import LoadBalancer, RoundRobinPolicy
@@ -40,6 +44,15 @@ class TestSLOConfig:
             _config(min_window_samples=0)
         with pytest.raises(ValueError):
             _config(rearm_seconds=-1.0)
+
+    @pytest.mark.parametrize("field", [
+        "latency_threshold_seconds", "objective", "interval",
+        "fast_window_seconds", "slow_window_seconds",
+        "fast_burn_threshold", "slow_burn_threshold", "rearm_seconds",
+    ])
+    def test_nan_rejected(self, field):
+        with pytest.raises(ValueError):
+            _config(**{field: float("nan")})
 
 
 class TestBurnAlert:
@@ -180,6 +193,125 @@ class TestBurnRateAlerting:
         monitor.start()
         with pytest.raises(RuntimeError, match="already started"):
             monitor.start()
+
+
+class _ScanReference:
+    """SLO evaluation with each window summed by a scan over its ticks.
+
+    This is how :class:`SLOMonitor` computed its windows before they
+    became running sums: every tick rescans the retained ticks and
+    keeps those with ``time > now - seconds``.  It is fed the same
+    per-tick deltas the monitor reads off its histogram.
+    """
+
+    def __init__(self, config):
+        self.config = config
+        self.ticks = deque()
+        self.cum_violations = self.cum_total = 0
+        self.last_alert_time = None
+        self.alerts = []
+
+    def _window(self, now, seconds):
+        cutoff = now - seconds
+        violations = total = 0
+        for time, v, t in self.ticks:
+            if time > cutoff:
+                violations += v
+                total += t
+        return violations, total
+
+    def _burn(self, violations, total):
+        if total == 0:
+            return 0.0
+        return (violations / total) / (1.0 - self.config.objective)
+
+    def evaluate(self, now, d_viol, d_total):
+        """``(fast burn, slow burn, budget consumed)`` after one tick."""
+        cfg = self.config
+        self.cum_violations += d_viol
+        self.cum_total += d_total
+        self.ticks.append((now, d_viol, d_total))
+        horizon = now - cfg.slow_window_seconds
+        while self.ticks and self.ticks[0][0] <= horizon:
+            self.ticks.popleft()
+        fast_viol, fast_total = self._window(now, cfg.fast_window_seconds)
+        fast = self._burn(fast_viol, fast_total)
+        slow = self._burn(*self._window(now, cfg.slow_window_seconds))
+        consumed = (0.0 if self.cum_total == 0 else self.cum_violations
+                    / (self.cum_total * (1.0 - cfg.objective)))
+        if not (fast >= cfg.fast_burn_threshold
+                and slow >= cfg.slow_burn_threshold
+                and fast_total >= cfg.min_window_samples):
+            self.last_alert_time = None
+        elif self.last_alert_time is None or \
+                now - self.last_alert_time >= cfg.rearm_seconds:
+            self.last_alert_time = now
+            self.alerts.append(BurnAlert(
+                time=now, fast_burn_rate=fast, slow_burn_rate=slow,
+                window_error_rate=fast_viol / fast_total,
+                budget_consumed=consumed))
+        return fast, slow, consumed
+
+
+class TestRunningWindows:
+    """The running-sum windows agree with a scan on every tick."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_match_the_scan_reference(self, data):
+        interval = data.draw(st.sampled_from([0.1, 0.25, 1.0]), "interval")
+        # Windows are often exact multiples of the interval, so a tick
+        # lands exactly on the eviction boundary; fast == slow is drawn
+        # as well.
+        fast = interval * data.draw(st.integers(1, 5), "fast ticks") + \
+            data.draw(st.sampled_from([0.0, 0.0, interval / 3]), "skew")
+        slow = fast + interval * data.draw(st.integers(0, 5), "extra")
+        config = _config(
+            interval=interval, fast_window_seconds=fast,
+            slow_window_seconds=slow,
+            fast_burn_threshold=data.draw(st.sampled_from([1.0, 14.4])),
+            slow_burn_threshold=data.draw(st.sampled_from([1.0, 6.0])),
+            min_window_samples=data.draw(st.integers(1, 4)),
+            rearm_seconds=data.draw(
+                st.sampled_from([0.0, interval, 2.0 * interval, 5.0])))
+        # Per tick: gap since the previous tick (in intervals), then
+        # violating and good completions observed during the gap.
+        ticks = data.draw(st.lists(
+            st.tuples(st.sampled_from([1, 1, 1, 2, 3]),
+                      st.integers(0, 3), st.integers(0, 3)),
+            min_size=1, max_size=40), "ticks")
+
+        sim = Simulator()
+        registry = MetricsRegistry(clock=lambda: sim.now)
+        histogram = _histogram(registry)
+        monitor = SLOMonitor(sim, registry, config)
+        reference = _ScanReference(config)
+        gauges = [registry.gauge(name) for name in (
+            "slo_fast_burn_rate", "slo_slow_burn_rate",
+            "slo_error_budget_remaining")]
+        got, want = [], []
+
+        def tick(index):
+            _, violations, good = ticks[index]
+            for _ in range(violations):
+                histogram.observe(0.5, model="m")
+            for _ in range(good):
+                histogram.observe(0.001, model="m")
+            monitor.evaluate_now()
+            got.append((tuple(g.value() for g in gauges),
+                        monitor.budget_consumed(), list(monitor.alerts)))
+            fast_burn, slow_burn, consumed = reference.evaluate(
+                sim.now, violations, violations + good)
+            want.append(((fast_burn, slow_burn, 1.0 - consumed),
+                         consumed, list(reference.alerts)))
+            if index + 1 < len(ticks):
+                sim.schedule(ticks[index + 1][0] * interval,
+                             lambda: tick(index + 1))
+
+        sim.schedule(ticks[0][0] * interval, lambda: tick(0))
+        sim.run()
+        assert len(got) == len(ticks)
+        assert got == want
 
 
 class TestAutoscalerConsumesAlerts:

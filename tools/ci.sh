@@ -72,6 +72,8 @@ same profile "" profile --duration 4 --fluid-duration 40 \
 same profile_sampled "" profile --duration 4 --fluid-duration 40 \
     --burst-rate 900 --seed 1 --sample-rate 0.5 --out profile.json
 same faas "" faas --duration 3600 --seed 1 --out faas.json
+same faas_churn "" faas --duration 3600 --seed 2 --keep-alive 10 \
+    --slo-ms 25 --hold-seconds 300 --out faas.json
 same metrics "" metrics --rate 150 --requests 120
 same sweep "--jobs 2" sweep --replications 4 --duration 600 --seed 7 \
     --jobs 1 --out sweep.json --metrics-out sweep.prom

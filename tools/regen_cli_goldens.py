@@ -39,6 +39,7 @@ CASES = {
         "--out": "p.json", "--speedscope": "p.speedscope.json",
         "--folded-out": "p.folded"}),
     "faas": (t.TestFaas.FAST, {"--out": "faas.json"}),
+    "faas_churn": (t.TestFaas.CHURN, {"--out": "faas.json"}),
     "sweep": (t.TestSweep.ARGS + ["--jobs", "1"],
               {"--out": "sweep.json", "--metrics-out": "sweep.prom"}),
 }
