@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from repro.analysis.figures import FigureSeries, fig5, fig6, fig7, fig8
 from repro.analysis.tables import table1, table2, table3
-from repro.core.results import render_table
 
 
 def render_series(series: list[FigureSeries], max_points: int = 6) -> str:
@@ -52,11 +51,6 @@ def full_report() -> str:
              for name in ("table1", "table2", "table3",
                           "fig5", "fig6", "fig7", "fig8")]
     return "\n".join(parts)
-
-
-def render_rows(title: str, rows: list[dict]) -> str:
-    """Convenience re-export of the core renderer."""
-    return render_table(title, rows)
 
 
 def registry_stage_breakdown(registry) -> dict[str, dict]:

@@ -812,7 +812,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.continuum.network import get_link
     from repro.continuum.pipeline import ContinuumReplayer
     from repro.serving.fluid import HybridReplayer, render_regime_timeline
-    from repro.serving.profiler import SimProfiler, profile_run
+    from repro.serving.profiler import profile_run
     from repro.serving.server import TritonLikeServer
     from repro.serving.trace_export import explain_tail, render_attribution
     from repro.serving.traces import TraceReplayer, burst_trace, step_trace
@@ -854,9 +854,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     print(f"  traces: {len(closed)} closed of {len(replayer.traces)} "
           f"retained")
     print("== profile tree (sim-time) ==")
-    print(profiler.render_tree("sim"), end="")
+    print(profiler.render_tree(), end="")
     print("== folded stacks (sim-time) ==")
-    print(profiler.render_folded("sim"), end="")
+    print(profiler.render_folded(), end="")
     print("== exemplars ==")
     print("\n".join(_scrape_lines(registry, lambda line: " # {" in line)))
     print("== tail attribution ==")
@@ -887,42 +887,24 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     print(f"  fluid_intervals_total {intervals}  "
           f"fluid_folded_arrivals_total {folded}")
     print("== fluid profile tree (sim-time) ==")
-    print(profiler2.render_tree("sim"), end="")
+    print(profiler2.render_tree(), end="")
 
     if args.forward:
-        # Kernel-phase attribution for one real forward pass.  Wall
-        # times never reproduce, so only the sim column (zeros) and
-        # the deterministic phase/count structure are printed.
-        import numpy as np
-
-        from repro.models.functional import (
-            init_vit_weights,
-            set_kernel_profiler,
-            vit_forward,
-        )
+        # ViT-Tiny's kernel phases per forward pass, from its config:
+        # one patch embedding and one head, attention and MLP per block.
         from repro.models.vit import VIT_CONFIGS
 
-        cfg = VIT_CONFIGS["vit_tiny"]
-        weights = init_vit_weights(cfg, seed=args.seed)
-        rng = np.random.default_rng(args.seed)
-        x = rng.standard_normal(
-            (2, cfg.in_channels, cfg.img_size, cfg.img_size),
-            ).astype(np.float32)
-        kernel_profiler = SimProfiler()
-        set_kernel_profiler(kernel_profiler)
-        try:
-            vit_forward(cfg, weights, x)
-        finally:
-            set_kernel_profiler(None)
+        depth = VIT_CONFIGS["vit_tiny"].depth
         print("== kernel phases (vit_tiny forward, counts) ==")
-        for path, (_, _, count) in kernel_profiler.nodes().items():
-            print(f"  {';'.join(path):<24s} x{count}")
+        for phase, count in (("attention", depth), ("head", 1),
+                             ("mlp", depth), ("patch_embed", 1)):
+            print(f"  {'kernel;' + phase:<24s} x{count}")
 
     if args.folded_out:
-        _write(args.folded_out, profiler.render_folded("sim"))
+        _write(args.folded_out, profiler.render_folded())
     if args.speedscope:
         _write(args.speedscope,
-               profiler.export_speedscope("repro-profile", "sim"))
+               profiler.export_speedscope("repro-profile"))
     if args.out:
         _write(args.out, {
             "scenario": {
@@ -937,12 +919,12 @@ def _cmd_profile(args: argparse.Namespace) -> int:
                 "seed": args.seed,
             },
             "continuum": {
-                "folded_sim": profiler.folded("sim"),
+                "folded_sim": profiler.folded(),
                 "closed_traces": len(closed),
                 "attribution": report,
             },
             "fluid": {
-                "folded_sim": profiler2.folded("sim"),
+                "folded_sim": profiler2.folded(),
                 "intervals": intervals,
                 "folded_arrivals": folded,
             },
@@ -1458,8 +1440,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="burst arrival rate (requests/s; must exceed "
                         "the pool's saturated rate to go fluid)")
     p.add_argument("--forward", action="store_true",
-                   help="also profile one vit_tiny forward pass and "
-                        "print its kernel-phase counts")
+                   help="also print ViT-Tiny's kernel-phase counts "
+                        "from its config")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None,
                    help="write the profile report as JSON here")

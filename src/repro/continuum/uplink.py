@@ -150,11 +150,6 @@ class SharedUplink:
         """The underlying link's framing overhead multiplier."""
         return self.link.overhead_factor
 
-    @property
-    def current_concurrency(self) -> int:
-        """Transfers currently serializing through the bottleneck."""
-        return len(self._flows)
-
     def transfer_seconds(self, payload_bytes: float) -> float:
         """Expected one-way time *under the current contention*.
 

@@ -38,41 +38,6 @@ class MacTally:
         self.macs += macs
 
 
-class _NullKernelScope:
-    """No-op context for forward passes run without a profiler."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullKernelScope":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        return None
-
-
-_NULL_KERNEL_SCOPE = _NullKernelScope()
-
-#: Optional :class:`~repro.serving.profiler.SimProfiler` attributing
-#: wall-clock cost to ``kernel;<op>`` phases of the forward passes.
-#: Module-level (not a parameter) so the hot call signatures stay
-#: untouched; ``None`` keeps the default path free of profiler work
-#: beyond one global read per phase.
-_KERNEL_PROFILER = None
-
-
-def set_kernel_profiler(profiler) -> None:
-    """Install (or clear, with ``None``) the kernel-phase profiler."""
-    global _KERNEL_PROFILER
-    _KERNEL_PROFILER = profiler
-
-
-def _kernel_scope(op: str):
-    prof = _KERNEL_PROFILER
-    if prof is None:
-        return _NULL_KERNEL_SCOPE
-    return prof.scope("kernel", op)
-
-
 # ----------------------------------------------------------------------
 # Low-level ops (all batched: leading axis is the batch)
 # ----------------------------------------------------------------------
@@ -355,39 +320,34 @@ def vit_forward(cfg: ViTConfig, weights: dict[str, np.ndarray],
             f"{cfg.img_size}), got {x.shape}")
     # Patch embedding is a stride=kernel conv.
     arena = pack.arena if pack is not None else None
-    with _kernel_scope("patch_embed"):
-        tokens = conv2d(x, weights["patch_embed.weight"],
-                        weights["patch_embed.bias"],
-                        stride=cfg.patch_size, tally=tally, pack=pack)
-        tokens = tokens.reshape(n, cfg.dim, -1).transpose(0, 2, 1)
-        cls = np.broadcast_to(weights["cls_token"], (n, 1, cfg.dim))
-        seq = np.concatenate([cls, tokens], axis=1) + weights["pos_embed"]
+    tokens = conv2d(x, weights["patch_embed.weight"],
+                    weights["patch_embed.bias"],
+                    stride=cfg.patch_size, tally=tally, pack=pack)
+    tokens = tokens.reshape(n, cfg.dim, -1).transpose(0, 2, 1)
+    cls = np.broadcast_to(weights["cls_token"], (n, 1, cfg.dim))
+    seq = np.concatenate([cls, tokens], axis=1) + weights["pos_embed"]
 
     for i in range(cfg.depth):
         p = f"block{i}"
-        with _kernel_scope("attention"):
-            y = layernorm(seq, weights[f"{p}.norm1.gamma"],
-                          weights[f"{p}.norm1.beta"])
-            qkv = linear(y, weights[f"{p}.qkv.weight"],
-                         weights[f"{p}.qkv.bias"], tally=tally, pack=pack)
-            ctx = attention(qkv, cfg.heads, tally=tally, arena=arena)
-            seq += linear(ctx, weights[f"{p}.proj.weight"],
-                          weights[f"{p}.proj.bias"], tally=tally, pack=pack)
-        with _kernel_scope("mlp"):
-            y = layernorm(seq, weights[f"{p}.norm2.gamma"],
-                          weights[f"{p}.norm2.beta"])
-            y = gelu(linear(y, weights[f"{p}.fc1.weight"],
-                            weights[f"{p}.fc1.bias"], tally=tally,
-                            pack=pack))
-            seq += linear(y, weights[f"{p}.fc2.weight"],
-                          weights[f"{p}.fc2.bias"], tally=tally, pack=pack)
+        y = layernorm(seq, weights[f"{p}.norm1.gamma"],
+                      weights[f"{p}.norm1.beta"])
+        qkv = linear(y, weights[f"{p}.qkv.weight"],
+                     weights[f"{p}.qkv.bias"], tally=tally, pack=pack)
+        ctx = attention(qkv, cfg.heads, tally=tally, arena=arena)
+        seq += linear(ctx, weights[f"{p}.proj.weight"],
+                      weights[f"{p}.proj.bias"], tally=tally, pack=pack)
+        y = layernorm(seq, weights[f"{p}.norm2.gamma"],
+                      weights[f"{p}.norm2.beta"])
+        y = gelu(linear(y, weights[f"{p}.fc1.weight"],
+                        weights[f"{p}.fc1.bias"], tally=tally, pack=pack))
+        seq += linear(y, weights[f"{p}.fc2.weight"],
+                      weights[f"{p}.fc2.bias"], tally=tally, pack=pack)
 
-    with _kernel_scope("head"):
-        seq = layernorm(seq, weights["norm.gamma"], weights["norm.beta"])
-        if return_features:
-            return seq[:, 0]
-        return linear(seq[:, 0], weights["head.weight"],
-                      weights["head.bias"], tally=tally, pack=pack)
+    seq = layernorm(seq, weights["norm.gamma"], weights["norm.beta"])
+    if return_features:
+        return seq[:, 0]
+    return linear(seq[:, 0], weights["head.weight"],
+                  weights["head.bias"], tally=tally, pack=pack)
 
 
 # ----------------------------------------------------------------------

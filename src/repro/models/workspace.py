@@ -52,11 +52,6 @@ class WorkspaceArena:
         """Distinct buffers currently pooled."""
         return len(self._buffers)
 
-    @property
-    def pooled_bytes(self) -> int:
-        """Total bytes resident in the pool."""
-        return sum(b.nbytes for b in self._buffers.values())
-
     def take(self, shape: tuple[int, ...],
              dtype=np.float32) -> np.ndarray:
         """An uninitialized scratch array of the given shape/dtype."""
@@ -145,8 +140,3 @@ class WeightPack:
             entry = self._conv_bn[prefix] = (sources,
                                              *fold_conv_bn(*sources))
         return entry[1], entry[2]
-
-    @property
-    def packed_count(self) -> int:
-        """Number of operands held by the pack."""
-        return len(self._linear_t) + len(self._conv_mat) + len(self._conv_bn)

@@ -46,7 +46,7 @@ class AdmissionConfig:
     exempt_cache_hits: bool = False
 
     def __post_init__(self) -> None:
-        if self.rate_per_second < 0:
+        if not self.rate_per_second >= 0:  # NaN compares false too
             raise ValueError("rate_per_second must be >= 0 (0 = off)")
         if self.burst < 1:
             raise ValueError("burst must be >= 1")

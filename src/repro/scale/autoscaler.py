@@ -83,24 +83,25 @@ class AutoscalerConfig:
     min_window_samples: int = 5
 
     def __post_init__(self) -> None:
-        if self.slo_p95_seconds <= 0:
-            raise ValueError("SLO must be positive")
-        if self.interval <= 0:
-            raise ValueError("evaluation interval must be positive")
+        # The `not x > 0` / `not x >= 0` forms reject NaN too.
+        if not self.slo_p95_seconds > 0:
+            raise ValueError("slo_p95_seconds must be positive")
+        if not self.interval > 0:
+            raise ValueError("interval must be positive")
         if self.min_replicas < 1:
             raise ValueError("min_replicas must be >= 1")
         if self.max_replicas < self.min_replicas:
             raise ValueError("max_replicas must be >= min_replicas")
         if self.breach_intervals < 1 or self.idle_intervals < 1:
             raise ValueError("streak lengths must be >= 1")
-        if self.scale_out_queue_depth <= 0:
+        if not self.scale_out_queue_depth > 0:
             raise ValueError("scale_out_queue_depth must be positive")
         if not 0 < self.scale_in_utilization < 1:
             raise ValueError("scale_in_utilization must be in (0, 1)")
         if not 0 < self.scale_in_p95_margin <= 1:
             raise ValueError("scale_in_p95_margin must be in (0, 1]")
-        if self.cooldown_seconds < 0:
-            raise ValueError("cooldown must be >= 0")
+        if not self.cooldown_seconds >= 0:
+            raise ValueError("cooldown_seconds must be >= 0")
         if self.min_window_samples < 1:
             raise ValueError("min_window_samples must be >= 1")
 

@@ -30,7 +30,7 @@ deterministic discrete-event core:
 * :mod:`repro.serving.trace_export` — Chrome/Perfetto trace-event JSON
   export, critical-path analysis over those contexts, and the
   exemplar-joined tail-latency attribution report;
-* :mod:`repro.serving.profiler` — sim-time/wall-clock cost attribution
+* :mod:`repro.serving.profiler` — sim-time cost attribution
   across the component hierarchy, derived after a run from its
   registry and spans, with folded-stack and speedscope export;
 * :mod:`repro.serving.slo` — error budgets and multi-window burn-rate
@@ -83,7 +83,7 @@ from repro.serving.observability import (
     SamplePoint,
     TimeSeriesSampler,
 )
-from repro.serving.profiler import ProfileScope, SimProfiler, profile_run
+from repro.serving.profiler import SimProfiler, profile_run
 from repro.serving.tracectx import SpanRecord, TraceContext
 from repro.serving.trace_export import (
     critical_path,
@@ -135,7 +135,6 @@ __all__ = [
     "MetricsRegistry",
     "SamplePoint",
     "TimeSeriesSampler",
-    "ProfileScope",
     "SimProfiler",
     "profile_run",
     "SpanRecord",

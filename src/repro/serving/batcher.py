@@ -54,7 +54,7 @@ class BatcherConfig:
     def __post_init__(self) -> None:
         if self.max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
-        if self.max_queue_delay < 0:
+        if not self.max_queue_delay >= 0:  # NaN compares false too
             raise ValueError("max_queue_delay must be >= 0")
         if any(p < 1 or p > self.max_batch_size
                for p in self.preferred_batch_sizes):
@@ -132,10 +132,6 @@ class DynamicBatcher:
         self._queued_images += request.num_images
         if self._c_enqueued is not None:
             self._c_enqueued.inc()
-
-    def oldest_enqueue_time(self) -> float | None:
-        """Enqueue time of the oldest queued request, or None."""
-        return self._queue[0].enqueue_time if self._queue else None
 
     # ------------------------------------------------------------------
     # Fluid-regime state handoff

@@ -91,7 +91,7 @@ class FluidConfig:
             raise ValueError(
                 "exit threshold must sit below the entry threshold "
                 "(hysteresis keeps the controller from oscillating)")
-        if self.sustain_seconds < 0:
+        if not self.sustain_seconds >= 0:  # NaN compares false too
             raise ValueError("sustain_seconds must be >= 0")
         if self.min_fluid_arrivals < 1:
             raise ValueError("min_fluid_arrivals must be >= 1")

@@ -174,7 +174,7 @@ def _assert_nodes_match(prof, pinned):
     nodes = prof.nodes()
     assert sorted(nodes) == sorted(pinned)
     for path, (sim_s, count) in pinned.items():
-        assert nodes[path][2] == count, path
+        assert nodes[path][1] == count, path
         assert nodes[path][0] == pytest.approx(sim_s, rel=1e-12), path
 
 
@@ -183,16 +183,16 @@ class TestParityWithLiveProfiler:
         sim, registry, replayer = continuum_leg()
         prof = profile_run(sim.now, registry, traces=replayer.traces)
         _assert_nodes_match(prof, CONTINUUM_NODES)
-        assert prof.render_folded("sim") == CONTINUUM_FOLDED
-        assert prof.render_tree("sim") == CONTINUUM_TREE
+        assert prof.render_folded() == CONTINUUM_FOLDED
+        assert prof.render_tree() == CONTINUUM_TREE
 
     def test_fluid_leg(self):
         sim, registry, hybrid = fluid_leg()
         prof = profile_run(sim.now, registry,
                            fluid_intervals=hybrid.intervals)
         _assert_nodes_match(prof, FLUID_NODES)
-        assert prof.render_folded("sim") == FLUID_FOLDED
-        assert prof.render_tree("sim") == FLUID_TREE
+        assert prof.render_folded() == FLUID_FOLDED
+        assert prof.render_tree() == FLUID_TREE
 
 
 class TestSampledTraces:
@@ -205,7 +205,7 @@ class TestSampledTraces:
             spans = [span for ctx in replayer.traces
                      for span in ctx.find(leg) if span.closed]
             assert spans, leg
-            sim_s, _, count = nodes[("continuum", leg)]
+            sim_s, count = nodes[("continuum", leg)]
             assert count == len(spans)
             assert sim_s == pytest.approx(
                 sum(span.duration for span in spans), rel=1e-12)

@@ -85,6 +85,8 @@ class TestAdmissionController:
             AdmissionConfig(burst=0)
         with pytest.raises(ValueError):
             AdmissionConfig(max_queued_requests=-1)
+        with pytest.raises(ValueError, match="rate_per_second"):
+            AdmissionConfig(rate_per_second=float("nan"))
 
 
 class TestServerDrain:
@@ -220,6 +222,14 @@ class TestAutoscalerConfig:
         with pytest.raises(ValueError):
             AutoscalerConfig(slo_p95_seconds=0.1,
                              scale_in_utilization=1.5)
+
+    @pytest.mark.parametrize("field", [
+        "slo_p95_seconds", "interval", "scale_out_queue_depth",
+        "scale_in_utilization", "scale_in_p95_margin", "cooldown_seconds"])
+    def test_nan_rejected(self, field):
+        kwargs = {"slo_p95_seconds": 0.1, field: float("nan")}
+        with pytest.raises(ValueError, match=field):
+            AutoscalerConfig(**kwargs)
 
 
 def _autoscaled_run(trace: ArrivalTrace, slo=0.1, max_replicas=6,

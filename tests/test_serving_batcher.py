@@ -23,6 +23,8 @@ class TestConfig:
             BatcherConfig(max_queue_delay=-1)
         with pytest.raises(ValueError):
             BatcherConfig(max_batch_size=8, preferred_batch_sizes=(16,))
+        with pytest.raises(ValueError, match="max_queue_delay"):
+            BatcherConfig(max_queue_delay=float("nan"))
 
 
 class TestReadiness:

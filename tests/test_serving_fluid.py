@@ -45,6 +45,8 @@ class TestFluidConfig:
             FluidConfig(sustain_seconds=-0.1)
         with pytest.raises(ValueError):
             FluidConfig(min_fluid_arrivals=0)
+        with pytest.raises(ValueError, match="sustain_seconds"):
+            FluidConfig(sustain_seconds=float("nan"))
 
 
 class TestValidation:

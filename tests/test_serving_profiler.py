@@ -13,63 +13,17 @@ from repro.serving.profiler import SimProfiler, profile_run
 from repro.serving.server import ModelConfig, TritonLikeServer
 
 
-class FakeClock:
-    """Manually advanced ``time.perf_counter`` for exact scope arithmetic."""
-
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-
-@pytest.fixture
-def clock(monkeypatch):
-    fake = FakeClock()
-    monkeypatch.setattr("repro.serving.profiler.time.perf_counter", fake)
-    return fake
-
-
-class TestScopes:
-    def test_nested_scopes_attribute_self_time(self, clock):
+class TestRecord:
+    def test_record_accumulates_at_absolute_paths(self):
         prof = SimProfiler()
-        with prof.scope("kernel", "forward"):
-            clock.now = 1.0
-            with prof.scope("inner"):
-                clock.now = 4.0
-            clock.now = 5.0
-        nodes = prof.nodes()
-        # Parent self = 5.0 elapsed - 3.0 spent in the child.
-        assert nodes[("kernel", "forward")] == (0.0, 2.0, 1)
-        assert nodes[("kernel", "forward", "inner")] == (0.0, 3.0, 1)
-
-    def test_scope_paths_nest_under_enclosing_scope(self):
-        prof = SimProfiler()
-        with prof.scope("a"):
-            with prof.scope("b", "c"):
-                pass
-        assert ("a", "b", "c") in prof.nodes()
-
-    def test_record_is_absolute_regardless_of_open_scopes(self):
-        prof = SimProfiler()
-        with prof.scope("sim", "run"):
-            prof.record(("serve", "infer", "execute"), sim_seconds=2.0,
-                        count=3)
-        nodes = prof.nodes()
-        assert nodes[("serve", "infer", "execute")] == (2.0, 0.0, 3)
-
-    def test_sibling_scopes_accumulate(self, clock):
-        prof = SimProfiler()
-        for _ in range(3):
-            with prof.scope("leg"):
-                clock.now += 0.5
-        _, wall, count = prof.nodes()[("leg",)]
-        assert wall == pytest.approx(1.5)
-        assert count == 3
-
-    def test_scope_requires_names(self):
-        with pytest.raises(ValueError, match="at least one name"):
-            SimProfiler().scope()
+        prof.record(("serve", "infer", "execute"), sim_seconds=2.0,
+                    count=3)
+        prof.record(["serve", "infer", "execute"], sim_seconds=0.5)
+        prof.record(("sim", "run"), sim_seconds=4.0)
+        assert prof.nodes() == {
+            ("serve", "infer", "execute"): (2.5, 4),
+            ("sim", "run"): (4.0, 1),
+        }
 
     def test_record_rejects_bad_paths(self):
         prof = SimProfiler()
@@ -89,7 +43,7 @@ class TestExports:
         return prof
 
     def test_folded_collapses_paths(self):
-        folded = self._sample().folded("sim")
+        folded = self._sample().folded()
         assert folded == {
             "continuum;uplink": 1.0,
             "serve;infer;execute": 0.25,
@@ -97,12 +51,12 @@ class TestExports:
         }
 
     def test_render_folded_integer_microseconds(self):
-        text = self._sample().render_folded("sim")
+        text = self._sample().render_folded()
         assert "serve;infer;execute 250000" in text
         assert text.endswith("\n")
 
     def test_render_tree_totals_include_descendants(self):
-        text = self._sample().render_tree("sim")
+        text = self._sample().render_tree()
         lines = text.splitlines()
         serve = next(l for l in lines if l.startswith("serve"))
         assert "0.750000" in serve  # execute + queue_wait
@@ -111,16 +65,13 @@ class TestExports:
     def test_render_tree_empty(self):
         assert SimProfiler().render_tree() == "(profiler is empty)\n"
 
-    def test_weight_validation(self):
-        with pytest.raises(ValueError, match="unknown weight"):
-            self._sample().folded("cpu")
-
     def test_speedscope_schema(self):
         doc = self._sample().speedscope("t")
         assert doc["$schema"] == (
             "https://www.speedscope.app/file-format-schema.json")
         profile = doc["profiles"][0]
         assert profile["type"] == "sampled"
+        assert profile["name"] == "t (sim)"
         assert profile["unit"] == "microseconds"
         assert len(profile["samples"]) == len(profile["weights"]) == 3
         assert profile["endValue"] == sum(profile["weights"])
@@ -157,15 +108,15 @@ class TestServingIntegration:
         assert nodes[("serve", "infer", "execute")][0] == (
             pytest.approx(busy))
         # Every response waited in exactly one queue-pick.
-        assert nodes[("serve", "infer", "queue_wait")][2] == 120
+        assert nodes[("serve", "infer", "queue_wait")][1] == 120
         # The run node covers the whole virtual horizon.
-        assert nodes[("sim", "run")] == (server.sim.now, 0.0, 1)
+        assert nodes[("sim", "run")] == (server.sim.now, 1)
 
     def test_sim_time_profile_is_deterministic(self):
         def folded():
             server = _run_serving(requests=150, seed=11)
             return profile_run(server.sim.now,
-                               server.metrics).render_folded("sim")
+                               server.metrics).render_folded()
 
         assert folded() == folded()
 

@@ -379,7 +379,7 @@ class TestContinuumExemplarsAndProfile:
         nodes = prof.nodes()
         [ctx] = [replayer.traces[0]]
         for leg in ("edge_preprocess", "uplink", "downlink"):
-            sim_s, _, count = nodes[("continuum", leg)]
+            sim_s, count = nodes[("continuum", leg)]
             assert count == 60
             span = ctx.find(leg)[0]
             assert sim_s > 0

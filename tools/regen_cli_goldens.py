@@ -38,6 +38,7 @@ CASES = {
     "profile": (t.TestProfile.FAST, {
         "--out": "p.json", "--speedscope": "p.speedscope.json",
         "--folded-out": "p.folded"}),
+    "profile_forward": (t.TestProfile.FAST + ["--forward"], {}),
     "faas": (t.TestFaas.FAST, {"--out": "faas.json"}),
     "faas_churn": (t.TestFaas.CHURN, {"--out": "faas.json"}),
     "sweep": (t.TestSweep.ARGS + ["--jobs", "1"],
