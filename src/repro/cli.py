@@ -49,8 +49,26 @@ output byte for byte.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
+
+
+def _require_positive(args: argparse.Namespace, *dests: str) -> None:
+    """Reject a non-positive, NaN or infinite option, naming its flag."""
+    for dest in dests:
+        value = getattr(args, dest)
+        if not 0 < value < math.inf:
+            raise ValueError(f"--{dest.replace('_', '-')} must be "
+                             f"positive and finite, got {value}")
+
+
+def _check_day(args: argparse.Namespace) -> None:
+    """Reject bad sparse-diurnal day options before anything runs."""
+    _require_positive(args, "duration", "peak_rate")
+    if not 0 <= args.night_rate <= args.peak_rate:
+        raise ValueError("--night-rate must lie in [0, --peak-rate], "
+                         f"got {args.night_rate}")
 
 
 def _write(path: str, content, note: str = "") -> None:
@@ -210,8 +228,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     from repro.serving.observability import TimeSeriesSampler
     from repro.serving.server import TritonLikeServer
 
-    if args.rate <= 0:
-        raise ValueError("--rate must be positive")
+    _require_positive(args, "rate")
     server = _register(TritonLikeServer(), "preprocess",
                        lambda n: 0.0008 * n, 16, 0.002)
     _register(server, "infer", lambda n: 0.004 + 0.0012 * n, 32, 0.005,
@@ -520,8 +537,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     for rate in rates:
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"scene change rate {rate} not in [0, 1]")
-    if args.rate <= 0:
-        raise ValueError("--rate must be positive")
+    _require_positive(args, "rate")
     spec = get_dataset(args.dataset)
     link = get_link(args.link)
 
@@ -617,8 +633,7 @@ def _cmd_network(args: argparse.Namespace) -> int:
         raise ValueError("--endpoints must be >= 1")
     if args.frames < 1:
         raise ValueError("--frames must be >= 1")
-    if args.rate <= 0:
-        raise ValueError("--rate must be positive")
+    _require_positive(args, "rate")
     if args.broker_messages < 0:
         raise ValueError("--broker-messages must be >= 0")
     link = get_link(args.link)
@@ -954,6 +969,7 @@ def _cmd_faas(args: argparse.Namespace) -> int:
 
     if args.max_events < 0:
         raise ValueError("--max-events must be >= 0")
+    _check_day(args)
     platform = get_platform(args.platform)
     faas_platform = get_faas_platform(args.faas_platform)
     latency = LatencyModel(get_model(args.model).graph, platform)
@@ -1131,6 +1147,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         normal_ci,
     )
 
+    _check_day(args)
     params = {
         "duration": args.duration,
         "peak_rate": args.peak_rate,

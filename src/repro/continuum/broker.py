@@ -12,12 +12,12 @@ subscribe.  This module models that hop with MQTT's delivery semantics:
   republished, which the subscriber sees as a **duplicate** — the
   at-least-once contract made visible.
 
-Transfers ride any transport sharing the
-:class:`~repro.continuum.network.NetworkLink` surface — including a
-:class:`~repro.continuum.uplink.SharedUplink`, so broker traffic
-contends with image uploads for the same bottleneck, and a
-:class:`~repro.continuum.uplink.StoreAndForward` buffer, so publishes
-during an outage arrive late rather than never (QoS 0 included: the
+Transfers ride any transport: a bare
+:class:`~repro.continuum.network.NetworkLink`, a
+:class:`~repro.continuum.uplink.SharedUplink` (broker traffic contends
+with image uploads for the same bottleneck), or a
+:class:`~repro.continuum.uplink.StoreAndForward` buffer (publishes
+during an outage arrive late rather than never — QoS 0 included: the
 loss being modeled is packet loss on the wire, not gateway death).
 
 Delivery outcomes are sampled from a seeded stream in event order, so
@@ -30,21 +30,7 @@ from collections.abc import Callable
 
 import numpy as np
 
-
-def _base_link(transport):
-    """The underlying NetworkLink behind any transport composition."""
-    seen = set()
-    obj = transport
-    while not hasattr(obj, "loss_probability"):
-        if id(obj) in seen:
-            raise TypeError("transport does not wrap a NetworkLink")
-        seen.add(id(obj))
-        inner = getattr(obj, "link", None) or getattr(obj, "transport",
-                                                      None)
-        if inner is None:
-            raise TypeError("transport does not wrap a NetworkLink")
-        obj = inner
-    return obj
+from repro.continuum.network import NetworkLink
 
 
 class Subscription:
@@ -163,8 +149,11 @@ class Broker:
     sim:
         The shared simulator clock.
     transport:
-        Anything with the link transport surface (``schedule_transfer``
-        + pricing attributes); publishes travel as ``uplink`` legs.
+        A :class:`~repro.continuum.network.NetworkLink` or a transport
+        over one: ``schedule_transfer`` returning a
+        :class:`~repro.continuum.network.Transfer`, and ``.link``, the
+        underlying link whose loss rate prices message loss.  Publishes
+        travel as ``uplink`` legs.
     seed:
         Seed for the message-loss/ack-loss sample stream.
     registry:
@@ -189,8 +178,11 @@ class Broker:
         if max_retries < 0:
             raise ValueError("retry budget must be >= 0")
         self.sim = sim
+        self.link = getattr(transport, "link", None)
+        if not isinstance(self.link, NetworkLink):
+            raise TypeError("transport must be a NetworkLink or expose "
+                            "one as .link")
         self.transport = transport
-        self.link = _base_link(transport)
         self.retry_seconds = retry_seconds
         self.max_retries = max_retries
         self._rng = np.random.default_rng(seed)

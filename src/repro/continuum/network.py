@@ -33,33 +33,65 @@ import dataclasses
 import math
 
 
-class Transfer:
-    """Handle for one in-flight :meth:`NetworkLink.schedule_transfer`.
+#: :attr:`Transfer.state` values.
+PENDING, FIRED, CANCELLED = "pending", "fired", "cancelled"
 
-    Wraps the scheduled arrival :class:`~repro.serving.events.Event`
-    together with the ``network`` span opened for the leg.  Cancel an
-    in-flight transfer through :meth:`cancel` — never through
-    ``sim.cancel(transfer.event)`` directly — so the span is closed (or
-    discarded) instead of leaking open into the trace export.
+
+class Transfer:
+    """Handle for one transfer on any transport.
+
+    Every transport's ``schedule_transfer`` returns one:
+    :class:`NetworkLink` a plain one waiting on its arrival ``event``;
+    :class:`~repro.continuum.uplink.SharedUplink` and
+    :class:`~repro.continuum.uplink.StoreAndForward` subclasses that
+    also hold their place in the bottleneck or the outage buffer.
+    ``state`` is ``pending`` until the transfer ``fired`` (delivered)
+    or was ``cancelled``.  Cancel through :meth:`cancel` — never
+    through ``sim.cancel(transfer.event)`` directly — so the leg's span
+    is closed instead of leaking open into the trace export.
     """
 
-    __slots__ = ("event", "span", "_trace", "_sim")
+    __slots__ = ("sim", "payload_bytes", "on_complete", "trace",
+                 "direction", "span", "retransmits", "telemetry", "event",
+                 "state")
 
-    def __init__(self, event, span, trace, sim):
-        self.event = event
+    def __init__(self, sim, payload_bytes, on_complete, trace, direction,
+                 span=None, retransmits=0, telemetry=None):
+        self.sim = sim
+        self.payload_bytes = payload_bytes
+        self.on_complete = on_complete
+        self.trace = trace
+        self.direction = direction
         self.span = span
-        self._trace = trace
-        self._sim = sim
+        self.retransmits = retransmits
+        self.telemetry = telemetry
+        #: What the pending transfer waits on: its simulator event (or,
+        #: for a forwarded buffer entry, the forwarded leg's handle).
+        self.event = None
+        self.state = PENDING
 
     @property
     def cancelled(self) -> bool:
         """Whether the transfer was cancelled before arriving."""
-        return self.event.cancelled
+        return self.state == CANCELLED
 
     @property
     def fired(self) -> bool:
         """Whether the arrival callback already ran."""
-        return self.event.fired
+        return self.state == FIRED
+
+    def _arrive(self) -> None:
+        """Arrive: close the span, count the bytes, run the callback."""
+        self.state = FIRED
+        # The event's callback points back here; drop it so a finished
+        # transfer is freed by reference counting, not the cycle GC.
+        self.event = None
+        if self.span is not None:
+            self.trace.end(self.span, self.sim.now)
+        if self.telemetry is not None:
+            self.telemetry.sent(self.payload_bytes, self.direction,
+                                retransmits=self.retransmits)
+        self.on_complete()
 
     def cancel(self) -> None:
         """Cancel the pending arrival and close the leg's span.
@@ -68,15 +100,22 @@ class Transfer:
         virtual time, so the trace records a truncated leg instead of an
         interval that never closes (drained instances and injected link
         faults cancel transfers mid-flight; the Chrome export must still
-        validate).  No-op once the transfer arrived.
+        validate).  No-op once the transfer arrived or was cancelled.
         """
-        if self.event.fired:
+        if self.state != PENDING:
             return
-        self._sim.cancel(self.event)
-        if self.span is not None and self.span.end is None:
-            self.span.args["cancelled"] = True
-            self._trace.end(self.span, self._sim.now)
-            self.span = None
+        self.state = CANCELLED
+        self._abort()
+        self.event = None
+        span = self.span
+        if span is not None and span.end is None:
+            span.args["cancelled"] = True
+            self.trace.end(span, self.sim.now)
+        self.span = None
+
+    def _abort(self) -> None:
+        """Withdraw the transfer from its transport (pending ``event``)."""
+        self.sim.cancel(self.event)
 
 
 class LinkTelemetry:
@@ -212,21 +251,47 @@ class NetworkLink:
         return float(rng.uniform(-self.jitter_seconds,
                                  self.jitter_seconds))
 
-    def sample_transfer(self, payload_bytes: float, rng):
-        """One sampled transfer: ``(duration, retransmits, jitter)``.
+    def sample_wire(self, payload_bytes: float, rng):
+        """One sampled send: ``(wire bits, retransmits, jitter)``.
 
-        Duration = max(0, half-RTT + jitter) + serialization inflated by
-        the sampled retransmits.  Deterministic for a given generator
-        state — the determinism tests replay the stream and compare.
+        The wire bits are the framed payload inflated by the sampled
+        retransmits — the serialization work a transfer puts on the
+        link.  Deterministic for a given generator state — the
+        determinism tests replay the stream and compare.
         """
         retransmits = self.sample_retransmits(payload_bytes, rng)
         jitter = self.sample_jitter(rng)
         packets = self.packet_count(payload_bytes)
-        wire_bits = payload_bytes * self.overhead_factor * 8.0
-        serialization = (wire_bits * (packets + retransmits) / packets
-                         / self.bandwidth_bps)
-        propagation = max(0.0, self.round_trip_seconds / 2.0 + jitter)
-        return propagation + serialization, retransmits, jitter
+        wire_bits = (payload_bytes * self.overhead_factor * 8.0
+                     * (packets + retransmits) / packets)
+        return wire_bits, retransmits, jitter
+
+    def propagation_seconds(self, jitter: float) -> float:
+        """One-way propagation delay: ``max(0, half-RTT + jitter)``."""
+        return max(0.0, self.round_trip_seconds / 2.0 + jitter)
+
+    def sample_transfer(self, payload_bytes: float, rng):
+        """One sampled transfer: ``(duration, retransmits, jitter)``.
+
+        Duration = max(0, half-RTT + jitter) + serialization inflated by
+        the sampled retransmits (:meth:`sample_wire`).
+        """
+        wire_bits, retransmits, jitter = self.sample_wire(payload_bytes,
+                                                          rng)
+        return (self.propagation_seconds(jitter)
+                + wire_bits / self.bandwidth_bps, retransmits, jitter)
+
+    def open_span(self, trace, now: float, direction: str,
+                  payload_bytes: float, retransmits: int, **args):
+        """Begin one leg's ``network`` span (``None`` without a trace)."""
+        if trace is None:
+            return None
+        span = trace.begin(direction, now, category="network",
+                           link=self.name, payload_bytes=payload_bytes,
+                           **args)
+        if retransmits:
+            span.args["retransmits"] = retransmits
+        return span
 
     # -- scheduling ----------------------------------------------------
     def schedule_transfer(self, sim, payload_bytes: float, on_complete,
@@ -250,24 +315,17 @@ class NetworkLink:
         else:
             duration, retransmits, _ = self.sample_transfer(
                 payload_bytes, rng)
-        span = None
-        if trace is not None:
-            span = trace.begin(direction, sim.now, category="network",
-                               link=self.name,
-                               payload_bytes=payload_bytes)
-            if retransmits:
-                span.args["retransmits"] = retransmits
+        transfer = Transfer(
+            sim, payload_bytes, on_complete, trace, direction,
+            self.open_span(trace, sim.now, direction, payload_bytes,
+                           retransmits), retransmits, telemetry)
+        transfer.event = sim.schedule(duration, transfer._arrive)
+        return transfer
 
-        def arrive() -> None:
-            if span is not None:
-                trace.end(span, sim.now)
-            if telemetry is not None:
-                telemetry.sent(payload_bytes, direction,
-                               retransmits=retransmits)
-            on_complete()
-
-        event = sim.schedule(duration, arrive)
-        return Transfer(event, span, trace, sim)
+    @property
+    def link(self) -> "NetworkLink":
+        """The link itself: every transport exposes its ``link``."""
+        return self
 
     def sustainable_images_per_second(self, image_bytes: float) -> float:
         """Upload-rate ceiling for a stream of same-sized images."""

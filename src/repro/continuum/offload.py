@@ -71,8 +71,9 @@ class OffloadPolicy:
     edge / cloud:
         The two platforms.
     link:
-        The uplink between them — a :class:`NetworkLink` or anything
-        sharing its pricing surface, e.g. a
+        The uplink between them — a :class:`NetworkLink` or any
+        transport over one (priced through ``transfer_seconds`` and
+        ``sustainable_images_per_second``), e.g. a
         :class:`~repro.continuum.uplink.SharedUplink` (in which case
         the cloud path is priced *under the uplink's current
         contention*, so decisions shift toward the edge while the

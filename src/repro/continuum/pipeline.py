@@ -161,12 +161,13 @@ class ContinuumReplayer:
     :class:`EndToEndPipeline` *prices* the continuum analytically; this
     class *executes* it as discrete events so every leg becomes a traced
     span: per request, an ``edge_preprocess`` span (the field device
-    preparing the capture), an ``uplink`` transfer over the
-    :class:`~repro.continuum.network.NetworkLink` — or any transport
-    sharing its surface: a :class:`~repro.continuum.uplink.SharedUplink`
-    (co-located endpoints contend for the bottleneck and the uplink
-    spans widen) or a :class:`~repro.continuum.uplink.StoreAndForward`
-    buffer (outages delay delivery) — the full serving path
+    preparing the capture), an ``uplink`` transfer over ``link`` — any
+    transport: a :class:`~repro.continuum.network.NetworkLink`, a
+    :class:`~repro.continuum.uplink.SharedUplink` (co-located endpoints
+    contend for the bottleneck and the uplink spans widen) or a
+    :class:`~repro.continuum.uplink.StoreAndForward` buffer (outages
+    delay delivery), each returning a
+    :class:`~repro.continuum.network.Transfer` — the full serving path
     inside the cloud ``target`` (admission, routing, queueing, batching,
     execution — instrumented by their own layers), and a ``downlink``
     leg returning the result.  With an

@@ -16,11 +16,14 @@ backlog drains in FIFO order on restore — rural connectivity outages
 degrade to *delayed* delivery, which is what a field gateway actually
 does.
 
-Both classes expose the same duck-typed transport surface as
-:class:`~repro.continuum.network.NetworkLink` (``schedule_transfer``,
-``transfer_seconds``, the pricing attributes), so the continuum
-replayer, the offload policy, and the broker compose over a bare link,
-a contended uplink, or a buffered contended uplink interchangeably.
+Both classes keep the transport contract of
+:class:`~repro.continuum.network.NetworkLink`: ``schedule_transfer``
+returns a :class:`~repro.continuum.network.Transfer` handle,
+``transfer_seconds`` and ``sustainable_images_per_second`` price a
+payload, and ``.link`` is the underlying ``NetworkLink``.  So the
+continuum replayer, the offload policy, and the broker compose over a
+bare link, a contended uplink, or a buffered contended uplink
+interchangeably.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import collections
 
 import numpy as np
 
-from repro.continuum.network import LinkTelemetry, NetworkLink
+from repro.continuum.network import LinkTelemetry, NetworkLink, Transfer
 
 #: Residual-work epsilon: flows within half a bit of done are done
 #: (float round-off from the advance/reschedule arithmetic is orders of
@@ -37,53 +40,30 @@ from repro.continuum.network import LinkTelemetry, NetworkLink
 _BITS_EPS = 0.5
 
 
-class _Flow:
-    """One transfer's residual serialization work inside the bottleneck."""
+class _Flow(Transfer):
+    """One uplink transfer inside the bottleneck.
 
-    __slots__ = ("seq", "bits_left", "payload_bytes", "retransmits",
-                 "jitter", "on_complete", "trace", "span", "direction",
-                 "state")
+    Serializes while ``bits_left`` of its wire work remain (``event`` is
+    ``None``), then propagates under its delivery ``event``.
+    """
 
-    # state values
-    SERIALIZING, PROPAGATING, DELIVERED, CANCELLED = range(4)
+    __slots__ = ("uplink", "bits_left", "jitter")
 
-    def __init__(self, seq, bits_left, payload_bytes, retransmits,
-                 jitter, on_complete, trace, span, direction):
-        self.seq = seq
+    def __init__(self, uplink, bits_left, jitter, *args):
+        super().__init__(*args)
+        self.uplink = uplink
         self.bits_left = bits_left
-        self.payload_bytes = payload_bytes
-        self.retransmits = retransmits
         self.jitter = jitter
-        self.on_complete = on_complete
-        self.trace = trace
-        self.span = span
-        self.direction = direction
-        self.state = _Flow.SERIALIZING
 
+    def _arrive(self) -> None:
+        self.uplink.completed += 1
+        super()._arrive()
 
-class UplinkTransfer:
-    """Cancel/inspect handle for a transfer inside a shared uplink."""
-
-    __slots__ = ("_uplink", "_flow", "_delivery")
-
-    def __init__(self, uplink, flow):
-        self._uplink = uplink
-        self._flow = flow
-        self._delivery = None  # propagation-phase Event
-
-    @property
-    def cancelled(self) -> bool:
-        """Whether the transfer was cancelled before delivery."""
-        return self._flow.state == _Flow.CANCELLED
-
-    @property
-    def fired(self) -> bool:
-        """Whether the payload was delivered."""
-        return self._flow.state == _Flow.DELIVERED
-
-    def cancel(self) -> None:
-        """Abort the transfer and close its span (never leaks it open)."""
-        self._uplink._cancel(self._flow, self._delivery)
+    def _abort(self) -> None:
+        if self.event is None:
+            self.uplink._withdraw(self)
+        else:
+            super()._abort()
 
 
 class SharedUplink:
@@ -121,35 +101,12 @@ class SharedUplink:
         self._flows: list[_Flow] = []
         self._last = sim.now
         self._completion = None
-        self._next_seq = 0
-        #: seq -> live handle, for stashing the propagation-phase event.
-        self._handles: dict[int, UplinkTransfer] = {}
         #: Lifetime statistics (deterministic, reported by the CLI).
         self.completed = 0
         self.total_retransmits = 0
         self.peak_concurrency = 0
 
-    # -- pricing surface (duck-typed NetworkLink) ----------------------
-    @property
-    def name(self) -> str:
-        """The underlying link's name (spans and metrics share it)."""
-        return self.link.name
-
-    @property
-    def bandwidth_bps(self) -> float:
-        """The bottleneck's total bandwidth (shared, not per-flow)."""
-        return self.link.bandwidth_bps
-
-    @property
-    def round_trip_seconds(self) -> float:
-        """The underlying link's RTT."""
-        return self.link.round_trip_seconds
-
-    @property
-    def overhead_factor(self) -> float:
-        """The underlying link's framing overhead multiplier."""
-        return self.link.overhead_factor
-
+    # -- pricing --------------------------------------------------------
     def transfer_seconds(self, payload_bytes: float) -> float:
         """Expected one-way time *under the current contention*.
 
@@ -198,47 +155,16 @@ class SharedUplink:
             self._flows = [f for f in self._flows
                            if f.bits_left > _BITS_EPS]
             for flow in finished:
-                self._start_propagation(flow)
+                flow.event = self.sim.schedule(
+                    self.link.propagation_seconds(flow.jitter),
+                    flow._arrive)
         self._reschedule()
 
-    def _start_propagation(self, flow: _Flow) -> None:
-        flow.state = _Flow.PROPAGATING
-        delay = max(0.0, self.link.round_trip_seconds / 2.0 + flow.jitter)
-        event = self.sim.schedule(delay, lambda: self._deliver(flow))
-        handle = self._handles.get(flow.seq)
-        if handle is not None:
-            handle._delivery = event
-
-    def _deliver(self, flow: _Flow) -> None:
-        flow.state = _Flow.DELIVERED
-        self._handles.pop(flow.seq, None)
-        if flow.span is not None:
-            flow.trace.end(flow.span, self.sim.now)
-        if self.telemetry is not None:
-            self.telemetry.sent(flow.payload_bytes, flow.direction,
-                                retransmits=flow.retransmits)
-        self.completed += 1
-        flow.on_complete()
-
-    def _cancel(self, flow: _Flow, delivery_event) -> None:
-        if flow.state in (_Flow.DELIVERED, _Flow.CANCELLED):
-            return
-        if flow.state == _Flow.SERIALIZING:
-            self._advance(self.sim.now)
-            self._flows = [f for f in self._flows if f is not flow]
-            self._reschedule()
-        else:  # propagating
-            handle = self._handles.get(flow.seq)
-            event = (handle._delivery if handle is not None
-                     else delivery_event)
-            if event is not None:
-                self.sim.cancel(event)
-        flow.state = _Flow.CANCELLED
-        self._handles.pop(flow.seq, None)
-        if flow.span is not None and flow.span.end is None:
-            flow.span.args["cancelled"] = True
-            flow.trace.end(flow.span, self.sim.now)
-            flow.span = None
+    def _withdraw(self, flow: _Flow) -> None:
+        """Drop a cancelled flow mid-serialization; the rest speed up."""
+        self._advance(self.sim.now)
+        self._flows.remove(flow)
+        self._reschedule()
 
     # -- transport surface ---------------------------------------------
     def schedule_transfer(self, sim, payload_bytes: float, on_complete,
@@ -247,9 +173,8 @@ class SharedUplink:
 
         Uplink-direction transfers contend under fair sharing; other
         directions delegate to the underlying link (sampled from the
-        same RNG stream, so determinism covers both legs).  Returns an
-        :class:`UplinkTransfer` (or
-        :class:`~repro.continuum.network.Transfer`) handle.
+        same RNG stream, so determinism covers both legs).  Returns the
+        transfer's :class:`~repro.continuum.network.Transfer` handle.
         """
         if sim is not self.sim:
             raise ValueError("shared uplink is bound to one simulator")
@@ -260,64 +185,41 @@ class SharedUplink:
                 sim, payload_bytes, on_complete, trace=trace,
                 direction=direction, rng=self._rng,
                 telemetry=self.telemetry)
-        retransmits = self.link.sample_retransmits(payload_bytes,
-                                                   self._rng)
-        jitter = self.link.sample_jitter(self._rng)
-        packets = self.link.packet_count(payload_bytes)
-        wire_bits = (payload_bytes * self.link.overhead_factor * 8.0
-                     * (packets + retransmits) / packets)
-        span = None
-        if trace is not None:
-            span = trace.begin(direction, sim.now, category="network",
-                               link=self.link.name,
-                               payload_bytes=payload_bytes,
-                               queue_depth=len(self._flows))
-            if retransmits:
-                span.args["retransmits"] = retransmits
+        wire_bits, retransmits, jitter = self.link.sample_wire(
+            payload_bytes, self._rng)
+        span = self.link.open_span(trace, sim.now, direction,
+                                   payload_bytes, retransmits,
+                                   queue_depth=len(self._flows))
         self.total_retransmits += retransmits
         self._advance(sim.now)
-        flow = _Flow(self._next_seq, wire_bits, payload_bytes,
-                     retransmits, jitter, on_complete, trace, span,
-                     direction)
-        self._next_seq += 1
+        flow = _Flow(self, wire_bits, jitter, sim, payload_bytes,
+                     on_complete, trace, direction, span, retransmits,
+                     self.telemetry)
         self._flows.append(flow)
         self.peak_concurrency = max(self.peak_concurrency,
                                     len(self._flows))
-        handle = UplinkTransfer(self, flow)
-        self._handles[flow.seq] = handle
         self._reschedule()
-        return handle
+        return flow
 
 
-class BufferedTransfer:
-    """Handle for a transfer parked in a store-and-forward buffer."""
+class _Parked(Transfer):
+    """A transfer waiting out an outage in a store-and-forward buffer.
 
-    __slots__ = ("_buffer", "_entry", "forwarded")
+    ``buffer`` holds it until the backlog drains; from then on
+    ``event`` is the wrapped transport's handle for the forwarded leg.
+    """
 
-    def __init__(self, buffer, entry):
-        self._buffer = buffer
-        self._entry = entry
-        #: The live transport handle once the buffer drains (None while
-        #: parked or after a cancel).
-        self.forwarded = None
+    __slots__ = ("buffer",)
 
-    @property
-    def cancelled(self) -> bool:
-        """Whether the entry was dropped before (or after) forwarding."""
-        return self._entry.get("cancelled", False) or (
-            self.forwarded is not None and self.forwarded.cancelled)
+    def __init__(self, buffer, *args):
+        super().__init__(*args)
+        self.buffer = buffer
 
-    @property
-    def fired(self) -> bool:
-        """Whether the forwarded transfer delivered."""
-        return self.forwarded is not None and self.forwarded.fired
-
-    def cancel(self) -> None:
-        """Drop the parked entry (or cancel the forwarded transfer)."""
-        if self.forwarded is not None:
-            self.forwarded.cancel()
-            return
-        self._buffer._cancel_entry(self._entry)
+    def _abort(self) -> None:
+        if self.buffer is not None:
+            self.buffer._unpark(self)
+        elif self.event is not None:
+            self.event.cancel()
 
 
 class StoreAndForward:
@@ -338,14 +240,14 @@ class StoreAndForward:
         if capacity_bytes <= 0:
             raise ValueError("buffer capacity must be positive")
         self.transport = transport
+        self.link = transport.link
         self.sim = sim
         self.outage = outage
         self.capacity_bytes = capacity_bytes
         self.down = False
         self._queue: collections.deque = collections.deque()
         self._buffered_bytes = 0.0
-        self.telemetry = (LinkTelemetry(registry,
-                                        getattr(transport, "name", "link"))
+        self.telemetry = (LinkTelemetry(registry, self.link.name)
                           if registry is not None else None)
         #: Lifetime statistics.
         self.buffered_total = 0
@@ -353,27 +255,7 @@ class StoreAndForward:
         self.max_buffer_depth = 0
         self.outages = 0
 
-    # -- pricing delegation --------------------------------------------
-    @property
-    def name(self) -> str:
-        """The wrapped transport's link name."""
-        return getattr(self.transport, "name", "link")
-
-    @property
-    def bandwidth_bps(self) -> float:
-        """The wrapped transport's bandwidth."""
-        return self.transport.bandwidth_bps
-
-    @property
-    def round_trip_seconds(self) -> float:
-        """The wrapped transport's RTT."""
-        return self.transport.round_trip_seconds
-
-    @property
-    def overhead_factor(self) -> float:
-        """The wrapped transport's framing overhead multiplier."""
-        return self.transport.overhead_factor
-
+    # -- pricing --------------------------------------------------------
     def transfer_seconds(self, payload_bytes: float) -> float:
         """Expected transfer time on the wrapped transport (when up)."""
         return self.transport.transfer_seconds(payload_bytes)
@@ -412,15 +294,18 @@ class StoreAndForward:
             return
         self.down = False
         while self._queue:
-            entry = self._queue.popleft()
-            self._forward(entry)
+            self._forward(self._queue.popleft())
         self._buffered_bytes = 0.0
         self._publish_depth()
 
     # -- transport surface ---------------------------------------------
     def schedule_transfer(self, sim, payload_bytes: float, on_complete,
                           trace=None, direction: str = "uplink"):
-        """Pass through when up; park under a buffering span when down."""
+        """Pass through when up; park under a buffering span when down.
+
+        Returns the transfer's :class:`~repro.continuum.network.Transfer`
+        handle, or ``None`` when a full buffer tail-drops it.
+        """
         if sim is not self.sim:
             raise ValueError("store-and-forward is bound to one simulator")
         if not self.down:
@@ -431,52 +316,37 @@ class StoreAndForward:
             self.dropped += 1
             if trace is not None:
                 trace.instant("store_and_forward_drop", sim.now,
-                              category="network", link=self.name,
+                              category="network", link=self.link.name,
                               payload_bytes=payload_bytes)
             return None
         span = None
         if trace is not None:
             span = trace.begin("store_and_forward", sim.now,
-                               category="network", link=self.name,
+                               category="network", link=self.link.name,
                                payload_bytes=payload_bytes,
                                buffer_depth=len(self._queue))
-        entry = {"payload": payload_bytes, "on_complete": on_complete,
-                 "trace": trace, "span": span, "direction": direction,
-                 "cancelled": False}
-        handle = BufferedTransfer(self, entry)
-        entry["handle"] = handle
-        self._queue.append(entry)
+        parked = _Parked(self, sim, payload_bytes, on_complete, trace,
+                         direction, span)
+        self._queue.append(parked)
         self._buffered_bytes += payload_bytes
         self.buffered_total += 1
         self.max_buffer_depth = max(self.max_buffer_depth,
                                     len(self._queue))
         self._publish_depth()
-        return handle
+        return parked
 
-    def _forward(self, entry) -> None:
-        if entry["cancelled"]:
-            return
-        span, trace = entry["span"], entry["trace"]
-        if span is not None:
-            trace.end(span, self.sim.now)
-        forwarded = self.transport.schedule_transfer(
-            self.sim, entry["payload"], entry["on_complete"],
-            trace=trace, direction=entry["direction"])
-        entry["handle"].forwarded = forwarded
+    def _forward(self, parked: _Parked) -> None:
+        if parked.span is not None:
+            parked.trace.end(parked.span, self.sim.now)
+            parked.span = None
+        parked.buffer = None
+        parked.event = self.transport.schedule_transfer(
+            self.sim, parked.payload_bytes, parked._arrive,
+            trace=parked.trace, direction=parked.direction)
 
-    def _cancel_entry(self, entry) -> None:
-        if entry["cancelled"]:
-            return
-        entry["cancelled"] = True
-        try:
-            self._queue.remove(entry)
-        except ValueError:
-            return
-        self._buffered_bytes -= entry["payload"]
-        span, trace = entry["span"], entry["trace"]
-        if span is not None and span.end is None:
-            span.args["cancelled"] = True
-            trace.end(span, self.sim.now)
+    def _unpark(self, parked: _Parked) -> None:
+        self._queue.remove(parked)
+        self._buffered_bytes -= parked.payload_bytes
         self._publish_depth()
 
     def _publish_depth(self) -> None:

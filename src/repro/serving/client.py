@@ -33,8 +33,9 @@ class OpenLoopClient:
                  rate_per_second: float, num_requests: int,
                  images_per_request: int = 1, seed: int = 0,
                  trace: bool = False):
-        if rate_per_second <= 0:
-            raise ValueError("arrival rate must be positive")
+        if not rate_per_second > 0:  # NaN compares false too
+            raise ValueError(
+                f"rate_per_second must be positive, got {rate_per_second}")
         if num_requests < 1:
             raise ValueError("need at least one request")
         self.server = server

@@ -89,9 +89,9 @@ class TritonLikeServer:
         self._ensembles: dict[str, EnsembleConfig] = {}
         self._batchers: dict[str, DynamicBatcher] = {}
         self._instances: dict[str, list[BackendInstance]] = {}
-        self._timer_pending: set[str] = set()
-        #: The live queue-delay timer event per stage, so a policy swap
-        #: can cancel + re-arm it (see :meth:`reconfigure_batcher`).
+        #: The live queue-delay timer event per stage (a stage has at
+        #: most one armed), so a policy swap can cancel + re-arm it (see
+        #: :meth:`reconfigure_batcher`).
         self._timer_events: dict[str, Event] = {}
         self._pending_fanout: dict[int, int] = {}
         #: Rejected-branch count per in-flight fan-out request.
@@ -203,7 +203,6 @@ class TritonLikeServer:
         stale = self._timer_events.pop(name, None)
         if stale is not None:
             self.sim.cancel(stale)
-        self._timer_pending.discard(name)
         del self._models[name]
         del self._batchers[name]
         del self._instances[name]
@@ -370,12 +369,10 @@ class TritonLikeServer:
         """Wake up when the oldest queued request's delay budget expires."""
         batcher = self._batchers[stage]
         deadline = batcher.next_deadline()
-        if deadline is None or stage in self._timer_pending:
+        if deadline is None or stage in self._timer_events:
             return
-        self._timer_pending.add(stage)
 
         def fire() -> None:
-            self._timer_pending.discard(stage)
             self._timer_events.pop(stage, None)
             self._pump(stage)
 
@@ -519,7 +516,6 @@ class TritonLikeServer:
         stale = self._timer_events.pop(model, None)
         if stale is not None:
             self.sim.cancel(stale)
-            self._timer_pending.discard(model)
         self._batchers[model].config = config
         self._pump(model)
 
@@ -596,7 +592,6 @@ class TritonLikeServer:
         stale = self._timer_events.pop(model, None)
         if stale is not None:
             self.sim.cancel(stale)
-        self._timer_pending.discard(model)
         return self._batchers[model].extract_queue()
 
     def handoff_in(self, model: str, queued: list,

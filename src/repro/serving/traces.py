@@ -44,7 +44,7 @@ class ArrivalTrace:
     duration: float
 
     def __post_init__(self) -> None:
-        if self.duration <= 0:
+        if not self.duration > 0:  # NaN compares false too
             raise ValueError(
                 f"trace duration must be positive, got {self.duration}"
                 " (mean_rate and rate_histogram divide by it)")
@@ -79,6 +79,19 @@ class ArrivalTrace:
 _THINNING_BLOCK = 16384
 
 
+def _require_positive(**params: float) -> None:
+    """Reject a NaN, infinite or non-positive parameter, by name.
+
+    Runs before any derived check: a NaN ``duration`` would otherwise
+    surface as a misplaced daylight window, and a NaN ``peak_rate`` as
+    a silently empty trace.
+    """
+    for name, value in params.items():
+        if not 0 < value < math.inf:
+            raise ValueError(
+                f"{name} must be positive and finite, got {value}")
+
+
 def _thinning(rate_fn, peak_rate: float, duration: float,
               rng: np.random.Generator,
               block: int = _THINNING_BLOCK) -> list[float]:
@@ -91,8 +104,7 @@ def _thinning(rate_fn, peak_rate: float, duration: float,
     uniforms are drawn one block at a time instead of two scalar draws
     per candidate, which is what makes million-arrival traces cheap.
     """
-    if peak_rate <= 0:
-        raise ValueError("peak rate must be positive")
+    _require_positive(peak_rate=peak_rate, duration=duration)
     chunks: list[np.ndarray] = []
     t = 0.0
     while t < duration:
@@ -118,6 +130,9 @@ def diurnal_trace(duration: float = 86400.0, peak_rate: float = 50.0,
     to ``peak_rate`` requests/s at solar noon and falls back to
     ``base_rate`` overnight.
     """
+    _require_positive(duration=duration, peak_rate=peak_rate)
+    if not base_rate >= 0:
+        raise ValueError(f"base_rate must be >= 0, got {base_rate}")
     if peak_rate <= base_rate:
         raise ValueError("peak rate must exceed the base rate")
     dawn, dusk = daylight
@@ -153,10 +168,11 @@ def sparse_diurnal_trace(duration: float = 86400.0,
     shortened trace keeps the same day shape instead of pinning dawn
     at six o'clock of a day it no longer contains.
     """
-    if peak_rate <= 0:
-        raise ValueError("peak rate must be positive")
-    if night_rate < 0:
-        raise ValueError("nighttime floor must be >= 0")
+    _require_positive(duration=duration, peak_rate=peak_rate)
+    if not night_rate >= 0:
+        raise ValueError(
+            f"night_rate (the nighttime floor) must be >= 0, got "
+            f"{night_rate}")
     if night_rate > peak_rate:
         raise ValueError(
             f"nighttime floor ({night_rate}) cannot exceed the peak "
@@ -183,13 +199,14 @@ def burst_trace(duration: float = 3600.0, background_rate: float = 1.0,
                 burst_seconds: float = 30.0,
                 seed: int = 0) -> ArrivalTrace:
     """Survey-upload pattern: quiet background plus dense bursts."""
-    if bursts < 0 or burst_seconds <= 0:
+    _require_positive(duration=duration)
+    if bursts < 0 or not burst_seconds > 0:
         raise ValueError("bad burst parameters")
     if burst_seconds > duration:
         raise ValueError(
             f"burst_seconds ({burst_seconds}) cannot exceed the trace "
             f"duration ({duration}); burst starts would be negative")
-    if background_rate < 0 or burst_rate <= 0:
+    if not (background_rate >= 0 and burst_rate > 0):
         raise ValueError("rates must be nonnegative (burst positive)")
     rng = np.random.default_rng(seed)
     starts = np.sort(rng.uniform(0, duration - burst_seconds,
@@ -225,7 +242,8 @@ def step_trace(duration: float = 60.0, base_rate: float = 5.0,
     deterministic for a given seed, which the autoscaler CLI and tests
     rely on for byte-identical replays.
     """
-    if base_rate <= 0 or step_rate <= 0:
+    _require_positive(duration=duration)
+    if not (base_rate > 0 and step_rate > 0):
         raise ValueError("rates must be positive")
     if not 0 <= step_start < step_end <= duration:
         raise ValueError("step window must fit inside the trace")

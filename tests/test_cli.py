@@ -92,6 +92,14 @@ class TestMetricsCommand:
         assert main(["metrics", "--rate", "0"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_nan_rate_is_rejected_before_the_run(self, capsys):
+        # NaN passed a `rate <= 0` check and failed mid-run with an
+        # event-core error that did not name the option.
+        assert main(["metrics", "--rate", "nan", "--requests", "20"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--rate" in captured.err
+
 
 class TestAutoscale:
     FAST = ["autoscale", "--duration", "12", "--step-start", "2",
@@ -268,6 +276,7 @@ class TestCache:
 class TestNetwork:
     FAST = ["network", "--frames", "15", "--broker-messages", "60",
             "--seed", "1"]
+    OUTAGE = FAST + ["--outage-start", "5", "--outage-seconds", "3"]
 
     def test_end_to_end_smoke(self, capsys):
         assert main(self.FAST) == 0
@@ -325,12 +334,19 @@ class TestNetwork:
         assert "uplink" in names and "downlink" in names
 
     def test_outage_buffers_instead_of_dropping(self, capsys):
-        assert main(self.FAST + ["--outage-start", "5",
-                                 "--outage-seconds", "3"]) == 0
+        assert main(self.OUTAGE) == 0
         out = capsys.readouterr().out
         assert "outage: link down 5..8 s" in out
         assert "store-and-forward:" in out
         assert "0 dropped" in out
+
+    def test_outage_run_matches_golden(self, capsys, tmp_path):
+        # Pins the store-and-forward path: buffered frames, the outage
+        # counters and the trace of the drained backlog.
+        assert main(self.OUTAGE + [
+            "--out", str(tmp_path / "network.json"),
+            "--trace-out", str(tmp_path / "network.trace.json")]) == 0
+        assert_golden("network_outage", capsys.readouterr().out, tmp_path)
 
     def test_bad_arguments_are_error_exits(self, capsys):
         assert main(["network", "--endpoints", "0"]) == 2
@@ -451,6 +467,9 @@ class TestFaas:
         ("--slo-ms", "latency threshold"),
         ("--keep-alive", "keep-alive"),
         ("--hold-seconds", "hold_seconds"),
+        ("--duration", "--duration"),
+        ("--peak-rate", "--peak-rate"),
+        ("--night-rate", "--night-rate"),
     ])
     def test_nan_option_is_rejected_before_the_run(self, capsys, option,
                                                    message):
@@ -517,3 +536,26 @@ class TestSweep:
     def test_bad_replications_is_an_error_exit(self, capsys):
         assert main(["sweep", "--replications", "0"]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option, value", [
+        ("--duration", "nan"), ("--duration", "0"),
+        ("--peak-rate", "nan"), ("--peak-rate", "-1"),
+        ("--night-rate", "nan"), ("--night-rate", "-0.5"),
+        ("--night-rate", "10"),
+    ])
+    def test_bad_day_option_is_rejected_before_the_pool(
+            self, capsys, monkeypatch, option, value):
+        # A NaN duration used to burn every shard retry and exit 1; a
+        # NaN peak rate exited 0 with an empty table.
+        import repro.sweep as sweep
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("SweepRunner started")
+
+        monkeypatch.setattr(sweep, "SweepRunner", no_pool)
+        argv = ["sweep", "--replications", "2", "--duration", "60",
+                "--jobs", "1", option, value]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert option in captured.err

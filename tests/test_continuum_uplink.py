@@ -1,8 +1,11 @@
 """Tests for repro.continuum.uplink — fair sharing and buffering."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.continuum.network import NetworkLink
+from repro.continuum.network import LinkTelemetry, NetworkLink, Transfer
 from repro.continuum.uplink import SharedUplink, StoreAndForward
 from repro.serving.events import Simulator
 from repro.serving.faults import LinkOutageModel
@@ -263,9 +266,97 @@ class TestStoreAndForward:
             uplink.transfer_seconds(MB)
         assert buffer.sustainable_images_per_second(MB) == \
             uplink.sustainable_images_per_second(MB)
-        assert buffer.name == "bottleneck"
+        assert buffer.link.name == "bottleneck"
         with pytest.raises(ValueError):
             StoreAndForward(uplink, sim, capacity_bytes=0)
+
+
+def _lossy_link():
+    return NetworkLink("lossy", bandwidth_bps=8e6,
+                       round_trip_seconds=0.04, overhead_factor=1.05,
+                       jitter_seconds=0.01, loss_probability=0.05)
+
+
+def _bare_stack(sim, registry):
+    link = _lossy_link()
+    rng = np.random.default_rng(0)
+    telemetry = LinkTelemetry(registry, link.name)
+
+    def send(payload, on_complete, trace):
+        return link.schedule_transfer(sim, payload, on_complete,
+                                      trace=trace, rng=rng,
+                                      telemetry=telemetry)
+    return send
+
+
+def _uplink_stack(sim, registry):
+    uplink = SharedUplink(_lossy_link(), sim, registry=registry)
+
+    def send(payload, on_complete, trace):
+        return uplink.schedule_transfer(sim, payload, on_complete,
+                                        trace=trace)
+    return send
+
+
+def _buffered_stack(sim, registry):
+    buffer = StoreAndForward(
+        SharedUplink(_lossy_link(), sim, registry=registry), sim,
+        outage=LinkOutageModel(windows=((0.3, 0.9),)), registry=registry)
+    buffer.start(horizon=10.0)
+
+    def send(payload, on_complete, trace):
+        return buffer.schedule_transfer(sim, payload, on_complete,
+                                        trace=trace)
+    return send
+
+
+_transfers = st.lists(
+    st.tuples(st.floats(0.0, 1.5),                    # submit time
+              st.integers(0, 150_000),                # payload bytes
+              st.none() | st.floats(0.0, 0.6)),       # cancel delay
+    min_size=1, max_size=12)
+
+
+@pytest.mark.parametrize("build", [_bare_stack, _uplink_stack,
+                                   _buffered_stack])
+@settings(max_examples=25, deadline=None)
+@given(transfers=_transfers)
+def test_transport_conserves_transfers_spans_and_bytes(build, transfers):
+    sim = Simulator()
+    registry = MetricsRegistry(clock=lambda: sim.now)
+    send = build(sim, registry)
+    handles, traces, completed, aborted = {}, [], [], set()
+
+    def cancel(index):
+        if handles[index].state == "pending":
+            aborted.add(index)
+        handles[index].cancel()
+
+    def submit(index, payload, cancel_delay):
+        trace = TraceContext(index)
+        traces.append(trace)
+        handles[index] = send(payload, lambda: completed.append(index),
+                              trace)
+        if cancel_delay is not None:
+            sim.schedule(cancel_delay, lambda: cancel(index))
+
+    for index, (at, payload, cancel_delay) in enumerate(transfers):
+        sim.schedule_at(at, lambda i=index, p=payload, c=cancel_delay:
+                        submit(i, p, c))
+    sim.run()
+
+    # Every span closed (a second close would have raised mid-run).
+    assert [s for t in traces for s in t.children() if s.end is None] \
+        == []
+    assert all(isinstance(h, Transfer) and h.fired != h.cancelled
+               for h in handles.values())
+    # A cancel that found the transfer pending sticks: it never fires.
+    assert {i for i, h in handles.items() if h.cancelled} == aborted
+    fired = sorted(i for i, h in handles.items() if h.fired)
+    assert sorted(completed) == fired
+    delivered = sum(transfers[i][1] for i in fired)
+    assert registry.counter("link_bytes_total").value(
+        link="lossy", direction="uplink") == pytest.approx(delivered)
 
 
 class TestTelemetry:

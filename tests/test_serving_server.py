@@ -139,7 +139,7 @@ class TestReconfigureBatcher:
         # Regression: a live swap from 50 ms to 1 ms queue delay must
         # dispatch at the new deadline.  Before the fix the pending
         # 50 ms timer was neither cancelled nor superseded
-        # (_timer_pending still held the stage), so the old deadline
+        # (the stage still counted as armed), so the old deadline
         # silently stayed in force.
         server = TritonLikeServer()
         server.register(ModelConfig(
@@ -288,6 +288,9 @@ class TestClients:
         server.register(ModelConfig("m", constant_service(0.01)))
         with pytest.raises(ValueError):
             OpenLoopClient(server, "m", rate_per_second=0, num_requests=1)
+        with pytest.raises(ValueError, match="rate_per_second"):
+            OpenLoopClient(server, "m", rate_per_second=float("nan"),
+                           num_requests=1)
         with pytest.raises(ValueError):
             ClosedLoopClient(server, "m", concurrency=5, num_requests=3)
 

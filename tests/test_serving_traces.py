@@ -1,5 +1,7 @@
 """Tests for repro.serving.traces and the metrics exporter."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from repro.serving.traces import (
     burst_trace,
     diurnal_trace,
     sparse_diurnal_trace,
+    step_trace,
 )
 
 
@@ -63,6 +66,12 @@ class TestDiurnalTrace:
             diurnal_trace(peak_rate=1.0, base_rate=2.0)
         with pytest.raises(ValueError):
             diurnal_trace(duration=1000.0)  # daylight window outside
+        with pytest.raises(ValueError, match="duration"):
+            diurnal_trace(duration=math.nan)
+        with pytest.raises(ValueError, match="peak_rate"):
+            diurnal_trace(peak_rate=math.nan)
+        with pytest.raises(ValueError, match="base_rate"):
+            diurnal_trace(base_rate=math.nan)
 
 
 class TestSparseDiurnalTrace:
@@ -111,6 +120,21 @@ class TestSparseDiurnalTrace:
         with pytest.raises(ValueError, match="daylight"):
             sparse_diurnal_trace(duration=1000.0,
                                  daylight=(500.0, 1500.0))
+
+    @pytest.mark.parametrize("kwargs, name", [
+        # A NaN duration used to read as a misplaced daylight window,
+        # and a NaN peak rate to pass as a silently empty trace.
+        ({"duration": math.nan}, "duration"),
+        ({"duration": -60.0}, "duration"),
+        ({"duration": math.inf}, "duration"),
+        ({"peak_rate": math.nan}, "peak_rate"),
+        ({"peak_rate": math.inf}, "peak_rate"),
+        ({"night_rate": math.nan}, "night_rate"),
+    ])
+    def test_nan_and_nonpositive_inputs_name_the_parameter(self, kwargs,
+                                                            name):
+        with pytest.raises(ValueError, match=name):
+            sparse_diurnal_trace(**{"duration": 600.0, **kwargs})
 
     def test_carries_v2_name(self):
         trace = sparse_diurnal_trace(duration=3600, seed=0)
@@ -236,10 +260,16 @@ class TestTraceRegressions:
             burst_trace(background_rate=-0.5)
         with pytest.raises(ValueError, match="rates"):
             burst_trace(burst_rate=0.0)
+        with pytest.raises(ValueError, match="rates"):
+            burst_trace(background_rate=math.nan)
+        with pytest.raises(ValueError, match="duration"):
+            burst_trace(duration=math.nan)
+        with pytest.raises(ValueError, match="duration"):
+            step_trace(duration=math.nan)
 
     def test_nonpositive_duration_rejected(self):
         # Used to surface later as ZeroDivisionError from mean_rate.
-        for bad in (0.0, -3.0):
+        for bad in (0.0, -3.0, math.nan):
             with pytest.raises(ValueError, match="duration"):
                 ArrivalTrace("t", (), duration=bad)
 

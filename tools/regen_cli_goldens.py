@@ -35,6 +35,8 @@ CASES = {
     "cache_exact": (t.TestCache.EXACT, {"--out": "cache.json"}),
     "network": (t.TestNetwork.FAST, {"--out": "network.json",
                                      "--trace-out": "network.trace.json"}),
+    "network_outage": (t.TestNetwork.OUTAGE, {
+        "--out": "network.json", "--trace-out": "network.trace.json"}),
     "profile": (t.TestProfile.FAST, {
         "--out": "p.json", "--speedscope": "p.speedscope.json",
         "--folded-out": "p.folded"}),
