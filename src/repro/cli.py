@@ -636,6 +636,16 @@ def _cmd_network(args: argparse.Namespace) -> int:
     _require_positive(args, "rate")
     if args.broker_messages < 0:
         raise ValueError("--broker-messages must be >= 0")
+    if args.loss is not None and not 0 <= args.loss < 1:
+        raise ValueError(f"--loss must lie in [0, 1), got {args.loss}")
+    if args.jitter_ms is not None and not 0 <= args.jitter_ms < math.inf:
+        raise ValueError("--jitter-ms must be non-negative and finite, "
+                         f"got {args.jitter_ms}")
+    if not 0 <= args.outage_start < math.inf:
+        raise ValueError("--outage-start must be non-negative and finite, "
+                         f"got {args.outage_start}")
+    if args.outage_start > 0:
+        _require_positive(args, "outage_seconds")
     link = get_link(args.link)
     if args.loss is not None or args.jitter_ms is not None:
         link = _dc.replace(

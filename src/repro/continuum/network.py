@@ -184,17 +184,19 @@ class NetworkLink:
     mtu_bytes: float = 1500.0
 
     def __post_init__(self) -> None:
-        if self.bandwidth_bps <= 0:
+        # Spelled ``not x > 0`` so that NaN, which fails every
+        # comparison, is rejected too.
+        if not self.bandwidth_bps > 0:
             raise ValueError("bandwidth must be positive")
-        if self.round_trip_seconds < 0:
+        if not self.round_trip_seconds >= 0:
             raise ValueError("RTT must be non-negative")
-        if self.overhead_factor < 1.0:
+        if not self.overhead_factor >= 1.0:
             raise ValueError("overhead factor must be >= 1")
-        if self.jitter_seconds < 0:
-            raise ValueError("jitter must be non-negative")
+        if not 0 <= self.jitter_seconds < math.inf:
+            raise ValueError("jitter must be non-negative and finite")
         if not 0.0 <= self.loss_probability < 1.0:
             raise ValueError("loss probability must lie in [0, 1)")
-        if self.mtu_bytes <= 0:
+        if not self.mtu_bytes > 0:
             raise ValueError("MTU must be positive")
 
     # -- expected-value pricing ----------------------------------------

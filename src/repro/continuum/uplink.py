@@ -304,7 +304,9 @@ class StoreAndForward:
         """Pass through when up; park under a buffering span when down.
 
         Returns the transfer's :class:`~repro.continuum.network.Transfer`
-        handle, or ``None`` when a full buffer tail-drops it.
+        handle, or ``None`` when a full buffer tail-drops it.  A parked
+        transfer that a wrapped buffer tail-drops on the drain ends
+        ``cancelled`` and is counted in ``dropped`` here too.
         """
         if sim is not self.sim:
             raise ValueError("store-and-forward is bound to one simulator")
@@ -343,6 +345,11 @@ class StoreAndForward:
         parked.event = self.transport.schedule_transfer(
             self.sim, parked.payload_bytes, parked._arrive,
             trace=parked.trace, direction=parked.direction)
+        if parked.event is None:
+            # The wrapped transport, itself a full buffer, tail-dropped
+            # the leg: end the handle as dropped, not pending forever.
+            self.dropped += 1
+            parked.cancel()
 
     def _unpark(self, parked: _Parked) -> None:
         self._queue.remove(parked)

@@ -76,14 +76,14 @@ def im2col(x: np.ndarray, kernel: int, stride: int, padding: int,
     With an :class:`~repro.models.workspace.WorkspaceArena` both the
     padded input and the patch matrix land in pooled buffers, so
     repeated same-shape calls (every serving replay) allocate nothing.
-    The returned patches alias the arena buffer: consume them before
-    the next same-shape call.
+    The returned patches alias the arena's ``"patches"`` slot: consume
+    them before the next call that takes it.
     """
     n, c, h, w = x.shape
     if padding:
         if arena is not None:
             padded = arena.take(
-                (n, c, h + 2 * padding, w + 2 * padding), x.dtype)
+                (n, c, h + 2 * padding, w + 2 * padding), x.dtype, "padded")
             padded.fill(0)
             padded[:, :, padding:-padding, padding:-padding] = x
             x = padded
@@ -107,7 +107,7 @@ def im2col(x: np.ndarray, kernel: int, stride: int, padding: int,
         patches = gathered.reshape(n, out_h * out_w, c * kernel * kernel)
     else:
         patches = arena.take(
-            (n, out_h * out_w, c * kernel * kernel), x.dtype)
+            (n, out_h * out_w, c * kernel * kernel), x.dtype, "patches")
         np.copyto(
             patches.reshape(n, out_h, out_w, c, kernel, kernel),
             gathered)
@@ -232,11 +232,11 @@ def attention(qkv: np.ndarray, heads: int,
     if tally is not None:
         tally.add(2.0 * n * t * t * d)  # QK^T and AV
     if arena is not None:
-        split = arena.take((3, n, heads, t, head_dim), qkv.dtype)
+        split = arena.take((3, n, heads, t, head_dim), qkv.dtype, "split")
         np.copyto(split, qkv.reshape(n, t, 3, heads, head_dim)
                   .transpose(2, 0, 3, 1, 4))
         q, k, v = split[0], split[1], split[2]
-        scores = arena.take((n, heads, t, t), qkv.dtype)
+        scores = arena.take((n, heads, t, t), qkv.dtype, "scores")
         np.matmul(q, k.transpose(0, 1, 3, 2), out=scores)
         scores /= math.sqrt(head_dim)
         scores -= scores.max(axis=-1, keepdims=True)
@@ -267,6 +267,15 @@ def _init(rng: np.random.Generator, *shape: int) -> np.ndarray:
     return rng.normal(0.0, std, size=shape).astype(np.float32)
 
 
+def _init_linear(rng: np.random.Generator, out_f: int,
+                 in_f: int) -> np.ndarray:
+    """An ``(out, in)`` linear weight laid out as the ``.T`` view of a
+    contiguous ``(in, out)`` array: the same draws and values as
+    ``_init(rng, out, in)``, but :class:`WeightPack`'s ``W.T`` operand
+    is this array's own memory rather than a second copy."""
+    return np.ascontiguousarray(_init(rng, out_f, in_f).T).T
+
+
 def init_vit_weights(cfg: ViTConfig, seed: int = 0) -> dict[str, np.ndarray]:
     """Procedural ViT weights keyed by parameter name."""
     rng = np.random.default_rng(seed)
@@ -279,22 +288,22 @@ def init_vit_weights(cfg: ViTConfig, seed: int = 0) -> dict[str, np.ndarray]:
         "pos_embed": _init(rng, cfg.tokens, d),
         "norm.gamma": np.ones(d, np.float32),
         "norm.beta": np.zeros(d, np.float32),
-        "head.weight": _init(rng, cfg.num_classes, d),
+        "head.weight": _init_linear(rng, cfg.num_classes, d),
         "head.bias": np.zeros(cfg.num_classes, np.float32),
     }
     for i in range(cfg.depth):
         p = f"block{i}"
         w[f"{p}.norm1.gamma"] = np.ones(d, np.float32)
         w[f"{p}.norm1.beta"] = np.zeros(d, np.float32)
-        w[f"{p}.qkv.weight"] = _init(rng, 3 * d, d)
+        w[f"{p}.qkv.weight"] = _init_linear(rng, 3 * d, d)
         w[f"{p}.qkv.bias"] = np.zeros(3 * d, np.float32)
-        w[f"{p}.proj.weight"] = _init(rng, d, d)
+        w[f"{p}.proj.weight"] = _init_linear(rng, d, d)
         w[f"{p}.proj.bias"] = np.zeros(d, np.float32)
         w[f"{p}.norm2.gamma"] = np.ones(d, np.float32)
         w[f"{p}.norm2.beta"] = np.zeros(d, np.float32)
-        w[f"{p}.fc1.weight"] = _init(rng, hidden, d)
+        w[f"{p}.fc1.weight"] = _init_linear(rng, hidden, d)
         w[f"{p}.fc1.bias"] = np.zeros(hidden, np.float32)
-        w[f"{p}.fc2.weight"] = _init(rng, d, hidden)
+        w[f"{p}.fc2.weight"] = _init_linear(rng, d, hidden)
         w[f"{p}.fc2.bias"] = np.zeros(d, np.float32)
     return w
 
@@ -395,7 +404,7 @@ def init_resnet50_weights(img_size: int = 224, num_classes: int = 1000,
             w[f"{name}.downsample.conv"] = _init(
                 rng, cfg.out_channels, cfg.in_channels, 1, 1)
             w.update(bn(f"{name}.downsample.bn", cfg.out_channels))
-    w["fc.weight"] = _init(rng, num_classes, 2048)
+    w["fc.weight"] = _init_linear(rng, num_classes, 2048)
     w["fc.bias"] = np.zeros(num_classes, np.float32)
     return w
 
@@ -407,8 +416,12 @@ def _conv_bn_nhwc(x: np.ndarray, pack: WeightPack, prefix: str,
 
     The BN is folded into the packed operand, so the epilogue is one
     shift add and an in-place clamp.  A 1×1 conv multiplies the
-    activation as it lies (strided by slicing); larger kernels gather
-    ``(N, OH, OW, k, k, C)`` patches into the pack's arena first.
+    activation as it lies (strided by slicing).  Larger kernels work
+    one image at a time: the image is padded into the arena's
+    ``"padded"`` slot, its ``(OH, OW, k, k, C)`` patches gathered into
+    the ``"patches"`` slot, and the GEMM writes straight into that
+    image's rows of the output, so the scratch memory is one image's
+    worth whatever the batch size.
     """
     operand, shift = pack.conv_bn_operand(prefix)
     k = pack.weights[f"{prefix}.conv"].shape[-1]
@@ -417,26 +430,27 @@ def _conv_bn_nhwc(x: np.ndarray, pack: WeightPack, prefix: str,
         if stride > 1:
             x = x[:, ::stride, ::stride]
         out_h, out_w = x.shape[1:3]
-        cols = x.reshape(-1, c)
+        y = x.reshape(-1, c) @ operand
     else:
         arena = pack.arena
-        if padding:
-            padded = arena.take(
-                (n, h + 2 * padding, w + 2 * padding, c), x.dtype)
-            padded.fill(0)
-            padded[:, padding:padding + h, padding:padding + w] = x
-            x = padded
-        out_h = (x.shape[1] - k) // stride + 1
-        out_w = (x.shape[2] - k) // stride + 1
-        sn, sh, sw, sc = x.strides
+        # Zeroed once: every image overwrites only the interior.
+        padded = arena.take((h + 2 * padding, w + 2 * padding, c), x.dtype,
+                            "padded")
+        padded.fill(0)
+        out_h = (padded.shape[0] - k) // stride + 1
+        out_w = (padded.shape[1] - k) // stride + 1
+        sh, sw, sc = padded.strides
         view = np.lib.stride_tricks.as_strided(
-            x, shape=(n, out_h, out_w, k, k, c),
-            strides=(sn, sh * stride, sw * stride, sh, sw, sc),
-            writeable=False)
-        cols = arena.take((n, out_h, out_w, k, k, c), x.dtype)
-        np.copyto(cols, view)
-        cols = cols.reshape(n * out_h * out_w, k * k * c)
-    y = cols @ operand
+            padded, shape=(out_h, out_w, k, k, c),
+            strides=(sh * stride, sw * stride, sh, sw, sc), writeable=False)
+        tile = arena.take((out_h, out_w, k, k, c), x.dtype, "patches")
+        cols = tile.reshape(out_h * out_w, k * k * c)
+        y = np.empty((n, out_h * out_w, operand.shape[1]),
+                     np.result_type(x.dtype, operand.dtype))
+        for img, out in zip(x, y):
+            padded[padding:padding + h, padding:padding + w] = img
+            np.copyto(tile, view)
+            np.matmul(cols, operand, out=out)
     y += shift
     if relu:
         np.maximum(y, 0, out=y)
@@ -445,22 +459,29 @@ def _conv_bn_nhwc(x: np.ndarray, pack: WeightPack, prefix: str,
     return y.reshape(n, out_h, out_w, -1)
 
 
-def _maxpool_nhwc(x: np.ndarray, kernel: int, stride: int,
-                  padding: int) -> np.ndarray:
-    """Max pooling over (N, H, W, C): one strided maximum per tap."""
+def _maxpool_nhwc(x: np.ndarray, kernel: int, stride: int, padding: int,
+                  arena: WorkspaceArena) -> np.ndarray:
+    """Max pooling over (N, H, W, C): one strided maximum per tap.
+
+    Each image is padded with ``-inf`` into the arena's ``"padded"``
+    slot in turn, so the scratch memory is one image's worth.
+    """
     n, h, w, c = x.shape
-    padded = np.full((n, h + 2 * padding, w + 2 * padding, c), -np.inf,
-                     x.dtype)
-    padded[:, padding:padding + h, padding:padding + w] = x
+    padded = arena.take((h + 2 * padding, w + 2 * padding, c), x.dtype,
+                        "padded")
+    padded.fill(-np.inf)
     out_h = (h + 2 * padding - kernel) // stride + 1
     out_w = (w + 2 * padding - kernel) // stride + 1
     span_h, span_w = stride * (out_h - 1) + 1, stride * (out_w - 1) + 1
-    out = padded[:, :span_h:stride, :span_w:stride].copy()
-    for i in range(kernel):
-        for j in range(kernel):
-            if i or j:
-                np.maximum(out, padded[:, i:i + span_h:stride,
-                                       j:j + span_w:stride], out=out)
+    out = np.empty((n, out_h, out_w, c), x.dtype)
+    for img, o in zip(x, out):
+        padded[padding:padding + h, padding:padding + w] = img
+        np.copyto(o, padded[:span_h:stride, :span_w:stride])
+        for i in range(kernel):
+            for j in range(kernel):
+                if i or j:
+                    np.maximum(o, padded[i:i + span_h:stride,
+                                         j:j + span_w:stride], out=o)
     return out
 
 
@@ -485,7 +506,7 @@ def resnet50_forward(weights: dict[str, np.ndarray], x: np.ndarray,
 
     y = _conv_bn_nhwc(x.transpose(0, 2, 3, 1), pack, "stem", stride=2,
                       padding=3, tally=tally)
-    y = _maxpool_nhwc(y, kernel=3, stride=2, padding=1)
+    y = _maxpool_nhwc(y, kernel=3, stride=2, padding=1, arena=pack.arena)
 
     for name, cfg in _resnet_block_configs(img_size):
         identity = y

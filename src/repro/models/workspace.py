@@ -5,21 +5,26 @@ data movement, not FLOPs, at characterization batch sizes: layout
 shuffles, im2col copies and elementwise passes around each GEMM cost
 more than the GEMM.  This module factors that work out of the forward:
 
-* :class:`WorkspaceArena` — a ``(shape, dtype)``-keyed pool of scratch
-  arrays.  A forward pass asks for its padding/patch/attention
-  workspaces by shape; steady-state repeated inference (the serving
-  replay pattern) reuses the same buffers with zero new allocations.
+* :class:`WorkspaceArena` — one growable scratch buffer per role
+  (``"padded"``, ``"patches"``, ``"split"``, ``"scores"``).  A forward
+  pass asks for a workspace by role and shape and gets a view of the
+  role's buffer, so the arena holds the largest request of each role,
+  not one buffer per layer shape; steady-state repeated inference (the
+  serving replay pattern) reuses the same buffers with zero new
+  allocations.
 * :class:`WeightPack` — per-model GEMM-ready operands built once at
-  model build time: linear weights stored pre-transposed and
-  contiguous (``W.T``); every conv ``X.conv`` with a batch norm
-  ``X.bn.*`` beside it (all of ResNet-50's) stored as the channels-last
-  ``(k·k·C, out_c)`` matrix with the inference-mode BN scale folded
-  into its columns, plus the BN shift; any other conv kernel (ViT's
-  patch embedding) as the flattened NCHW ``(C·k², out_c)`` im2col
-  operand.  Linear and im2col operands are looked up by the identity
-  of the original weight array, so the op-level API (``linear(x,
-  weight, ...)``) is unchanged — ops that receive a pack swap in the
-  packed operand, ops that don't fall back to the unpacked math.
+  model build time: linear weights as the contiguous ``W.T`` (no copy
+  when the weight is already the transpose of a contiguous array, as
+  :func:`~repro.models.functional.build_functional`'s weights are);
+  every conv ``X.conv`` with a batch norm ``X.bn.*`` beside it (all of
+  ResNet-50's) stored as the channels-last ``(k·k·C, out_c)`` matrix
+  with the inference-mode BN scale folded into its columns, plus the
+  BN shift; any other conv kernel (ViT's patch embedding) as the
+  flattened NCHW ``(C·k², out_c)`` im2col operand.  Linear and im2col
+  operands are looked up by the original weight array, so the op-level
+  API (``linear(x, weight, ...)``) is unchanged — ops that receive a
+  pack swap in the packed operand, ops that don't (or whose weight is
+  not the packed one) fall back to the unpacked math.
 
 The packed operands hold the same values as the on-the-fly transposes
 they replace, and arena buffers are fully overwritten before use.
@@ -29,37 +34,48 @@ x·(W·s) + t``; only the float32 rounding of the products moves.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
 class WorkspaceArena:
-    """A ``(shape, dtype)``-keyed pool of reusable scratch arrays.
+    """Reusable scratch memory: one flat buffer per ``(slot, dtype)``.
 
-    ``take`` hands out a buffer that the caller must fully overwrite;
-    the buffer stays parked under its key, so the next ``take`` with
-    the same shape returns the same memory.  Callers must therefore
-    finish consuming a buffer before requesting the same shape again —
-    the functional ops satisfy this by construction (each workspace is
-    reduced into a fresh array before the next layer runs).
+    ``take`` hands out a view of the slot's buffer that the caller must
+    fully overwrite.  The buffer grows to the largest request the slot
+    has seen and is never shrunk, so the arena's size follows the
+    largest single workspace of each role rather than the sum over
+    layer shapes.  Every ``take`` on a slot returns the same memory, so
+    a caller must finish consuming a buffer before taking the same slot
+    again; distinct slots never alias.  The functional ops satisfy this
+    by construction: each workspace is reduced into a fresh array
+    before the next layer runs.
     """
 
     __slots__ = ("_buffers",)
 
     def __init__(self) -> None:
-        self._buffers: dict[tuple, np.ndarray] = {}
+        self._buffers: dict[tuple[str, np.dtype], np.ndarray] = {}
 
     def __len__(self) -> int:
-        """Distinct buffers currently pooled."""
+        """Slots currently pooled."""
         return len(self._buffers)
 
-    def take(self, shape: tuple[int, ...],
-             dtype=np.float32) -> np.ndarray:
-        """An uninitialized scratch array of the given shape/dtype."""
-        key = (shape, np.dtype(dtype))
+    @property
+    def nbytes(self) -> int:
+        """Bytes held across all slots."""
+        return sum(buf.nbytes for buf in self._buffers.values())
+
+    def take(self, shape: tuple[int, ...], dtype, slot: str) -> np.ndarray:
+        """An uninitialized ``shape``/``dtype`` view of ``slot``'s buffer."""
+        dtype = np.dtype(dtype)
+        size = math.prod(shape)
+        key = (slot, dtype)
         buf = self._buffers.get(key)
-        if buf is None:
-            buf = self._buffers[key] = np.empty(shape, dtype)
-        return buf
+        if buf is None or buf.size < size:
+            buf = self._buffers[key] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
 
 
 #: Batch-norm epsilon of the folded convs (the ``batchnorm2d`` default).
@@ -90,12 +106,17 @@ class WeightPack:
     ``X.bn.*`` as its BN-folded channels-last operand and shift
     (:func:`fold_conv_bn`), and every other 4D kernel as the
     contiguous ``(in_c·k², out_c)`` matrix the NCHW im2col GEMM
-    multiplies by.  Linear and im2col operands resolve by the original
-    array's identity (:func:`id`), which stays valid because the pack
-    keeps the source dict alive.  Folded operands resolve by the conv's
-    name prefix and remember their five source arrays: if an entry of
-    the dict has since been replaced (e.g. by quantized weights), the
-    conv is folded again from the current arrays.
+    multiplies by.  A linear weight stored as the ``.T`` view of a
+    contiguous ``(in, out)`` array (the layout the functional models'
+    initializers use) is packed without a copy: its operand is that
+    array.  Linear and im2col operands are keyed by the weight's
+    :func:`id` and stored beside the weight itself, which keeps the id
+    from being reused; a lookup returns the operand only for that same
+    array object, so an entry of the dict replaced since packing (e.g.
+    by quantized weights) runs the unpacked math instead.  Folded
+    operands resolve by the conv's name prefix and remember their five
+    source arrays: if one has since been replaced, the conv is folded
+    again from the current arrays.
     """
 
     __slots__ = ("weights", "arena", "_linear_t", "_conv_mat", "_conv_bn")
@@ -104,28 +125,34 @@ class WeightPack:
                  arena: WorkspaceArena | None = None):
         self.weights = weights
         self.arena = arena if arena is not None else WorkspaceArena()
-        self._linear_t: dict[int, np.ndarray] = {}
-        self._conv_mat: dict[int, np.ndarray] = {}
+        self._linear_t: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._conv_mat: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._conv_bn: dict[str, tuple] = {}
         for name, w in weights.items():
             if not name.endswith((".weight", ".conv")):
                 continue
             if w.ndim == 2:
-                self._linear_t[id(w)] = np.ascontiguousarray(w.T)
+                self._linear_t[id(w)] = (w, np.ascontiguousarray(w.T))
             elif name.endswith(".conv") and f"{name[:-5]}.bn.gamma" in weights:
                 self.conv_bn_operand(name[:-5])
             elif w.ndim == 4:
                 out_c = w.shape[0]
-                self._conv_mat[id(w)] = np.ascontiguousarray(
-                    w.reshape(out_c, -1).T)
+                self._conv_mat[id(w)] = (w, np.ascontiguousarray(
+                    w.reshape(out_c, -1).T))
+
+    @staticmethod
+    def _lookup(table: dict[int, tuple[np.ndarray, np.ndarray]],
+                weight: np.ndarray) -> np.ndarray | None:
+        entry = table.get(id(weight))
+        return entry[1] if entry is not None and entry[0] is weight else None
 
     def linear_operand(self, weight: np.ndarray) -> np.ndarray | None:
         """The pre-transposed operand for ``weight``, if packed."""
-        return self._linear_t.get(id(weight))
+        return self._lookup(self._linear_t, weight)
 
     def conv_operand(self, weight: np.ndarray) -> np.ndarray | None:
         """The flattened NCHW im2col operand for ``weight``, if packed."""
-        return self._conv_mat.get(id(weight))
+        return self._lookup(self._conv_mat, weight)
 
     def conv_bn_operand(self, prefix: str,
                         ) -> tuple[np.ndarray, np.ndarray]:

@@ -358,6 +358,26 @@ class TestNetwork:
         assert main(["network", "--broker-messages", "-1"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, flag", [
+        (["--jitter-ms", "nan"], "--jitter-ms"),
+        (["--jitter-ms", "inf"], "--jitter-ms"),
+        (["--jitter-ms", "-1"], "--jitter-ms"),
+        (["--loss", "nan"], "--loss"),
+        (["--outage-start", "nan", "--outage-seconds", "2"],
+         "--outage-start"),
+        (["--outage-start", "-1"], "--outage-start"),
+        (["--outage-start", "5", "--outage-seconds", "nan"],
+         "--outage-seconds"),
+        (["--outage-start", "5", "--outage-seconds", "0"],
+         "--outage-seconds"),
+    ])
+    def test_bad_link_and_outage_options_exit_before_the_run(
+            self, capsys, args, flag):
+        assert main(["network", "--frames", "5", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {flag} ")
+
 
 class TestBacktest:
     def test_prints_errors(self, capsys):

@@ -1,5 +1,8 @@
 """Tests for repro.continuum.network."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -50,6 +53,20 @@ class TestNetworkLink:
             get_link("farm_wifi").transfer_seconds(-1)
         with pytest.raises(ValueError):
             get_link("farm_wifi").sustainable_images_per_second(0)
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("bandwidth_bps", math.nan, "bandwidth"),
+        ("round_trip_seconds", math.nan, "RTT"),
+        ("overhead_factor", math.nan, "overhead"),
+        ("jitter_seconds", math.nan, "jitter"),
+        ("jitter_seconds", math.inf, "jitter"),
+        ("jitter_seconds", -0.001, "jitter"),
+        ("loss_probability", math.nan, "loss"),
+        ("mtu_bytes", math.nan, "MTU"),
+    ])
+    def test_validation_rejects_nan(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            dataclasses.replace(get_link("farm_wifi"), **{field: value})
 
 
 class TestPresets:

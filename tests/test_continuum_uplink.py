@@ -226,6 +226,32 @@ class TestStoreAndForward:
         assert trace.find("store_and_forward_drop")
         assert [s for s in trace.children() if s.end is None] == []
 
+    def test_drain_into_a_full_inner_buffer_ends_as_dropped(self):
+        sim = Simulator()
+        inner = StoreAndForward(clean_link(), sim, capacity_bytes=150e3)
+        outer = StoreAndForward(inner, sim)
+        inner.fail()
+        outer.fail()
+        traces = [TraceContext(i) for i in range(2)]
+        done = []
+        handles = [outer.schedule_transfer(sim, 100e3,
+                                           lambda i=i: done.append(i),
+                                           trace=traces[i])
+                   for i in range(2)]
+        outer.restore()
+        kept, lost = handles
+        assert lost.cancelled and not lost.fired
+        assert (outer.dropped, inner.dropped) == (1, 1)
+        lost.cancel()  # no-op on a dropped handle
+        inner.restore()
+        sim.run()
+        assert kept.fired and done == [0]
+        for trace in traces:
+            assert [s for s in trace.children() if s.end is None] == []
+        # The dropped leg: one closed outer wait, then the inner drop.
+        assert len(traces[1].find("store_and_forward")) == 1
+        assert traces[1].find("store_and_forward_drop")
+
     def test_cancel_parked_entry_frees_capacity(self):
         sim = Simulator()
         buffer = StoreAndForward(clean_link(), sim,
@@ -277,25 +303,24 @@ def _lossy_link():
                        jitter_seconds=0.01, loss_probability=0.05)
 
 
+# Each stack builder returns the transport's ``schedule_transfer`` and
+# a count of the transfers the stack tail-dropped.
+
 def _bare_stack(sim, registry):
     link = _lossy_link()
     rng = np.random.default_rng(0)
     telemetry = LinkTelemetry(registry, link.name)
 
-    def send(payload, on_complete, trace):
+    def send(sim, payload, on_complete, trace):
         return link.schedule_transfer(sim, payload, on_complete,
                                       trace=trace, rng=rng,
                                       telemetry=telemetry)
-    return send
+    return send, lambda: 0
 
 
 def _uplink_stack(sim, registry):
     uplink = SharedUplink(_lossy_link(), sim, registry=registry)
-
-    def send(payload, on_complete, trace):
-        return uplink.schedule_transfer(sim, payload, on_complete,
-                                        trace=trace)
-    return send
+    return uplink.schedule_transfer, lambda: 0
 
 
 def _buffered_stack(sim, registry):
@@ -303,11 +328,23 @@ def _buffered_stack(sim, registry):
         SharedUplink(_lossy_link(), sim, registry=registry), sim,
         outage=LinkOutageModel(windows=((0.3, 0.9),)), registry=registry)
     buffer.start(horizon=10.0)
+    return buffer.schedule_transfer, lambda: buffer.dropped
 
-    def send(payload, on_complete, trace):
-        return buffer.schedule_transfer(sim, payload, on_complete,
-                                        trace=trace)
-    return send
+
+def _nested_buffer_stack(sim, registry):
+    # The outer buffer drains at 0.9 s into an inner one that is still
+    # down and holds 150 kB, so the inner one tail-drops both direct and
+    # forwarded transfers.
+    inner = StoreAndForward(
+        SharedUplink(_lossy_link(), sim, registry=registry), sim,
+        outage=LinkOutageModel(windows=((0.2, 1.2),)),
+        capacity_bytes=150_000, registry=registry)
+    outer = StoreAndForward(
+        inner, sim, outage=LinkOutageModel(windows=((0.3, 0.9),)),
+        registry=registry)
+    inner.start(horizon=10.0)
+    outer.start(horizon=10.0)
+    return outer.schedule_transfer, lambda: inner.dropped
 
 
 _transfers = st.lists(
@@ -318,16 +355,18 @@ _transfers = st.lists(
 
 
 @pytest.mark.parametrize("build", [_bare_stack, _uplink_stack,
-                                   _buffered_stack])
+                                   _buffered_stack, _nested_buffer_stack])
 @settings(max_examples=25, deadline=None)
 @given(transfers=_transfers)
 def test_transport_conserves_transfers_spans_and_bytes(build, transfers):
     sim = Simulator()
     registry = MetricsRegistry(clock=lambda: sim.now)
-    send = build(sim, registry)
+    send, dropped = build(sim, registry)
     handles, traces, completed, aborted = {}, [], [], set()
 
     def cancel(index):
+        if handles[index] is None:
+            return
         if handles[index].state == "pending":
             aborted.add(index)
         handles[index].cancel()
@@ -335,8 +374,8 @@ def test_transport_conserves_transfers_spans_and_bytes(build, transfers):
     def submit(index, payload, cancel_delay):
         trace = TraceContext(index)
         traces.append(trace)
-        handles[index] = send(payload, lambda: completed.append(index),
-                              trace)
+        handles[index] = send(sim, payload,
+                              lambda: completed.append(index), trace=trace)
         if cancel_delay is not None:
             sim.schedule(cancel_delay, lambda: cancel(index))
 
@@ -348,11 +387,18 @@ def test_transport_conserves_transfers_spans_and_bytes(build, transfers):
     # Every span closed (a second close would have raised mid-run).
     assert [s for t in traces for s in t.children() if s.end is None] \
         == []
-    assert all(isinstance(h, Transfer) and h.fired != h.cancelled
-               for h in handles.values())
+    # Every transfer ended: delivered, cancelled, or tail-dropped (a
+    # ``None`` handle, or a parked one that ends cancelled on the drain).
+    assert all(h is None or isinstance(h, Transfer) and
+               h.fired != h.cancelled for h in handles.values())
+    lost = {i for i, h in handles.items()
+            if h is None or h.cancelled and i not in aborted}
+    assert len(lost) == dropped()
     # A cancel that found the transfer pending sticks: it never fires.
-    assert {i for i, h in handles.items() if h.cancelled} == aborted
-    fired = sorted(i for i, h in handles.items() if h.fired)
+    assert aborted <= {i for i, h in handles.items()
+                       if h is not None and h.cancelled}
+    fired = sorted(i for i, h in handles.items()
+                   if h is not None and h.fired)
     assert sorted(completed) == fired
     delivered = sum(transfers[i][1] for i in fired)
     assert registry.counter("link_bytes_total").value(
