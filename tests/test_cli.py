@@ -67,6 +67,8 @@ class TestParserDefaults:
 class TestMetricsCommand:
     SCRAPE = ["metrics", "--requests", "60", "--rate", "120",
               "--seed", "3"]
+    REJECT = ["metrics", "--requests", "60", "--rate", "400",
+              "--queue-limit", "4", "--seed", "3"]
 
     def test_end_to_end_smoke(self, capsys):
         assert main(["metrics", "--requests", "40"]) == 0
@@ -87,6 +89,14 @@ class TestMetricsCommand:
         assert main(self.SCRAPE) == 0
         second = capsys.readouterr().out
         assert first == second
+
+    def test_queue_rejections_are_pinned(self, capsys):
+        # A bounded queue under overload: the scrape carries the
+        # rejected responses and the per-stage rejection counter.
+        assert main(self.REJECT) == 0
+        out = capsys.readouterr().out
+        assert 'rejections_total{stage="infer"} 5' in out
+        assert_golden("metrics_reject", out)
 
     def test_invalid_rate_is_an_error_exit(self, capsys):
         assert main(["metrics", "--rate", "0"]) == 2

@@ -75,6 +75,8 @@ same faas "" faas --duration 3600 --seed 1 --out faas.json
 same faas_churn "" faas --duration 3600 --seed 2 --keep-alive 10 \
     --slo-ms 25 --hold-seconds 300 --out faas.json
 same metrics "" metrics --rate 150 --requests 120
+same metrics_reject "" metrics --requests 60 --rate 400 --queue-limit 4 \
+    --seed 3
 same sweep "--jobs 2" sweep --replications 4 --duration 600 --seed 7 \
     --jobs 1 --out sweep.json --metrics-out sweep.prom
 

@@ -29,6 +29,7 @@ from tests.cli_golden import GOLDEN, defaults_text, snapshot  # noqa: E402
 # case -> (arguments, output option -> file name)
 CASES = {
     "metrics": (t.TestMetricsCommand.SCRAPE, {}),
+    "metrics_reject": (t.TestMetricsCommand.REJECT, {}),
     "autoscale": (t.TestAutoscale.FAST, {}),
     "trace": (t.TestTrace.FAST, {"--out": "trace.json"}),
     "cache": (t.TestCache.FAST, {"--out": "cache.json"}),
