@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from repro.cache.keys import FrameFingerprint
 from repro.cache.store import CacheStore
+from repro.serving.observability import ensure_registry
 
 #: Canonical tier names the integration points address.
 EDGE_RESULT = "edge_result"
@@ -37,9 +38,9 @@ class CacheTier:
 
     ``stage`` names the pipeline stage a hit short-circuits (shown in
     reports); ``registry`` (a
-    :class:`~repro.serving.observability.MetricsRegistry`) receives the
-    tier's counters and gauges so a Prometheus scrape carries live
-    hit-ratio and residency data.
+    :class:`~repro.serving.observability.MetricsRegistry`, or a private
+    one when None) receives the tier's counters and gauges so a
+    Prometheus scrape carries live hit-ratio and residency data.
     """
 
     def __init__(self, name: str, store: CacheStore, stage: str,
@@ -47,38 +48,30 @@ class CacheTier:
         self.name = name
         self.store = store
         self.stage = stage
-        self._c_requests = self._g_bytes = self._g_entries = None
-        self._c_evictions = None
-        if registry is not None:
-            # The tier label is fixed for the object's lifetime, so bind
-            # the handles once; per-lookup updates then skip label-key
-            # construction entirely.
-            requests = registry.counter(
-                "cache_requests_total",
-                "Cache lookups by tier and outcome.")
-            self._c_requests = {
-                outcome: requests.labels(tier=name, outcome=outcome)
-                for outcome in ("hit", "stale", "miss")}
-            self._c_evictions = registry.counter(
-                "cache_evictions_total",
-                "Cache entries displaced, by tier.").labels(tier=name)
-            self._g_bytes = registry.gauge(
-                "cache_bytes",
-                "Resident cache payload bytes per tier.").labels(tier=name)
-            self._g_entries = registry.gauge(
-                "cache_entries",
-                "Resident cache entries per tier.").labels(tier=name)
-            self._sync_gauges()
+        registry = ensure_registry(registry)
+        # The tier label is fixed for the object's lifetime, so bind the
+        # handles once; per-lookup updates then skip label-key
+        # construction entirely.
+        requests = registry.counter(
+            "cache_requests_total", "Cache lookups by tier and outcome.")
+        self._c_requests = {
+            outcome: requests.labels(tier=name, outcome=outcome)
+            for outcome in ("hit", "stale", "miss")}
+        self._c_evictions = registry.counter(
+            "cache_evictions_total",
+            "Cache entries displaced, by tier.").labels(tier=name)
+        self._g_bytes = registry.gauge(
+            "cache_bytes",
+            "Resident cache payload bytes per tier.").labels(tier=name)
+        self._g_entries = registry.gauge(
+            "cache_entries",
+            "Resident cache entries per tier.").labels(tier=name)
+        self._sync_gauges()
 
     # ------------------------------------------------------------------
     def _sync_gauges(self) -> None:
-        if self._g_bytes is not None:
-            self._g_bytes.set(self.store.used_bytes)
-            self._g_entries.set(len(self.store))
-
-    def _count(self, outcome: str) -> None:
-        if self._c_requests is not None:
-            self._c_requests[outcome].inc()
+        self._g_bytes.set(self.store.used_bytes)
+        self._g_entries.set(len(self.store))
 
     def lookup(self, fp: FrameFingerprint, trace=None,
                now: float | None = None) -> object | None:
@@ -96,7 +89,7 @@ class CacheTier:
             outcome = "stale"
         else:
             outcome = "miss"
-        self._count(outcome)
+        self._c_requests[outcome].inc()
         self._sync_gauges()
         if trace is not None and now is not None:
             trace.instant("cache_lookup", now, category="cache",
@@ -110,7 +103,7 @@ class CacheTier:
         evicted_before = self.store.stats.evictions
         admitted = self.store.insert(fp, value, size_bytes)
         newly_evicted = self.store.stats.evictions - evicted_before
-        if newly_evicted and self._c_evictions is not None:
+        if newly_evicted:
             self._c_evictions.inc(newly_evicted)
         self._sync_gauges()
         return admitted

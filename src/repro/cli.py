@@ -228,7 +228,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     from repro.serving.observability import TimeSeriesSampler
     from repro.serving.server import TritonLikeServer
 
-    _require_positive(args, "rate")
+    _require_positive(args, "rate", "interval")
     server = _register(TritonLikeServer(), "preprocess",
                        lambda n: 0.0008 * n, 16, 0.002)
     _register(server, "infer", lambda n: 0.004 + 0.0012 * n, 32, 0.005,

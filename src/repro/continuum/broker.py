@@ -31,6 +31,7 @@ from collections.abc import Callable
 import numpy as np
 
 from repro.continuum.network import NetworkLink
+from repro.serving.observability import HandleCache, ensure_registry
 
 
 class Subscription:
@@ -157,8 +158,8 @@ class Broker:
     seed:
         Seed for the message-loss/ack-loss sample stream.
     registry:
-        Optional metrics registry; wires
-        ``broker_messages_total{qos, outcome}``.
+        Metrics registry for ``broker_messages_total{qos, outcome}``
+        (a private one when None).
     retry_seconds:
         QoS 1 republish timeout after a missing PUBACK.
     max_retries:
@@ -187,12 +188,12 @@ class Broker:
         self.max_retries = max_retries
         self._rng = np.random.default_rng(seed)
         self._subs: dict[str, list[Subscription]] = {}
-        self._c_messages = None
-        self._handles: dict[tuple[int, str], object] = {}
-        if registry is not None:
-            self._c_messages = registry.counter(
-                "broker_messages_total",
-                "Broker publishes by QoS and delivery outcome.")
+        messages = ensure_registry(registry, lambda: sim.now).counter(
+            "broker_messages_total",
+            "Broker publishes by QoS and delivery outcome.")
+        #: (qos, outcome) -> bound counter handle.
+        self._c_messages = HandleCache(lambda key: messages.labels(
+            qos=str(key[0]), outcome=key[1]))
         #: Lifetime statistics (deterministic; the CLI prints them).
         self.published = 0
         self.delivered = 0
@@ -200,15 +201,6 @@ class Broker:
         self.duplicates = 0
         self.failed = 0
         self.retries = 0
-
-    def _count(self, qos: int, outcome: str) -> None:
-        if self._c_messages is not None:
-            key = (qos, outcome)
-            handle = self._handles.get(key)
-            if handle is None:
-                handle = self._handles[key] = self._c_messages.labels(
-                    qos=str(qos), outcome=outcome)
-            handle.inc()
 
     # ------------------------------------------------------------------
     def subscribe(self, topic: str,
@@ -288,7 +280,7 @@ class Broker:
         message.delivered_once = True
         if duplicate:
             self.duplicates += 1
-            self._count(message.qos, "duplicate")
+            self._c_messages[message.qos, "duplicate"].inc()
         else:
             self.delivered += 1
         for subscription in self._subs.get(message.topic, []):
@@ -316,7 +308,7 @@ class Broker:
 
     def _finish(self, message: _Message, outcome: str | None) -> None:
         if outcome is not None:
-            self._count(message.qos, outcome)
+            self._c_messages[message.qos, outcome].inc()
         if message.span is not None and message.span.end is None:
             if outcome is not None:
                 message.span.args["outcome"] = outcome

@@ -32,6 +32,7 @@ from __future__ import annotations
 import dataclasses
 import math
 
+from repro.serving.observability import HandleCache, ensure_registry
 
 #: :attr:`Transfer.state` values.
 PENDING, FIRED, CANCELLED = "pending", "fired", "cancelled"
@@ -123,44 +124,39 @@ class LinkTelemetry:
 
     Registers ``link_bytes_total`` / ``link_retransmits_total`` counters
     and a ``link_queue_depth`` gauge on a
-    :class:`~repro.serving.observability.MetricsRegistry`; the shared
-    uplink and the store-and-forward buffer report through one of these
-    so a scrape shows every leg of the continuum's network.
+    :class:`~repro.serving.observability.MetricsRegistry` (a private
+    one when None); the shared uplink and the store-and-forward buffer
+    report through one of these so a scrape shows every leg of the
+    continuum's network.
     """
 
     def __init__(self, registry, link_name: str):
-        self.link_name = link_name
-        self._bytes = registry.counter(
+        registry = ensure_registry(registry)
+        sent = registry.counter(
             "link_bytes_total",
             "Payload bytes carried per link and direction.")
-        self._retransmits = registry.counter(
+        self._retx = registry.counter(
             "link_retransmits_total",
-            "Packets retransmitted after loss, per link.")
-        self._queue = registry.gauge(
+            "Packets retransmitted after loss, per link.",
+            ).labels(link=link_name)
+        depth = registry.gauge(
             "link_queue_depth",
             "Transfers in flight (or buffered) per link component.")
-        self._sent_handles: dict[str, object] = {}
-        self._retx = self._retransmits.labels(link=link_name)
-        self._depth_handles: dict[str, object] = {}
+        self._sent = HandleCache(lambda direction: sent.labels(
+            link=link_name, direction=direction))
+        self._depth = HandleCache(lambda component: depth.labels(
+            link=link_name, component=component))
 
     def sent(self, payload_bytes: float, direction: str,
              retransmits: int = 0) -> None:
         """Record one completed transfer."""
-        handle = self._sent_handles.get(direction)
-        if handle is None:
-            handle = self._sent_handles[direction] = self._bytes.labels(
-                link=self.link_name, direction=direction)
-        handle.inc(payload_bytes)
+        self._sent[direction].inc(payload_bytes)
         if retransmits:
             self._retx.inc(retransmits)
 
     def queue_depth(self, depth: int, component: str = "uplink") -> None:
         """Publish the current in-flight/buffered transfer count."""
-        handle = self._depth_handles.get(component)
-        if handle is None:
-            handle = self._depth_handles[component] = self._queue.labels(
-                link=self.link_name, component=component)
-        handle.set(float(depth))
+        self._depth[component].set(float(depth))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -29,6 +29,11 @@ from repro.engine.oom import max_batch_size
 from repro.hardware.platform import PlatformSpec
 from repro.models.graph import ModelGraph
 from repro.preprocessing.frameworks import DALI, PreprocessFramework
+from repro.serving.observability import (
+    DEFAULT_BUCKETS,
+    HandleCache,
+    ensure_registry,
+)
 from repro.serving.request import Request, Response
 from repro.serving.tracectx import TraceContext
 
@@ -196,6 +201,9 @@ class ContinuumReplayer:
     successfully delivered cloud result is inserted for the frames that
     follow.  Requests without a fingerprint, or a replayer without a
     cache, behave exactly as before.
+
+    ``registry`` (a private one when None) receives the end-to-end
+    latency histogram, with exemplars when ``exemplars`` is set.
     """
 
     def __init__(self, target, link: NetworkLink,
@@ -214,9 +222,6 @@ class ContinuumReplayer:
             raise ValueError("cache_lookup_time must be >= 0")
         if not 0.0 <= trace_sample_rate <= 1.0:
             raise ValueError("trace_sample_rate must lie in [0, 1]")
-        if exemplars and registry is None:
-            raise ValueError(
-                "exemplars need a registry to record into")
         self.target = target
         self.link = link
         self.edge_preprocess_time = edge_preprocess_time
@@ -252,29 +257,27 @@ class ContinuumReplayer:
         self.edge_responses: list[Response] = []
         #: Responses answered from the edge result cache.
         self.cache_responses: list[Response] = []
-        self._h_latency = self._c_requests = None
-        self._c_uplink_saved = None
-        if registry is not None:
-            self._c_uplink_saved = registry.counter(
-                "cache_uplink_bytes_saved_total",
-                "Uplink payload bytes avoided by edge cache hits.",
-                ).labels()
-        if registry is not None:
-            from repro.serving.observability import DEFAULT_BUCKETS
-            self._h_latency = registry.histogram(
-                "continuum_latency_seconds",
-                "End-to-end continuum latency (edge entry to result "
-                "delivery).",
-                buckets=(latency_buckets if latency_buckets is not None
-                         else DEFAULT_BUCKETS))
-            if self._exemplars:
-                self._h_latency.enable_exemplars()
-            self._c_requests = registry.counter(
-                "continuum_requests_total",
-                "Continuum requests by placement and final status.")
+        registry = ensure_registry(registry, lambda: self.sim.now)
+        self._c_uplink_saved = registry.counter(
+            "cache_uplink_bytes_saved_total",
+            "Uplink payload bytes avoided by edge cache hits.",
+            ).labels()
+        latency = registry.histogram(
+            "continuum_latency_seconds",
+            "End-to-end continuum latency (edge entry to result "
+            "delivery).",
+            buckets=(latency_buckets if latency_buckets is not None
+                     else DEFAULT_BUCKETS))
+        if self._exemplars:
+            latency.enable_exemplars()
+        requests = registry.counter(
+            "continuum_requests_total",
+            "Continuum requests by placement and final status.")
         #: (model, placement, status) -> bound (histogram, counter)
         #: handles for the finalize hot path.
-        self._finalize_handles: dict[tuple[str, str, str], tuple] = {}
+        self._finalize_handles = HandleCache(lambda key: (
+            latency.labels(model=key[0]),
+            requests.labels(placement=key[1], status=key[2])))
         if hasattr(target, "on_response"):
             target.on_response(self.handle_response)
 
@@ -357,8 +360,7 @@ class ContinuumReplayer:
                          tier="edge_result", images=request.num_images)
         saved = self.image_bytes * request.num_images
         self.uplink_bytes_saved += saved
-        if self._c_uplink_saved is not None:
-            self._c_uplink_saved.inc(saved)
+        self._c_uplink_saved.inc(saved)
 
         def served() -> None:
             ctx.end(span, self.sim.now)
@@ -435,23 +437,14 @@ class ContinuumReplayer:
                                     direction="downlink")
 
     def _finalize(self, ctx: TraceContext, request: Request) -> None:
-        if self._h_latency is not None:
-            model = str(ctx.baggage.get("model"))
-            placement = str(ctx.baggage.get("placement"))
-            status = str(ctx.status)
-            key = (model, placement, status)
-            handles = self._finalize_handles.get(key)
-            if handles is None:
-                handles = self._finalize_handles[key] = (
-                    self._h_latency.labels(model=model),
-                    self._c_requests.labels(placement=placement,
-                                            status=status))
-            if self._exemplars:
-                handles[0].observe(ctx.latency,
-                                   trace_id=str(ctx.trace_id))
-            else:
-                handles[0].observe(ctx.latency)
-            handles[1].inc()
+        handles = self._finalize_handles[
+            str(ctx.baggage.get("model")),
+            str(ctx.baggage.get("placement")), str(ctx.status)]
+        if self._exemplars:
+            handles[0].observe(ctx.latency, trace_id=str(ctx.trace_id))
+        else:
+            handles[0].observe(ctx.latency)
+        handles[1].inc()
         if not ctx.sampled:
             # Metrics recorded above; the request drops its reference
             # so the discarded spans become garbage.

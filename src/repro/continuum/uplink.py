@@ -82,8 +82,9 @@ class SharedUplink:
         in submission order, so identical replays consume identical
         samples.
     registry:
-        Optional metrics registry; wires ``link_bytes_total``,
-        ``link_retransmits_total`` and ``link_queue_depth``.
+        Metrics registry for ``link_bytes_total``,
+        ``link_retransmits_total`` and ``link_queue_depth`` (a private
+        one when None).
 
     Only ``direction="uplink"`` transfers contend — the uplink is the
     asymmetric leg the paper worries about; downlink results are small
@@ -96,8 +97,7 @@ class SharedUplink:
         self.link = link
         self.sim = sim
         self._rng = np.random.default_rng(seed)
-        self.telemetry = (LinkTelemetry(registry, link.name)
-                          if registry is not None else None)
+        self.telemetry = LinkTelemetry(registry, link.name)
         self._flows: list[_Flow] = []
         self._last = sim.now
         self._completion = None
@@ -138,8 +138,7 @@ class SharedUplink:
         if self._completion is not None:
             self.sim.cancel(self._completion)
             self._completion = None
-        if self.telemetry is not None:
-            self.telemetry.queue_depth(len(self._flows))
+        self.telemetry.queue_depth(len(self._flows))
         if not self._flows:
             return
         n = len(self._flows)
@@ -232,7 +231,8 @@ class StoreAndForward:
     ``store_and_forward`` span so the trace shows the wait — and drain
     in order on restore.  Only a full buffer drops (tail drop, counted
     in ``dropped``): connectivity loss degrades to delayed delivery,
-    not to data loss.
+    not to data loss.  ``registry`` receives the buffer's
+    ``link_queue_depth`` (a private one when None).
     """
 
     def __init__(self, transport, sim, outage=None,
@@ -247,8 +247,7 @@ class StoreAndForward:
         self.down = False
         self._queue: collections.deque = collections.deque()
         self._buffered_bytes = 0.0
-        self.telemetry = (LinkTelemetry(registry, self.link.name)
-                          if registry is not None else None)
+        self.telemetry = LinkTelemetry(registry, self.link.name)
         #: Lifetime statistics.
         self.buffered_total = 0
         self.dropped = 0
@@ -357,6 +356,4 @@ class StoreAndForward:
         self._publish_depth()
 
     def _publish_depth(self) -> None:
-        if self.telemetry is not None:
-            self.telemetry.queue_depth(len(self._queue),
-                                       component="buffer")
+        self.telemetry.queue_depth(len(self._queue), component="buffer")

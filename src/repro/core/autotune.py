@@ -54,7 +54,7 @@ class SLOAutotuner:
                  min_delay: float = 1e-4, max_delay: float = 0.05,
                  shrink_factor: float = 0.5, grow_step: float = 1e-3,
                  headroom: float = 0.6):
-        if target_p95_seconds <= 0 or interval_seconds <= 0:
+        if not target_p95_seconds > 0 or not interval_seconds > 0:
             raise ValueError("target and interval must be positive")
         if not 0 < min_delay <= max_delay:
             raise ValueError("need 0 < min_delay <= max_delay")

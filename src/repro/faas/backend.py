@@ -43,12 +43,13 @@ import numpy as np
 
 from repro.faas.cost import CostLedger, CostModel
 from repro.faas.platform import FaaSPlatformModel
+from repro.serving.frontend import ServingFrontend
 from repro.serving.observability import (
     BoundCounter,
     BoundGauge,
     MetricsRegistry,
 )
-from repro.serving.request import Request, Response
+from repro.serving.request import Request
 
 
 @dataclasses.dataclass(frozen=True)
@@ -123,18 +124,20 @@ class _Instance:
 
 
 class _Function:
-    """Per-function runtime state: instances, queue, stats."""
+    """Per-function runtime state: instances, queue, stats, metrics."""
 
     __slots__ = ("config", "instances", "queue", "stats", "next_id",
-                 "provisioned_target")
+                 "provisioned_target", "metrics")
 
-    def __init__(self, config: FaaSFunctionConfig):
+    def __init__(self, config: FaaSFunctionConfig,
+                 metrics: _FunctionHandles):
         self.config = config
         self.instances: list[_Instance] = []
         self.queue: deque = deque()
         self.stats = FunctionStats()
         self.next_id = 0
         self.provisioned_target = 0
+        self.metrics = metrics
 
 
 class _FunctionHandles(NamedTuple):
@@ -151,42 +154,24 @@ class _FunctionHandles(NamedTuple):
     prewarms: BoundCounter
 
 
-class FaaSBackend:
-    """Serverless request execution with cold starts and reaping."""
+class FaaSBackend(ServingFrontend):
+    """Serverless request execution with cold starts and reaping
+    (request accounting comes from
+    :class:`~repro.serving.frontend.ServingFrontend`)."""
 
     def __init__(self, sim, registry: MetricsRegistry | None = None,
                  cost_model: CostModel | None = None,
                  seed: int | None = 0):
-        self.sim = sim
-        self.metrics = registry if registry is not None else \
-            MetricsRegistry(clock=lambda: sim.now)
+        super().__init__(sim, registry)
         self.cost = CostLedger(cost_model if cost_model is not None
                                else CostModel())
         self._rng = None if seed is None else np.random.default_rng(seed)
-        self.draining = False
-        self.responses: list[Response] = []
-        self._on_response: Callable[[Response], None] | None = None
         #: Optional :class:`~repro.serving.tracectx.TraceContext` for
         #: lifecycle events that belong to no request (instance reaps,
         #: prewarm spawns); see :meth:`attach_lifecycle_trace`.
         self.lifecycle_trace = None
         self._functions: dict[str, _Function] = {}
         m = self.metrics
-        self._c_submitted = m.counter(
-            "requests_submitted_total", "Requests accepted by model.")
-        self._c_images_in = m.counter(
-            "images_submitted_total", "Images accepted by model.")
-        self._c_responses = m.counter(
-            "responses_total", "Completed responses by model and status.")
-        self._c_images_done = m.counter(
-            "images_completed_total",
-            "Images in completed responses by model and status.")
-        self._c_drain_rejections = m.counter(
-            "drain_rejections_total",
-            "Requests refused because the server was draining.")
-        self._h_latency = m.histogram(
-            "request_latency_seconds",
-            "End-to-end latency of completed requests per model.")
         self._c_cold = m.counter(
             "faas_cold_starts_total",
             "Request-blocking cold starts per function.")
@@ -209,9 +194,6 @@ class FaaSBackend:
         self._g_warm = m.gauge(
             "faas_warm_instances",
             "Initialized (idle or busy) instances per function.")
-        self._submit_handles: dict[str, tuple] = {}
-        self._respond_handles: dict[tuple[str, str], tuple] = {}
-        self._fn_handles: dict[str, _FunctionHandles] = {}
 
     # ------------------------------------------------------------------
     # Repository management
@@ -221,8 +203,7 @@ class FaaSBackend:
         if config.name in self._functions:
             raise ValueError(
                 f"function {config.name!r} already registered")
-        self._functions[config.name] = _Function(config)
-        handles = self._fn_handles[config.name] = _FunctionHandles(
+        handles = _FunctionHandles(
             cold=self._c_cold.labels(function=config.name),
             reaps=self._c_reaps.labels(function=config.name),
             gb_seconds=self._c_gb_seconds.labels(function=config.name),
@@ -235,6 +216,7 @@ class FaaSBackend:
             prewarms=self._c_prewarms.labels(function=config.name),
         )
         handles.warm.set(0)
+        self._functions[config.name] = _Function(config, handles)
 
     def model_names(self) -> list[str]:
         """Deployed function names (server duck-type surface)."""
@@ -244,10 +226,6 @@ class FaaSBackend:
         """Record requestless lifecycle events (reaps, prewarms) as
         instants on ``trace``."""
         self.lifecycle_trace = trace
-
-    def on_response(self, callback: Callable[[Response], None]) -> None:
-        """Register a completion callback (e.g. closed-loop clients)."""
-        self._on_response = callback
 
     def function_stats(self, name: str) -> FunctionStats:
         """Aggregate lifetime stats for one function."""
@@ -333,24 +311,9 @@ class FaaSBackend:
         one while under the concurrency limit, queues otherwise (and
         rejects when the bounded queue overflows).
         """
-        request.arrival_time = self.sim.now
-        if self.draining:
-            self._c_drain_rejections.inc(model=request.model_name)
-            if request.trace is not None:
-                request.trace.instant("drain_reject", self.sim.now,
-                                      category="serving",
-                                      model=request.model_name)
-            self._respond(request, status="rejected")
+        if not self._admit(request):
             return
         fn = self._functions[request.model_name]
-        handles = self._submit_handles.get(request.model_name)
-        if handles is None:
-            handles = self._submit_handles[request.model_name] = (
-                self._c_submitted.labels(model=request.model_name),
-                self._c_images_in.labels(model=request.model_name),
-            )
-        handles[0].inc()
-        handles[1].inc(request.num_images)
         idle = self._pick_idle(fn)
         if idle is not None:
             fn.stats.warm_starts += 1
@@ -362,7 +325,7 @@ class FaaSBackend:
         if fn.config.max_queue_depth and \
                 len(fn.queue) >= fn.config.max_queue_depth:
             fn.stats.rejected += 1
-            self._fn_handles[fn.config.name].rejections.inc()
+            fn.metrics.rejections.inc()
             self._respond(request, status="rejected")
             return
         span = None
@@ -405,8 +368,7 @@ class FaaSBackend:
                                       len(fn.instances))
         sandbox, init = fn.config.platform.sample_cold_start(self._rng)
         fn.stats.init_seconds += sandbox + init
-        handles = self._fn_handles[fn.config.name]
-        warm_handle = handles.warm
+        handles = fn.metrics
         if request is not None:
             fn.stats.cold_starts += 1
             handles.cold.inc()
@@ -444,7 +406,7 @@ class FaaSBackend:
             def initialized() -> None:
                 if init_span is not None:
                     trace.end(init_span, self.sim.now)
-                warm_handle.set(self.warm_instances(fn.config.name) + 1)
+                handles.warm.set(self.warm_instances(fn.config.name) + 1)
                 if request is not None:
                     self._dispatch(fn, inst, request)
                 else:
@@ -482,7 +444,7 @@ class FaaSBackend:
             fn.stats.busy_seconds += duration
             if span is not None:
                 request.trace.end(span, self.sim.now)
-            handles = self._fn_handles[fn.config.name]
+            handles = fn.metrics
             if request.cold_start:
                 handles.invoked_cold.inc()
             else:
@@ -536,7 +498,7 @@ class FaaSBackend:
         fn.instances.remove(inst)
         fn.stats.reaps += 1
         self._settle_pin(fn, inst)
-        handles = self._fn_handles[fn.config.name]
+        handles = fn.metrics
         handles.reaps.inc()
         handles.warm.set(self.warm_instances(fn.config.name))
         if self.lifecycle_trace is not None:
@@ -606,28 +568,6 @@ class FaaSBackend:
             if len(fn.instances) >= fn.config.concurrency_limit:
                 break
             self._spawn(fn, None, pinned=True)
-
-    # ------------------------------------------------------------------
-    # Completion path
-    # ------------------------------------------------------------------
-    def _respond(self, request: Request, status: str = "ok") -> None:
-        response = Response(request, self.sim.now, status=status)
-        if request.trace is not None:
-            request.trace.close(self.sim.now, status=status)
-        self.responses.append(response)
-        key = (request.model_name, status)
-        handles = self._respond_handles.get(key)
-        if handles is None:
-            handles = self._respond_handles[key] = (
-                self._c_responses.labels(model=key[0], status=status),
-                self._c_images_done.labels(model=key[0], status=status),
-                self._h_latency.labels(model=key[0]),
-            )
-        handles[0].inc()
-        handles[1].inc(request.num_images)
-        handles[2].observe(response.latency)
-        if self._on_response is not None:
-            self._on_response(response)
 
     # ------------------------------------------------------------------
     # Cost accounting

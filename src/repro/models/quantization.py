@@ -15,6 +15,7 @@ import dataclasses
 import numpy as np
 
 from repro.models.functional import FunctionalModel, build_functional
+from repro.models.workspace import WeightPack
 
 
 @dataclasses.dataclass(frozen=True)
@@ -78,6 +79,9 @@ def quantized_model(name: str, bits: int = 8,
     """A functional model whose weights sit on the INT-``bits`` grid."""
     model = build_functional(name, seed=seed)
     model.weights.update(quantize_weights(model.weights, bits))
+    # Repack (same arena): the old pack would keep every replaced
+    # float weight alive, and the quantized ones would run unpacked.
+    model.pack = WeightPack(model.weights, model.pack.arena)
     return model
 
 

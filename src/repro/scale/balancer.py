@@ -19,7 +19,11 @@ from __future__ import annotations
 import abc
 
 from repro.scale.admission import AdmissionController
-from repro.serving.observability import MetricsRegistry
+from repro.serving.observability import (
+    HandleCache,
+    MetricsRegistry,
+    ensure_registry,
+)
 from repro.serving.request import Request, Response
 from repro.serving.server import TritonLikeServer
 
@@ -136,8 +140,7 @@ class LoadBalancer:
         #: harvested from released backends, awaiting the next collect.
         self._pending: list[Response] = []
         sim = backends[0].sim
-        self.metrics = (registry if registry is not None
-                        else MetricsRegistry(clock=lambda: sim.now))
+        self.metrics = ensure_registry(registry, lambda: sim.now)
         m = self.metrics
         # Label-free metrics bind their single series once; the shed
         # counter keeps a small per-reason handle cache (reasons come
@@ -148,10 +151,10 @@ class LoadBalancer:
         self._c_admitted = m.counter(
             "admission_admitted_total",
             "Requests admitted at the balancer front door.").labels()
-        self._c_shed = m.counter(
+        shed = m.counter(
             "admission_rejected_total",
             "Requests shed at the front door, by reason.")
-        self._shed_handles: dict[str, object] = {}
+        self._c_shed = HandleCache(lambda r: shed.labels(reason=r))
         self._g_active = m.gauge(
             "balancer_active_backends",
             "Backends receiving routes.").labels()
@@ -260,11 +263,7 @@ class LoadBalancer:
                                             trace=request.trace,
                                             cache_hit=cache_hit)
             if not decision.admitted:
-                shed = self._shed_handles.get(decision.reason)
-                if shed is None:
-                    shed = self._shed_handles[decision.reason] = (
-                        self._c_shed.labels(reason=decision.reason))
-                shed.inc()
+                self._c_shed[decision.reason].inc()
                 request.arrival_time = self.sim.now
                 if request.trace is not None:
                     request.trace.close(self.sim.now, status="rejected")

@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 from collections import deque
 
+from repro.serving.observability import ensure_registry
 from repro.serving.request import Request
 
 
@@ -76,10 +77,10 @@ class QueuedRequest:
 class DynamicBatcher:
     """The queue + batch-forming policy for one model.
 
-    With ``metrics`` bound (the server passes its registry and the
-    model name as ``stage``), the batcher emits enqueue counters, a
-    queue-wait histogram, and a dispatched-batch-size histogram; left
-    unbound (direct construction in tests) it stays silent.
+    The batcher emits enqueue counters, a queue-wait histogram, and a
+    dispatched-batch-size histogram into ``metrics`` (the server passes
+    its registry and the model name as ``stage``; without one they go
+    to a private registry).
     """
 
     #: Image-count buckets for the dispatched-batch-size histogram.
@@ -94,22 +95,20 @@ class DynamicBatcher:
         #: time-series sampler never walk the queue.
         self._queued_images = 0
         self._stage = stage if stage is not None else ""
-        if metrics is not None:
-            # Stage is fixed per batcher: bind the label handles once so
-            # the per-request enqueue/dispatch updates skip label-key
-            # construction.
-            self._c_enqueued = metrics.counter(
-                "batcher_enqueued_total", "Requests queued per stage.",
-                ).labels(stage=self._stage)
-            self._h_wait = metrics.histogram(
-                "queue_wait_seconds",
-                "Enqueue-to-dispatch wait per stage.",
-                ).labels(stage=self._stage)
-            self._h_size = metrics.histogram(
-                "batch_size_images", "Dispatched batch size per stage.",
-                buckets=self.SIZE_BUCKETS).labels(stage=self._stage)
-        else:
-            self._c_enqueued = self._h_wait = self._h_size = None
+        metrics = ensure_registry(metrics)
+        # Stage is fixed per batcher: bind the label handles once so
+        # the per-request enqueue/dispatch updates skip label-key
+        # construction.
+        self._c_enqueued = metrics.counter(
+            "batcher_enqueued_total", "Requests queued per stage.",
+            ).labels(stage=self._stage)
+        self._h_wait = metrics.histogram(
+            "queue_wait_seconds",
+            "Enqueue-to-dispatch wait per stage.",
+            ).labels(stage=self._stage)
+        self._h_size = metrics.histogram(
+            "batch_size_images", "Dispatched batch size per stage.",
+            buckets=self.SIZE_BUCKETS).labels(stage=self._stage)
 
     def __len__(self) -> int:
         return len(self._queue)
@@ -130,8 +129,7 @@ class DynamicBatcher:
                 "queue_wait", now, category="queue", stage=self._stage)
         self._queue.append(queued)
         self._queued_images += request.num_images
-        if self._c_enqueued is not None:
-            self._c_enqueued.inc()
+        self._c_enqueued.inc()
 
     # ------------------------------------------------------------------
     # Fluid-regime state handoff
@@ -172,7 +170,7 @@ class DynamicBatcher:
                 "restored queue must be in enqueue-time order")
         self._queue.extend(queued)
         self._queued_images = sum(q.request.num_images for q in queued)
-        if new_enqueues and self._c_enqueued is not None:
+        if new_enqueues:
             self._c_enqueued.inc(new_enqueues)
 
     # ------------------------------------------------------------------
@@ -222,12 +220,12 @@ class DynamicBatcher:
                 picked.append(index)
                 images += request.num_images
         batch = [self._queue[i].request for i in picked]
-        if now is not None and self._h_wait is not None:
+        batch_images = sum(r.num_images for r in batch)
+        if now is not None:
             for index in picked:
                 self._h_wait.observe(
                     now - self._queue[index].enqueue_time)
-            self._h_size.observe(sum(r.num_images for r in batch))
-        batch_images = sum(r.num_images for r in batch)
+            self._h_size.observe(batch_images)
         for index in picked:
             queued = self._queue[index]
             if queued.wait_span is not None:
@@ -238,7 +236,7 @@ class DynamicBatcher:
                     stage=self._stage, batch_images=batch_images)
         for index in sorted(picked, reverse=True):
             del self._queue[index]
-        self._queued_images -= sum(r.num_images for r in batch)
+        self._queued_images -= batch_images
         return batch
 
     def _pick_target_size(self) -> int:

@@ -46,8 +46,8 @@ class FaultModel:
     def __post_init__(self) -> None:
         if not 0.0 <= self.failure_probability <= 1.0:
             raise ValueError("failure probability must be in [0, 1]")
-        if self.detect_seconds < 0:
-            raise ValueError("detection time must be >= 0")
+        if not 0 <= self.detect_seconds < float("inf"):  # NaN too
+            raise ValueError("detection time must be >= 0 and finite")
         self._rng = np.random.default_rng(self.seed)
         self.injected = 0
 

@@ -14,6 +14,7 @@ import dataclasses
 from collections.abc import Callable
 
 from repro.serving.events import Simulator
+from repro.serving.observability import ensure_registry
 from repro.serving.request import Request
 
 #: Maps a batch image count to its backend execution time in seconds.
@@ -48,7 +49,8 @@ class BackendInstance:
     ``fault_model`` (see :mod:`repro.serving.faults`) makes executions
     fail probabilistically; failed batches occupy the instance for the
     detection window, then fire ``on_failure`` instead of
-    ``on_complete``.
+    ``on_complete``.  ``metrics`` receives the per-stage execution
+    families (a private registry when None).
     """
 
     def __init__(self, name: str, service_time: ServiceTimeFn,
@@ -63,35 +65,31 @@ class BackendInstance:
         self.current_images = 0
         self.stats = InstanceStats()
         self.fault_model = fault_model
-        self._stage = name.split("#")[0]
-        if metrics is not None:
-            # Bound label handles: the stage label is fixed for the
-            # instance's lifetime, so every per-batch update skips the
-            # label-key build entirely.
-            stage = self._stage
-            self._h_exec = metrics.histogram(
-                "execution_seconds",
-                "Successful backend execution time per stage.",
-                ).labels(stage=stage)
-            self._c_batches = metrics.counter(
-                "batches_executed_total",
-                "Successful batch executions per stage.",
-                ).labels(stage=stage)
-            self._c_images = metrics.counter(
-                "images_executed_total",
-                "Images in successful executions per stage.",
-                ).labels(stage=stage)
-            self._c_failures = metrics.counter(
-                "execution_failures_total",
-                "Failed backend executions per stage.",
-                ).labels(stage=stage)
-            self._c_fault_seconds = metrics.counter(
-                "fault_seconds_total",
-                "Instance time lost to failed executions per stage.",
-                ).labels(stage=stage)
-        else:
-            self._h_exec = self._c_batches = self._c_images = None
-            self._c_failures = self._c_fault_seconds = None
+        self._stage = stage = name.split("#")[0]
+        metrics = ensure_registry(metrics, lambda: sim.now)
+        # Bound label handles: the stage label is fixed for the
+        # instance's lifetime, so every per-batch update skips the
+        # label-key build entirely.
+        self._h_exec = metrics.histogram(
+            "execution_seconds",
+            "Successful backend execution time per stage.",
+            ).labels(stage=stage)
+        self._c_batches = metrics.counter(
+            "batches_executed_total",
+            "Successful batch executions per stage.",
+            ).labels(stage=stage)
+        self._c_images = metrics.counter(
+            "images_executed_total",
+            "Images in successful executions per stage.",
+            ).labels(stage=stage)
+        self._c_failures = metrics.counter(
+            "execution_failures_total",
+            "Failed backend executions per stage.",
+            ).labels(stage=stage)
+        self._c_fault_seconds = metrics.counter(
+            "fault_seconds_total",
+            "Instance time lost to failed executions per stage.",
+            ).labels(stage=stage)
 
     def execute(self, batch: list[Request],
                 on_complete: Callable[[list[Request]], None],
@@ -141,9 +139,8 @@ class BackendInstance:
                 for request, span in trace_spans:
                     span.args["outcome"] = "fault"
                     request.trace.end(span, self.sim.now)
-                if self._c_failures is not None:
-                    self._c_failures.inc()
-                    self._c_fault_seconds.inc(detect)
+                self._c_failures.inc()
+                self._c_fault_seconds.inc(detect)
                 on_failure(batch)
 
             self.sim.schedule(detect, fail)
@@ -157,10 +154,9 @@ class BackendInstance:
             self.stats.busy_seconds += duration
             for request, span in trace_spans:
                 request.trace.end(span, self.sim.now)
-            if self._h_exec is not None:
-                self._h_exec.observe(duration)
-                self._c_batches.inc()
-                self._c_images.inc(images)
+            self._h_exec.observe(duration)
+            self._c_batches.inc()
+            self._c_images.inc(images)
             on_complete(batch)
 
         self.sim.schedule(duration, finish)

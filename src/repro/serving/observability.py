@@ -57,6 +57,22 @@ def _frozen_clock() -> float:
     return 0.0
 
 
+class HandleCache(dict):
+    """Bound handles resolved on first use: ``cache[key]`` calls
+    ``bind(key)`` the first time a key is read and is a plain dict
+    lookup after that."""
+
+    __slots__ = ("_bind",)
+
+    def __init__(self, bind: Callable):
+        super().__init__()
+        self._bind = bind
+
+    def __missing__(self, key):
+        value = self[key] = self._bind(key)
+        return value
+
+
 class Metric:
     """Base class for one named metric family (all label sets)."""
 
@@ -68,7 +84,7 @@ class Metric:
         self.help = help
         self._clock = clock
         #: Bound per-label-set handles, keyed like the value stores.
-        self._children: dict[LabelKey, object] = {}
+        self._children = HandleCache(self._make_child)
 
     def labels(self, **labels: str):
         """A handle bound to one label set (the steady-state fast path).
@@ -80,12 +96,7 @@ class Metric:
         write through to the parent family, so exports and reads stay
         byte-identical to the keyword-argument path.
         """
-        key = _label_key(labels)
-        child = self._children.get(key)
-        if child is None:
-            child = self._make_child(key)
-            self._children[key] = child
-        return child
+        return self._children[_label_key(labels)]
 
     def _make_child(self, key: LabelKey):
         raise NotImplementedError(
@@ -117,11 +128,12 @@ class Metric:
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state["_clock"] = None
-        state["_children"] = {}
+        del state["_children"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
+        self._children = HandleCache(self._make_child)
         if self._clock is None:
             self._clock = _frozen_clock
 
@@ -645,6 +657,15 @@ class MetricsRegistry:
             self._clock = _frozen_clock
 
 
+def ensure_registry(registry: MetricsRegistry | None,
+                    clock: Callable[[], float] | None = None,
+                    ) -> MetricsRegistry:
+    """``registry``, or a private one on ``clock`` when it is None, so
+    a component built without a registry still records unconditionally
+    (into one nobody scrapes)."""
+    return registry if registry is not None else MetricsRegistry(clock)
+
+
 # ----------------------------------------------------------------------
 # Time-series sampling
 # ----------------------------------------------------------------------
@@ -684,8 +705,9 @@ class TimeSeriesSampler:
 
     def __init__(self, server, interval: float = 0.05,
                  max_samples: int = 1_000_000):
-        if interval <= 0:
-            raise ValueError("sampling interval must be positive")
+        if not 0 < interval < float("inf"):  # NaN compares false too
+            raise ValueError("sampling interval must be positive and "
+                             "finite")
         if max_samples < 1:
             raise ValueError("max_samples must be >= 1")
         self.server = server
@@ -697,17 +719,15 @@ class TimeSeriesSampler:
         #: time series is visibly capped, never silently short.
         self.truncated = False
         self._seen_models: set[str] = set()
-        #: Bound per-model gauge handles, resolved once per model.
-        self._model_handles: dict[str, tuple] = {}
         metrics = server.metrics
-        self._g_depth = metrics.gauge(
-            "queue_depth", "Requests waiting per model queue.")
-        self._g_images = metrics.gauge(
-            "queued_images", "Images waiting per model queue.")
-        self._g_busy = metrics.gauge(
-            "busy_instances", "Instances currently executing per model.")
-        self._g_total = metrics.gauge(
-            "total_instances", "Instance-group size per model.")
+        self._gauges = tuple(metrics.gauge(name, help) for name, help in (
+            ("queue_depth", "Requests waiting per model queue."),
+            ("queued_images", "Images waiting per model queue."),
+            ("busy_instances", "Instances currently executing per model."),
+            ("total_instances", "Instance-group size per model.")))
+        #: Bound per-model gauge handles, resolved once per model.
+        self._model_handles = HandleCache(lambda model: tuple(
+            gauge.labels(model=model) for gauge in self._gauges))
         self._g_inflight = metrics.gauge(
             "inflight_batches", "Batches executing right now.").labels()
 
@@ -738,15 +758,7 @@ class TimeSeriesSampler:
         )
         self.samples.append(point)
         for model in models:
-            handles = self._model_handles.get(model)
-            if handles is None:
-                handles = self._model_handles[model] = (
-                    self._g_depth.labels(model=model),
-                    self._g_images.labels(model=model),
-                    self._g_busy.labels(model=model),
-                    self._g_total.labels(model=model),
-                )
-            depth, images, busy, total = handles
+            depth, images, busy, total = self._model_handles[model]
             depth.set(point.queue_depth[model])
             images.set(point.queued_images[model])
             busy.set(point.busy_instances[model])
@@ -757,8 +769,7 @@ class TimeSeriesSampler:
         # forever (a stale series, the classic unload bug).
         for model in self._seen_models - models:
             self._model_handles.pop(model, None)
-            for gauge in (self._g_depth, self._g_images, self._g_busy,
-                          self._g_total):
+            for gauge in self._gauges:
                 gauge.remove(model=model)
         self._seen_models = models
         return point

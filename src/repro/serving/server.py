@@ -12,7 +12,6 @@ flow through a preprocessing model first (an ensemble of two backends,
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Callable
 
 from repro.serving.batcher import (
     BatcherConfig,
@@ -20,6 +19,7 @@ from repro.serving.batcher import (
     QueueFullError,
 )
 from repro.serving.events import Event, Simulator
+from repro.serving.frontend import ServingFrontend
 from repro.serving.instance import BackendInstance, ServiceTimeFn
 from repro.serving.observability import MetricsRegistry
 from repro.serving.request import Request, Response
@@ -75,16 +75,13 @@ class EnsembleConfig:
             raise ValueError("duplicate consumers in ensemble")
 
 
-class TritonLikeServer:
-    """The serving frontend + scheduler."""
+class TritonLikeServer(ServingFrontend):
+    """The serving frontend + scheduler (request accounting comes from
+    :class:`~repro.serving.frontend.ServingFrontend`)."""
 
     def __init__(self, sim: Simulator | None = None,
                  registry: MetricsRegistry | None = None):
-        self.sim = sim if sim is not None else Simulator()
-        #: Live metrics registry stamped on the simulator clock (see
-        #: :mod:`repro.serving.observability`).
-        self.metrics = (registry if registry is not None
-                        else MetricsRegistry(clock=lambda: self.sim.now))
+        super().__init__(sim if sim is not None else Simulator(), registry)
         self._models: dict[str, ModelConfig] = {}
         self._ensembles: dict[str, EnsembleConfig] = {}
         self._batchers: dict[str, DynamicBatcher] = {}
@@ -96,34 +93,13 @@ class TritonLikeServer:
         self._pending_fanout: dict[int, int] = {}
         #: Rejected-branch count per in-flight fan-out request.
         self._rejected_fanout: dict[int, int] = {}
-        #: A draining server stops accepting *new* frontend requests but
-        #: finishes everything already queued or executing (the
-        #: autoscaler's graceful scale-in path).
-        self.draining = False
         #: Optional :class:`~repro.cache.tiers.CacheHierarchy` holding
         #: the cloud preprocessed-tensor tier (see :meth:`attach_cache`).
         self.cache = None
         self._cache_tensor_bytes = 0.0
-        self.responses: list[Response] = []
-        self._on_response: Callable[[Response], None] | None = None
-        #: Whether completed-request latency observations carry
-        #: exemplars (see :meth:`enable_exemplars`).
-        self._exemplars = False
         m = self.metrics
-        self._c_submitted = m.counter(
-            "requests_submitted_total", "Requests accepted by model.")
-        self._c_images_in = m.counter(
-            "images_submitted_total", "Images accepted by model.")
-        self._c_responses = m.counter(
-            "responses_total", "Completed responses by model and status.")
-        self._c_images_done = m.counter(
-            "images_completed_total",
-            "Images in completed responses by model and status.")
         self._c_rejections = m.counter(
             "rejections_total", "Queue-full rejections per stage.")
-        self._c_drain_rejections = m.counter(
-            "drain_rejections_total",
-            "Requests refused because the server was draining.")
         self._g_draining = m.gauge(
             "server_draining", "1 while the server is draining.")
         self._c_retries = m.counter(
@@ -131,13 +107,6 @@ class TritonLikeServer:
         self._c_exhausted = m.counter(
             "retry_exhausted_total",
             "Requests failed after the retry budget per stage.")
-        self._h_latency = m.histogram(
-            "request_latency_seconds",
-            "End-to-end latency of completed requests per model.")
-        # Bound label handles resolved once per (model[, status]) so the
-        # per-request accept/respond path never rebuilds label keys.
-        self._submit_handles: dict[str, tuple] = {}
-        self._respond_handles: dict[tuple[str, str], tuple] = {}
 
     # ------------------------------------------------------------------
     # Repository management
@@ -184,8 +153,7 @@ class TritonLikeServer:
         preprocess stage or consumer) — unloading those would strand
         in-flight routing.  Any armed queue-delay timer is cancelled.
         """
-        if name not in self._models:
-            raise KeyError(f"unknown model {name!r}")
+        self._loaded(name)
         if len(self._batchers[name]) or self.busy_instances(name):
             raise RuntimeError(
                 f"model {name!r} still has queued or executing work")
@@ -200,9 +168,7 @@ class TritonLikeServer:
                 raise ValueError(
                     f"model {name!r} is a member of ensemble "
                     f"{ensemble.name!r}")
-        stale = self._timer_events.pop(name, None)
-        if stale is not None:
-            self.sim.cancel(stale)
+        self._disarm(name)
         del self._models[name]
         del self._batchers[name]
         del self._instances[name]
@@ -211,21 +177,17 @@ class TritonLikeServer:
         """Models loaded in the repository."""
         return sorted(self._models)
 
-    def on_response(self, callback: Callable[[Response], None]) -> None:
-        """Register a completion callback (e.g. closed-loop clients)."""
-        self._on_response = callback
+    def _loaded(self, model: str) -> ModelConfig:
+        """A loaded model's entry; an unknown name raises KeyError."""
+        if model not in self._models:
+            raise KeyError(f"unknown model {model!r}")
+        return self._models[model]
 
-    def enable_exemplars(self) -> None:
-        """Record request-latency exemplars for traced requests.
-
-        Enables exemplars on the ``request_latency_seconds`` family;
-        each completed traced request then stamps its
-        ``(latency, trace_id, sim_time)`` witness on the bucket it
-        lands in, linking the aggregate histogram back to a concrete
-        trace (see :func:`repro.serving.trace_export.explain_tail`).
-        """
-        self._exemplars = True
-        self._h_latency.enable_exemplars()
+    def _disarm(self, stage: str) -> None:
+        """Cancel the stage's armed queue-delay timer, if any."""
+        stale = self._timer_events.pop(stage, None)
+        if stale is not None:
+            self.sim.cancel(stale)
 
     def attach_cache(self, cache, tensor_bytes: float = 602112.0) -> None:
         """Enable the cloud preprocessed-tensor cache on this server.
@@ -271,28 +233,10 @@ class TritonLikeServer:
         """Accept a frontend request at the current virtual time.
 
         A draining server refuses new work outright (the request gets an
-        immediate ``rejected`` response); routing layers are expected to
-        stop sending before this fires, so the counter doubles as a
-        drain-correctness alarm.
+        immediate ``rejected`` response).
         """
-        request.arrival_time = self.sim.now
-        if self.draining:
-            self._c_drain_rejections.inc(model=request.model_name)
-            if request.trace is not None:
-                request.trace.instant("drain_reject", self.sim.now,
-                                      category="serving",
-                                      model=request.model_name)
-            self._respond(request, status="rejected")
+        if not self._admit(request):
             return
-        model = request.model_name
-        handles = self._submit_handles.get(model)
-        if handles is None:
-            handles = self._submit_handles[model] = (
-                self._c_submitted.labels(model=model),
-                self._c_images_in.labels(model=model),
-            )
-        handles[0].inc()
-        handles[1].inc(request.num_images)
         if request.model_name in self._ensembles:
             ensemble = self._ensembles[request.model_name]
             if self._cache_lookup_tensor(request):
@@ -442,32 +386,6 @@ class TritonLikeServer:
                 self._respond(request, status="failed")
         self._pump(stage)  # the instance is free again
 
-    def _respond(self, request: Request, status: str = "ok") -> None:
-        response = Response(request, self.sim.now, status=status)
-        if request.trace is not None:
-            # Close the root at server completion; the continuum
-            # replayer re-closes after the downlink leg (close() allows
-            # monotonic extension).
-            request.trace.close(self.sim.now, status=status)
-        self.responses.append(response)
-        key = (request.model_name, status)
-        handles = self._respond_handles.get(key)
-        if handles is None:
-            handles = self._respond_handles[key] = (
-                self._c_responses.labels(model=key[0], status=status),
-                self._c_images_done.labels(model=key[0], status=status),
-                self._h_latency.labels(model=key[0]),
-            )
-        handles[0].inc()
-        handles[1].inc(request.num_images)
-        if self._exemplars and request.trace is not None:
-            handles[2].observe(response.latency,
-                               trace_id=str(request.trace.trace_id))
-        else:
-            handles[2].observe(response.latency)
-        if self._on_response is not None:
-            self._on_response(response)
-
     # ------------------------------------------------------------------
     # Drain lifecycle (graceful scale-in)
     # ------------------------------------------------------------------
@@ -511,32 +429,24 @@ class TritonLikeServer:
         new config — otherwise a shorter ``max_queue_delay`` silently
         keeps the old, later deadline until it fires.
         """
-        if model not in self._batchers:
-            raise KeyError(f"unknown model {model!r}")
-        stale = self._timer_events.pop(model, None)
-        if stale is not None:
-            self.sim.cancel(stale)
+        self._loaded(model)
+        self._disarm(model)
         self._batchers[model].config = config
         self._pump(model)
 
     def batcher_config(self, model: str) -> BatcherConfig:
         """The live batching policy of a model."""
-        if model not in self._batchers:
-            raise KeyError(f"unknown model {model!r}")
+        self._loaded(model)
         return self._batchers[model].config
 
     def model_config(self, model: str) -> ModelConfig:
         """The repository entry for a loaded model."""
-        if model not in self._models:
-            raise KeyError(f"unknown model {model!r}")
-        return self._models[model]
+        return self._loaded(model)
 
     def inject_faults(self, model: str, fault_model) -> None:
         """Attach a :class:`~repro.serving.faults.FaultModel` to a
         loaded model's instances (chaos testing of a live repository)."""
-        if model not in self._models:
-            raise KeyError(f"unknown model {model!r}")
-        self._models[model].fault_model = fault_model
+        self._loaded(model).fault_model = fault_model
         for instance in self._instances[model]:
             instance.fault_model = fault_model
 
@@ -587,11 +497,8 @@ class TritonLikeServer:
         stay on the heap and fire normally, which is what carries the
         in-flight leg of the state across the boundary.
         """
-        if model not in self._batchers:
-            raise KeyError(f"unknown model {model!r}")
-        stale = self._timer_events.pop(model, None)
-        if stale is not None:
-            self.sim.cancel(stale)
+        self._loaded(model)
+        self._disarm(model)
         return self._batchers[model].extract_queue()
 
     def handoff_in(self, model: str, queued: list,
@@ -604,8 +511,7 @@ class TritonLikeServer:
         of them, for the enqueue counter).  Pumping restarts dispatch
         and re-arms the queue-delay timer from the restored state.
         """
-        if model not in self._batchers:
-            raise KeyError(f"unknown model {model!r}")
+        self._loaded(model)
         self._batchers[model].restore_queue(queued,
                                             new_enqueues=new_enqueues)
         self._pump(model)
@@ -626,31 +532,9 @@ class TritonLikeServer:
         spread evenly across the instance pool so utilization
         accounting matches what the DES would have recorded.
         """
-        if model not in self._models:
-            raise KeyError(f"unknown model {model!r}")
-        if submitted_requests:
-            handles = self._submit_handles.get(model)
-            if handles is None:
-                handles = self._submit_handles[model] = (
-                    self._c_submitted.labels(model=model),
-                    self._c_images_in.labels(model=model),
-                )
-            handles[0].inc(submitted_requests)
-            handles[1].inc(submitted_images)
-        if completed_requests:
-            key = (model, "ok")
-            handles = self._respond_handles.get(key)
-            if handles is None:
-                handles = self._respond_handles[key] = (
-                    self._c_responses.labels(model=model, status="ok"),
-                    self._c_images_done.labels(model=model,
-                                               status="ok"),
-                    self._h_latency.labels(model=model),
-                )
-            handles[0].inc(completed_requests)
-            handles[1].inc(completed_images)
-            if latencies is not None:
-                handles[2].observe_many(latencies)
+        self._loaded(model)
+        self._record_bulk(model, submitted_requests, submitted_images,
+                          completed_requests, completed_images, latencies)
         if busy_seconds:
             instances = self._instances[model]
             share = busy_seconds / len(instances)

@@ -102,6 +102,15 @@ class TestMetricsCommand:
         assert main(["metrics", "--rate", "0"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("interval", ["nan", "inf", "0"])
+    def test_bad_interval_is_rejected_before_the_run(self, capsys,
+                                                     interval):
+        assert main(["metrics", "--interval", interval,
+                     "--requests", "20"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--interval" in captured.err
+
     def test_nan_rate_is_rejected_before_the_run(self, capsys):
         # NaN passed a `rate <= 0` check and failed mid-run with an
         # event-core error that did not name the option.

@@ -97,6 +97,14 @@ class TestController:
         with pytest.raises(ValueError):
             SLOAutotuner(server, "m", 0.01, shrink_factor=1.5)
 
+    def test_nan_target_and_interval_rejected(self):
+        # NaN passed the old `<= 0` checks.
+        server = make_server()
+        with pytest.raises(ValueError):
+            SLOAutotuner(server, "m", target_p95_seconds=float("nan"))
+        with pytest.raises(ValueError):
+            SLOAutotuner(server, "m", 0.01, interval_seconds=float("nan"))
+
 
 class TestLiveReconfiguration:
     def test_reconfigure_batcher_swaps_policy(self):

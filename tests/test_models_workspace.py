@@ -88,3 +88,22 @@ class TestWeightPack:
         replacement = weights["patch.weight"].copy()
         weights["patch.weight"] = replacement
         assert pack.conv_operand(replacement) is None
+
+    @pytest.mark.parametrize("name", ["vit_tiny", "resnet50"])
+    def test_quantized_model_packs_only_live_weights(self, name):
+        # Quantization replaces weights in place; a pack built before
+        # then held every replaced float weight alive.
+        from repro.models.quantization import quantized_model
+
+        model = quantized_model(name)
+        pack = model.pack
+        sources = [w for w, _ in pack._linear_t.values()]
+        sources += [w for w, _ in pack._conv_mat.values()]
+        sources += [w for entry in pack._conv_bn.values()
+                    for w in entry[0]]
+        assert sources
+        for w in sources:
+            assert any(w is v for v in model.weights.values())
+        for key, w in model.weights.items():
+            if key.endswith(".weight") and w.ndim == 2:
+                assert pack.linear_operand(w) is not None

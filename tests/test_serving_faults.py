@@ -31,6 +31,11 @@ class TestFaultModel:
         with pytest.raises(ValueError):
             FaultModel(0.5, detect_seconds=-1)
 
+    @pytest.mark.parametrize("detect", [float("nan"), float("inf")])
+    def test_nan_or_infinite_detection_rejected(self, detect):
+        with pytest.raises(ValueError):
+            FaultModel(0.5, detect_seconds=detect)
+
 
 def faulty_server(prob, retries, detect=0.05, seed=1, **batcher_kw):
     server = TritonLikeServer()

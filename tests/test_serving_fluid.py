@@ -188,6 +188,28 @@ class TestConservationAndHandoff:
         assert interval.resumed > trace.duration
         assert server.sim.peek_foreground_time() is None
 
+    def test_arrival_in_the_exit_rounding_gap_rejoins_the_queue(self):
+        # The exit handoff is scheduled at arrival k's time but lands an
+        # ulp after it, so that arrival queued on the detached stage and
+        # the restore raised "restore_queue on a non-empty queue".
+        server = TritonLikeServer()
+        server.register(ModelConfig(
+            "crop", service_time=lambda n: 0.01 + 0.002 * n,
+            batcher=BatcherConfig(max_batch_size=8,
+                                  max_queue_delay=0.005),
+            instances=2))
+        replayer = HybridReplayer(server, "crop", config=FluidConfig(
+            enter_queued_images=64, sustain_seconds=0.05,
+            exit_queued_images=8, min_fluid_arrivals=32))
+        trace = step_trace(duration=6.0, base_rate=20.0,
+                           step_rate=800.015625, step_start=1.0,
+                           step_end=2.75, seed=0)
+        replayer.schedule(trace)
+        server.run()
+        assert replayer.intervals
+        assert replayer.completed == len(trace)
+        assert server.queue_depth() == 0
+
     def test_latency_summary_counts_both_regimes(self):
         server, replayer = self._run_hybrid()
         summary = replayer.latency_summary()

@@ -203,6 +203,12 @@ class TestTimeSeriesSampler:
         with pytest.raises(ValueError):
             TimeSeriesSampler(_loaded_server(), interval=0.0)
 
+    @pytest.mark.parametrize("interval", [float("nan"), float("inf")])
+    def test_nan_or_infinite_interval_rejected(self, interval):
+        # NaN was accepted and failed mid-run in the event core.
+        with pytest.raises(ValueError):
+            TimeSeriesSampler(_loaded_server(), interval=interval)
+
     def test_unloaded_model_leaves_the_scrape(self):
         # Regression: gauges for a model unloaded mid-run kept
         # reporting the pre-unload values forever (stale label sets).
