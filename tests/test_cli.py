@@ -471,6 +471,9 @@ class TestFaas:
     CHURN = ["faas", "--duration", "3600", "--seed", "2",
              "--keep-alive", "10", "--slo-ms", "25",
              "--hold-seconds", "300"]
+    # An infinite keep-alive: no idle instance is ever reaped.
+    NEVER_REAP = ["faas", "--duration", "600", "--seed", "1",
+                  "--keep-alive", "inf"]
 
     def test_end_to_end_smoke(self, capsys):
         assert main(self.FAST) == 0
@@ -497,6 +500,10 @@ class TestFaas:
         out_file = tmp_path / "faas.json"
         assert main(self.CHURN + ["--out", str(out_file)]) == 0
         assert_golden("faas_churn", capsys.readouterr().out, tmp_path)
+
+    def test_never_reap_run_matches_golden(self, capsys):
+        assert main(self.NEVER_REAP) == 0
+        assert_golden("faas_never_reap", capsys.readouterr().out)
 
     def test_negative_max_events_is_an_error_exit(self, capsys):
         assert main(["faas", "--max-events", "-1"]) == 2

@@ -74,6 +74,7 @@ same profile_sampled "" profile --duration 4 --fluid-duration 40 \
 same faas "" faas --duration 3600 --seed 1 --out faas.json
 same faas_churn "" faas --duration 3600 --seed 2 --keep-alive 10 \
     --slo-ms 25 --hold-seconds 300 --out faas.json
+same faas_never_reap "" faas --duration 600 --seed 1 --keep-alive inf
 same metrics "" metrics --rate 150 --requests 120
 same metrics_reject "" metrics --requests 60 --rate 400 --queue-limit 4 \
     --seed 3

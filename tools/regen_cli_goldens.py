@@ -44,6 +44,7 @@ CASES = {
     "profile_forward": (t.TestProfile.FAST + ["--forward"], {}),
     "faas": (t.TestFaas.FAST, {"--out": "faas.json"}),
     "faas_churn": (t.TestFaas.CHURN, {"--out": "faas.json"}),
+    "faas_never_reap": (t.TestFaas.NEVER_REAP, {}),
     "sweep": (t.TestSweep.ARGS + ["--jobs", "1"],
               {"--out": "sweep.json", "--metrics-out": "sweep.prom"}),
 }
