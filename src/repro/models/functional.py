@@ -4,9 +4,11 @@ The analytic :class:`~repro.models.graph.ModelGraph` predicts cost; this
 module is its executable twin — actual arithmetic for every op, vectorized
 with NumPy per the HPC guides (im2col convolution so the inner loop is one
 BLAS GEMM, batched attention via einsum-free matmuls, no Python-level
-pixel loops).  ResNet50 runs channels-last (NHWC) with batch norm folded
-into its packed conv operands, so a stride-1 1×1 conv is a single GEMM on
-the activation as it lies and every GEMM output is the next layer's input.
+pixel loops).  ResNet50 runs channels-last (NHWC): each conv kernel is
+stored channels-last, so its GEMM operand is the weight's own memory, and
+batch norm is a per-channel scale and shift on the GEMM output.  A
+stride-1 1×1 conv is a single GEMM on the activation as it lies and every
+GEMM output is the next layer's input.
 
 Weights are procedurally initialized (seeded) since the paper's trained
 checkpoints are farm-specific and private; the characterization never
@@ -276,6 +278,18 @@ def _init_linear(rng: np.random.Generator, out_f: int,
     return np.ascontiguousarray(_init(rng, out_f, in_f).T).T
 
 
+def _init_conv(rng: np.random.Generator, out_c: int, in_c: int,
+               k: int) -> np.ndarray:
+    """An ``(out, C, k, k)`` conv kernel laid out as the transpose view
+    of a contiguous channels-last ``(k, k, C, out)`` array: the same
+    draws and values as ``_init(rng, out, C, k, k)``, but
+    :class:`WeightPack`'s ``(k·k·C, out)`` NHWC operand is this array's
+    own memory rather than a second copy."""
+    return np.ascontiguousarray(
+        _init(rng, out_c, in_c, k, k).transpose(2, 3, 1, 0)
+    ).transpose(3, 2, 0, 1)
+
+
 def init_vit_weights(cfg: ViTConfig, seed: int = 0) -> dict[str, np.ndarray]:
     """Procedural ViT weights keyed by parameter name."""
     rng = np.random.default_rng(seed)
@@ -391,18 +405,18 @@ def init_resnet50_weights(img_size: int = 224, num_classes: int = 1000,
             f"{prefix}.var": np.ones(ch, np.float32),
         }
 
-    w: dict[str, np.ndarray] = {"stem.conv": _init(rng, 64, 3, 7, 7)}
+    w: dict[str, np.ndarray] = {"stem.conv": _init_conv(rng, 64, 3, 7)}
     w.update(bn("stem.bn", 64))
     for name, cfg in _resnet_block_configs(img_size):
-        w[f"{name}.1.conv"] = _init(rng, cfg.width, cfg.in_channels, 1, 1)
+        w[f"{name}.1.conv"] = _init_conv(rng, cfg.width, cfg.in_channels, 1)
         w.update(bn(f"{name}.1.bn", cfg.width))
-        w[f"{name}.2.conv"] = _init(rng, cfg.width, cfg.width, 3, 3)
+        w[f"{name}.2.conv"] = _init_conv(rng, cfg.width, cfg.width, 3)
         w.update(bn(f"{name}.2.bn", cfg.width))
-        w[f"{name}.3.conv"] = _init(rng, cfg.out_channels, cfg.width, 1, 1)
+        w[f"{name}.3.conv"] = _init_conv(rng, cfg.out_channels, cfg.width, 1)
         w.update(bn(f"{name}.3.bn", cfg.out_channels))
         if cfg.has_downsample:
-            w[f"{name}.downsample.conv"] = _init(
-                rng, cfg.out_channels, cfg.in_channels, 1, 1)
+            w[f"{name}.downsample.conv"] = _init_conv(
+                rng, cfg.out_channels, cfg.in_channels, 1)
             w.update(bn(f"{name}.downsample.bn", cfg.out_channels))
     w["fc.weight"] = _init_linear(rng, num_classes, 2048)
     w["fc.bias"] = np.zeros(num_classes, np.float32)
@@ -414,8 +428,9 @@ def _conv_bn_nhwc(x: np.ndarray, pack: WeightPack, prefix: str,
                   tally: MacTally | None = None) -> np.ndarray:
     """Conv ``prefix.conv`` + its batch norm (+ ReLU) on an NHWC tensor.
 
-    The BN is folded into the packed operand, so the epilogue is one
-    shift add and an in-place clamp.  A 1×1 conv multiplies the
+    The GEMM reads the conv kernel's channels-last operand, and the
+    inference-mode BN is the epilogue: an in-place per-channel scale
+    and shift, then an in-place clamp.  A 1×1 conv multiplies the
     activation as it lies (strided by slicing).  Larger kernels work
     one image at a time: the image is padded into the arena's
     ``"padded"`` slot, its ``(OH, OW, k, k, C)`` patches gathered into
@@ -423,7 +438,7 @@ def _conv_bn_nhwc(x: np.ndarray, pack: WeightPack, prefix: str,
     image's rows of the output, so the scratch memory is one image's
     worth whatever the batch size.
     """
-    operand, shift = pack.conv_bn_operand(prefix)
+    operand, scale, shift = pack.conv_bn_operand(prefix)
     k = pack.weights[f"{prefix}.conv"].shape[-1]
     n, h, w, c = x.shape
     if k == 1:
@@ -451,6 +466,7 @@ def _conv_bn_nhwc(x: np.ndarray, pack: WeightPack, prefix: str,
             padded[padding:padding + h, padding:padding + w] = img
             np.copyto(tile, view)
             np.matmul(cols, operand, out=out)
+    y *= scale
     y += shift
     if relu:
         np.maximum(y, 0, out=y)
@@ -494,7 +510,7 @@ def resnet50_forward(weights: dict[str, np.ndarray], x: np.ndarray,
 
     ``return_features=True`` returns the pooled 2048-d embedding.  The
     input is read channels-last once, at the stem, and every layer
-    after runs NHWC on the BN-folded operands of ``pack``, a
+    after runs NHWC on the conv operands and BN scales of ``pack``, a
     :class:`~repro.models.workspace.WeightPack` of ``weights`` (one is
     built for the call when none is given).
     """

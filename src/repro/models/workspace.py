@@ -17,10 +17,12 @@ more than the GEMM.  This module factors that work out of the forward:
   when the weight is already the transpose of a contiguous array, as
   :func:`~repro.models.functional.build_functional`'s weights are);
   every conv ``X.conv`` with a batch norm ``X.bn.*`` beside it (all of
-  ResNet-50's) stored as the channels-last ``(k·k·C, out_c)`` matrix
-  with the inference-mode BN scale folded into its columns, plus the
-  BN shift; any other conv kernel (ViT's patch embedding) as the
-  flattened NCHW ``(C·k², out_c)`` im2col operand.  Linear and im2col
+  ResNet-50's) as the channels-last ``(k·k·C, out_c)`` matrix plus the
+  inference-mode BN scale and shift its GEMM output takes (no copy
+  when the kernel is already the transpose view of a contiguous
+  channels-last array, as ResNet-50's are); any other conv kernel
+  (ViT's patch embedding) as the flattened NCHW ``(C·k², out_c)``
+  im2col operand.  Linear and im2col
   operands are looked up by the original weight array, so the op-level
   API (``linear(x, weight, ...)``) is unchanged — ops that receive a
   pack swap in the packed operand, ops that don't (or whose weight is
@@ -28,8 +30,6 @@ more than the GEMM.  This module factors that work out of the forward:
 
 The packed operands hold the same values as the on-the-fly transposes
 they replace, and arena buffers are fully overwritten before use.
-Folding BN into the conv weights is exact algebra, ``(x·W)·s + t ==
-x·(W·s) + t``; only the float32 rounding of the products moves.
 """
 
 from __future__ import annotations
@@ -78,24 +78,28 @@ class WorkspaceArena:
         return buf[:size].reshape(shape)
 
 
-#: Batch-norm epsilon of the folded convs (the ``batchnorm2d`` default).
+#: Batch-norm epsilon of the packed convs (the ``batchnorm2d`` default).
 BN_EPS = 1e-5
 
 
 def fold_conv_bn(conv: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
                  mean: np.ndarray, var: np.ndarray,
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Fold inference-mode batch norm into a conv's channels-last operand.
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A conv's channels-last operand and its inference-mode batch norm.
 
-    ``conv`` is ``(out_c, C, k, k)``.  Returns ``(operand, shift)``:
-    ``operand`` is the contiguous ``(k·k·C, out_c)`` matrix whose rows
-    follow an NHWC patch's ``(kh, kw, C)`` order, pre-scaled per output
-    channel by ``γ/√(var+ε)``; ``shift`` is ``β − mean·γ/√(var+ε)``.
+    ``conv`` is ``(out_c, C, k, k)``.  Returns ``(operand, scale,
+    shift)``: ``operand`` is the contiguous ``(k·k·C, out_c)`` matrix
+    whose rows follow an NHWC patch's ``(kh, kw, C)`` order, and the
+    GEMM output's channels take ``y·scale + shift`` with ``scale =
+    γ/√(var+ε)`` and ``shift = β − mean·scale``.  ``operand`` is
+    ``conv``'s own memory when ``conv`` is the transpose view of a
+    contiguous channels-last ``(k, k, C, out_c)`` array, and one
+    contiguous copy otherwise.
     """
     scale = gamma / np.sqrt(var + BN_EPS)
     shift = beta - mean * scale
-    operand = np.multiply(conv.transpose(2, 3, 1, 0), scale, order="C")
-    return operand.reshape(-1, conv.shape[0]), shift
+    operand = np.ascontiguousarray(conv.transpose(2, 3, 1, 0))
+    return operand.reshape(-1, conv.shape[0]), scale, shift
 
 
 class WeightPack:
@@ -103,20 +107,21 @@ class WeightPack:
 
     Packs every 2D ``*.weight`` as a contiguous transpose (the ``x @
     W.T`` right operand), every conv ``X.conv`` that has a batch norm
-    ``X.bn.*`` as its BN-folded channels-last operand and shift
-    (:func:`fold_conv_bn`), and every other 4D kernel as the
+    ``X.bn.*`` as its channels-last operand with the BN's scale and
+    shift (:func:`fold_conv_bn`), and every other 4D kernel as the
     contiguous ``(in_c·k², out_c)`` matrix the NCHW im2col GEMM
     multiplies by.  A linear weight stored as the ``.T`` view of a
-    contiguous ``(in, out)`` array (the layout the functional models'
-    initializers use) is packed without a copy: its operand is that
-    array.  Linear and im2col operands are keyed by the weight's
-    :func:`id` and stored beside the weight itself, which keeps the id
-    from being reused; a lookup returns the operand only for that same
-    array object, so an entry of the dict replaced since packing (e.g.
-    by quantized weights) runs the unpacked math instead.  Folded
-    operands resolve by the conv's name prefix and remember their five
-    source arrays: if one has since been replaced, the conv is folded
-    again from the current arrays.
+    contiguous ``(in, out)`` array, or a conv kernel stored as the
+    transpose view of a contiguous ``(k, k, C, out)`` array (the layouts
+    the functional models' initializers use), is packed without a copy:
+    its operand is that array.  Linear and im2col operands are keyed by
+    the weight's :func:`id` and stored beside the weight itself, which
+    keeps the id from being reused; a lookup returns the operand only
+    for that same array object, so an entry of the dict replaced since
+    packing (e.g. by quantized weights) runs the unpacked math instead.
+    Conv-BN operands resolve by the conv's name prefix and remember
+    their five source arrays: if one has since been replaced, the conv
+    is folded again from the current arrays.
     """
 
     __slots__ = ("weights", "arena", "_linear_t", "_conv_mat", "_conv_bn")
@@ -155,8 +160,8 @@ class WeightPack:
         return self._lookup(self._conv_mat, weight)
 
     def conv_bn_operand(self, prefix: str,
-                        ) -> tuple[np.ndarray, np.ndarray]:
-        """The BN-folded ``(operand, shift)`` of conv ``prefix.conv``."""
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The ``(operand, scale, shift)`` of conv ``prefix.conv``."""
         w = self.weights
         sources = (w[f"{prefix}.conv"], w[f"{prefix}.bn.gamma"],
                    w[f"{prefix}.bn.beta"], w[f"{prefix}.bn.mean"],
@@ -166,4 +171,4 @@ class WeightPack:
                 a is not b for a, b in zip(entry[0], sources)):
             entry = self._conv_bn[prefix] = (sources,
                                              *fold_conv_bn(*sources))
-        return entry[1], entry[2]
+        return entry[1:]

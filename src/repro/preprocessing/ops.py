@@ -51,31 +51,52 @@ def _as_float(image: Array) -> Array:
     return image
 
 
-def _sampling_plan(xs: Array, ys: Array, h: int, w: int,
-                   inside: Array | None = None) -> tuple[Array, ...]:
-    """Bilinear taps for sampling an ``(h, w)`` frame at ``(xs, ys)``.
+#: Output pixels per band of a sampling-plan build: the build's float64
+#: scratch is a few arrays of this length, not a few full frames.
+_PLAN_BAND = 1 << 16
 
-    Returns four flat ``int32`` pixel indices (``y·w + x``) followed by
-    their four ``float32`` corner weights, one entry per output pixel.
-    Out-of-bounds samples clamp to the edge; ``inside`` (a boolean
-    mask) zeroes the weights of samples that must read as black.
+
+def _sampling_plan(out_h: int, out_w: int, h: int, w: int,
+                   sample) -> tuple[Array, ...]:
+    """Bilinear taps for sampling an ``(h, w)`` frame, per output pixel.
+
+    ``sample(rows, cols)`` maps a band of output pixels, given by their
+    row and column indices, to the source coordinates ``(xs, ys)`` to
+    sample there and a boolean ``inside`` mask (or ``None``) that
+    zeroes the weights of samples that must read as black.  The plan
+    is four flat ``int32`` pixel indices (``y·w + x``) followed by
+    their four ``float32`` corner weights, filled one band of
+    ``_PLAN_BAND`` output pixels at a time; every step is elementwise,
+    so the band size never changes a value.  Out-of-bounds samples
+    clamp to the edge.
     """
-    # Clipping to [-1, w] first keeps the int cast defined for far-off
-    # (even infinite) coordinates; the clamped taps are unchanged.
-    xs = np.clip(xs.ravel(), -1, w)
-    ys = np.clip(ys.ravel(), -1, h)
-    x0 = np.clip(np.floor(xs).astype(np.int32), 0, w - 1)
-    y0 = np.clip(np.floor(ys).astype(np.int32), 0, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = np.clip(xs - x0, 0.0, 1.0)
-    fy = np.clip(ys - y0, 0.0, 1.0)
-    row0, row1 = y0 * w, y1 * w
-    weights = [(1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy]
-    if inside is not None:
-        weights = [wt * inside.ravel() for wt in weights]
-    return (row0 + x0, row0 + x1, row1 + x0, row1 + x1,
-            *(wt.astype(np.float32) for wt in weights))
+    size = out_h * out_w
+    plan = (*(np.empty(size, np.int32) for _ in range(4)),
+            *(np.empty(size, np.float32) for _ in range(4)))
+    for start in range(0, size, _PLAN_BAND):
+        band = slice(start, min(start + _PLAN_BAND, size))
+        rows, cols = np.divmod(np.arange(band.start, band.stop), out_w)
+        xs, ys, inside = sample(rows, cols)
+        # Clipping to [-1, w] first keeps the int cast defined for
+        # far-off (even infinite) coordinates; the clamped taps are
+        # unchanged.
+        xs = np.clip(xs, -1, w)
+        ys = np.clip(ys, -1, h)
+        x0 = np.clip(np.floor(xs).astype(np.int32), 0, w - 1)
+        y0 = np.clip(np.floor(ys).astype(np.int32), 0, h - 1)
+        x1 = np.minimum(x0 + 1, w - 1)
+        y1 = np.minimum(y0 + 1, h - 1)
+        fx = np.clip(xs - x0, 0.0, 1.0)
+        fy = np.clip(ys - y0, 0.0, 1.0)
+        row0, row1 = y0 * w, y1 * w
+        taps = (row0 + x0, row0 + x1, row1 + x0, row1 + x1)
+        weights = [(1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy,
+                   fx * fy]
+        if inside is not None:
+            weights = [wt * inside for wt in weights]
+        for dest, values in zip(plan, (*taps, *weights)):
+            dest[band] = values
+    return plan
 
 
 def _apply_plan(image: Array, plan: tuple[Array, ...],
@@ -105,7 +126,8 @@ def resize_bilinear(image: Array, out_h: int, out_w: int) -> Array:
         scale_y, scale_x = h / out_h, w / out_w
         ys = (np.arange(out_h, dtype=np.float32) + 0.5) * scale_y - 0.5
         xs = (np.arange(out_w, dtype=np.float32) + 0.5) * scale_x - 0.5
-        return _sampling_plan(*np.meshgrid(xs, ys), h, w)
+        return _sampling_plan(out_h, out_w, h, w,
+                              lambda rows, cols: (xs[cols], ys[rows], None))
 
     plan = _PLANS.get(("resize", h, w, out_h, out_w), build)
     return _apply_plan(image, plan, out_h, out_w)
@@ -186,19 +208,21 @@ def warp_perspective(image: Array, homography: Array,
     h, w = image.shape[:2]
 
     def build() -> tuple[Array, ...]:
-        xs = np.arange(out_w, dtype=np.float64)
-        ys = np.arange(out_h, dtype=np.float64)
-        grid_x, grid_y = np.meshgrid(xs, ys)
-        coords = np.stack([grid_x, grid_y, np.ones_like(grid_x)],
-                          axis=0).reshape(3, -1)
-        mapped = np.linalg.inv(homography) @ coords
-        with np.errstate(divide="ignore", invalid="ignore"):
-            src_x = np.nan_to_num(mapped[0] / mapped[2], nan=-1.0)
-            src_y = np.nan_to_num(mapped[1] / mapped[2], nan=-1.0)
-        # Samples falling outside the source frame read as zero.
-        inside = ((src_x >= -0.5) & (src_x <= w - 0.5)
-                  & (src_y >= -0.5) & (src_y <= h - 0.5))
-        return _sampling_plan(src_x, src_y, h, w, inside)
+        inverse = np.linalg.inv(homography)
+
+        def sample(rows: Array, cols: Array) -> tuple[Array, ...]:
+            coords = np.stack([cols, rows, np.ones_like(cols)]).astype(
+                np.float64)
+            mapped = inverse @ coords
+            with np.errstate(divide="ignore", invalid="ignore"):
+                src_x = np.nan_to_num(mapped[0] / mapped[2], nan=-1.0)
+                src_y = np.nan_to_num(mapped[1] / mapped[2], nan=-1.0)
+            # Samples falling outside the source frame read as zero.
+            inside = ((src_x >= -0.5) & (src_x <= w - 0.5)
+                      & (src_y >= -0.5) & (src_y <= h - 0.5))
+            return src_x, src_y, inside
+
+        return _sampling_plan(out_h, out_w, h, w, sample)
 
     plan = _PLANS.get(
         ("warp", h, w, out_h, out_w, homography.tobytes()), build)

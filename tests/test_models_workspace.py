@@ -62,6 +62,32 @@ class TestWeightPack:
             assert np.shares_memory(operand, w)
             np.testing.assert_array_equal(operand, w.T)
 
+    def test_conv_operands_share_weight_memory(self):
+        # The GEMM operand is the kernel's own channels-last memory, so
+        # ResNet-50 holds one copy of each conv kernel.
+        model = build_functional("resnet50")
+        convs = [k[:-5] for k in model.weights if k.endswith(".conv")]
+        assert len(convs) == 53
+        for prefix in convs:
+            operand, _, _ = model.pack.conv_bn_operand(prefix)
+            assert np.shares_memory(operand,
+                                    model.weights[f"{prefix}.conv"])
+
+    def test_nchw_conv_is_copied_once_when_packed(self):
+        # A kernel that is not channels-last (a test's array, a
+        # replaced weight) gets one contiguous operand.
+        rng = np.random.default_rng(2)
+        conv = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
+        weights = {"c.conv": conv, "c.bn.gamma": np.ones(4, np.float32),
+                   "c.bn.beta": np.zeros(4, np.float32),
+                   "c.bn.mean": np.zeros(4, np.float32),
+                   "c.bn.var": np.ones(4, np.float32)}
+        operand, _, _ = WeightPack(weights).conv_bn_operand("c")
+        assert operand.flags.c_contiguous
+        assert not np.shares_memory(operand, conv)
+        np.testing.assert_array_equal(
+            operand, conv.transpose(2, 3, 1, 0).reshape(-1, 4))
+
     def test_replaced_weight_never_gets_a_stale_operand(self):
         # A replaced weight used to free its id for the next allocation,
         # which then resolved to the old array's packed operand.

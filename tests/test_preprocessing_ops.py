@@ -1,8 +1,11 @@
 """Tests for repro.preprocessing.ops — the real image ops."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.preprocessing import ops
 from repro.preprocessing.ops import (
     center_crop,
     ground_plane_homography,
@@ -322,3 +325,45 @@ class TestSamplingPlans:
             np.testing.assert_allclose(
                 resize_bilinear(img, 16, 16),
                 _resize_reference(img, 16, 16), atol=1e-3)
+
+
+class TestBandedPlanBuild:
+    """Plans are built a band of output pixels at a time."""
+
+    @staticmethod
+    def _build(monkeypatch, img, band):
+        monkeypatch.setattr(ops, "_PLAN_BAND", band)
+        monkeypatch.setattr(ops, "_PLANS", ops._GridCache())
+        h, w = img.shape[:2]
+        warp_perspective(img, ground_plane_homography(w, h), h + 3, w - 5)
+        resize_bilinear(img, 2 * h + 1, w // 2 + 1)
+        return list(ops._PLANS._entries.values())
+
+    def test_band_size_never_moves_a_bit(self, rng, monkeypatch):
+        # An odd band of 37 pixels ends mid-row in every output.
+        img = _frame(rng, 60, 80)
+        whole = self._build(monkeypatch, img, ops._PLAN_BAND)
+        banded = self._build(monkeypatch, img, 37)
+        assert len(whole) == len(banded) == 2
+        for plan, other in zip(whole, banded):
+            for a, b in zip(plan, other, strict=True):
+                assert a.dtype == b.dtype
+                assert a.tobytes() == b.tobytes()
+
+    def test_first_warp_peaks_near_the_plan_size(self, monkeypatch):
+        # Full-frame float64 coordinate arrays used to peak at 6.3x the
+        # plan; band by band the peak is the plan, the output and the
+        # blend's temporaries.
+        monkeypatch.setattr(ops, "_PLANS", ops._GridCache())
+        h, w = 540, 960
+        img = np.random.default_rng(0).integers(0, 256, (h, w, 3),
+                                                dtype=np.uint8)
+        hom = ground_plane_homography(w, h)
+        tracemalloc.start()
+        try:
+            warp_perspective(img, hom, h, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        [plan] = ops._PLANS._entries.values()
+        assert peak < 2.5 * sum(a.nbytes for a in plan)
