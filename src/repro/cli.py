@@ -1503,7 +1503,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="nighttime arrival floor (requests/s)")
     p.add_argument("--keep-alive", type=float, default=45.0,
                    help="idle seconds before a warm instance is "
-                        "reaped")
+                        "reaped (0 reaps after every response; inf "
+                        "never reaps)")
     p.add_argument("--concurrency", type=int, default=8,
                    help="per-function instance limit")
     p.add_argument("--slo-ms", type=float, default=100.0,

@@ -35,6 +35,7 @@ them).
 from __future__ import annotations
 
 import dataclasses
+import math
 from collections import deque
 from collections.abc import Callable
 from typing import NamedTuple
@@ -62,7 +63,8 @@ class FaaSFunctionConfig:
     arrivals beyond it queue, and beyond ``max_queue_depth`` (0 =
     unbounded) are rejected.  ``keep_alive_seconds`` is how long an
     idle instance stays warm before the reaper takes it — 0 reaps
-    immediately after each response (pure scale-to-zero).
+    immediately after each response (pure scale-to-zero), and ``inf``
+    never reaps (no reap timer is armed).
     """
 
     name: str
@@ -309,11 +311,16 @@ class FaaSBackend(ServingFrontend):
 
         Routes to a warm idle instance when one exists, spawns a cold
         one while under the concurrency limit, queues otherwise (and
-        rejects when the bounded queue overflows).
+        rejects when the bounded queue overflows).  A request for a
+        function that is not deployed raises ``KeyError`` before it is
+        counted.
         """
+        fn = self._functions.get(request.model_name)
+        if fn is None:
+            raise KeyError(f"unknown function {request.model_name!r}; "
+                           f"deployed: {self.model_names()}")
         if not self._admit(request):
             return
-        fn = self._functions[request.model_name]
         idle = self._pick_idle(fn)
         if idle is not None:
             fn.stats.warm_starts += 1
@@ -476,8 +483,11 @@ class FaaSBackend(ServingFrontend):
             return
         if inst.pinned:
             return
-        if fn.config.keep_alive_seconds == 0.0:
+        keep_alive = fn.config.keep_alive_seconds
+        if keep_alive == 0.0:
             self._reap(fn, inst)
+            return
+        if keep_alive == math.inf:
             return
         idle_mark = inst.idle_since
 
@@ -487,8 +497,8 @@ class FaaSBackend(ServingFrontend):
                     inst.idle_since == idle_mark:
                 self._reap(fn, inst)
 
-        inst.reap_event = self.sim.schedule(
-            fn.config.keep_alive_seconds, maybe_reap, daemon=True)
+        inst.reap_event = self.sim.schedule(keep_alive, maybe_reap,
+                                            daemon=True)
 
     def _reap(self, fn: _Function, inst: _Instance) -> None:
         """Tear a warm instance down (scale-to-zero step)."""

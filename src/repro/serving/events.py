@@ -26,6 +26,7 @@ Hot-path design (this is the innermost loop of every serving replay):
 from __future__ import annotations
 
 import heapq
+import math
 from collections.abc import Callable, Sequence
 
 #: :attr:`Event.state` values.
@@ -186,33 +187,44 @@ class Simulator:
         workload progress; daemon events fire normally but are invisible
         to :meth:`peek_foreground_time`, so periodic loops re-arming
         "while the simulation has work" cannot keep each other alive
-        after the real work has drained.
+        after the real work has drained.  A negative, NaN or infinite
+        delay raises: an event at t = ∞ would never fire, yet a
+        foreground one would keep :meth:`run` stepping towards it.
         """
-        if not delay >= 0:  # NaN compares false too
-            raise ValueError(f"cannot schedule into the past (delay={delay})")
+        if not 0 <= delay < math.inf:  # NaN compares false too
+            raise ValueError(
+                f"cannot schedule into the past or never (delay={delay})")
+        return self._push(self.now + delay, callback, daemon)
+
+    def schedule_at(self, time: float, callback: Callable[[], None],
+                    daemon: bool = False) -> Event:
+        """Schedule ``callback`` at exactly the virtual time ``time``.
+
+        Targets a hair *before* ``now`` — within a few ULPs, the float
+        round-off a cumulative-sum arrival trace accumulates — clamp to
+        "fire immediately" instead of raising; genuinely past, NaN or
+        infinite targets raise.
+        """
+        if time < self.now and (
+                self.now - time <= _PAST_TOLERANCE * max(1.0, abs(self.now))):
+            time = self.now
+        if not self.now <= time < math.inf:  # NaN compares false too
+            raise ValueError(
+                f"cannot schedule into the past or never (time={time}, "
+                f"now={self.now})")
+        return self._push(time, callback, daemon)
+
+    def _push(self, time: float, callback: Callable[[], None],
+              daemon: bool) -> Event:
         seq = self._seq
         self._seq = seq + 1
-        event = Event(self.now + delay, seq, callback, daemon=daemon)
-        entry = (event.time, seq, event)
+        event = Event(time, seq, callback, daemon=daemon)
+        entry = (time, seq, event)
         heapq.heappush(self._heap, entry)
         if not daemon:
             self._foreground_pending += 1
             heapq.heappush(self._fg_heap, entry)
         return event
-
-    def schedule_at(self, time: float, callback: Callable[[], None],
-                    daemon: bool = False) -> Event:
-        """Schedule ``callback`` at an absolute virtual time.
-
-        Targets a hair *before* ``now`` — within a few ULPs, the float
-        round-off a cumulative-sum arrival trace accumulates — clamp to
-        "fire immediately" instead of raising; genuinely past targets
-        still raise.
-        """
-        delay = time - self.now
-        if delay < 0 and -delay <= _PAST_TOLERANCE * max(1.0, abs(self.now)):
-            delay = 0.0
-        return self.schedule(delay, callback, daemon=daemon)
 
     def add_stream(self, times: Sequence[float],
                    callback: Callable[[int], None],

@@ -333,15 +333,14 @@ class HybridReplayer:
             n_synth += 1
 
         # Jump the stream past the integrated arrivals, then restore
-        # the queue *at* the exit instant.  ``schedule_at`` can land the
-        # handoff an ulp after arrival k_star; whatever queued in that
-        # gap arrived last, so it rejoins behind the restored backlog.
+        # the queue *at* the exit instant.  Heap events outrank stream
+        # firings on ties, so the handoff lands before arrival k_star
+        # fires through the exact path.
         self._stream.jump(start + n_new)
         sim.schedule_at(
             resume_time,
-            lambda: server.handoff_in(
-                model, restored + server.handoff_out(model),
-                new_enqueues=n_synth))
+            lambda: server.handoff_in(model, restored,
+                                      new_enqueues=n_synth))
         entry_backlog = int(img_q.sum()) + inflight
         self.intervals.append(FluidInterval(
             entered=t0, resumed=resume_time,

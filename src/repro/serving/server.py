@@ -233,12 +233,19 @@ class TritonLikeServer(ServingFrontend):
         """Accept a frontend request at the current virtual time.
 
         A draining server refuses new work outright (the request gets an
-        immediate ``rejected`` response).
+        immediate ``rejected`` response).  A request for a model or
+        ensemble that is not loaded raises ``KeyError`` before it is
+        counted.
         """
+        ensemble = self._ensembles.get(request.model_name)
+        if ensemble is None and request.model_name not in self._models:
+            raise KeyError(
+                f"unknown model {request.model_name!r}; loaded: "
+                f"{self.model_names()} + ensembles "
+                f"{sorted(self._ensembles)}")
         if not self._admit(request):
             return
-        if request.model_name in self._ensembles:
-            ensemble = self._ensembles[request.model_name]
+        if ensemble is not None:
             if self._cache_lookup_tensor(request):
                 # Shared preprocessing already cached: fan out now.
                 self._pending_fanout[request.request_id] = len(
@@ -248,11 +255,6 @@ class TritonLikeServer(ServingFrontend):
             else:
                 self._enqueue(ensemble.preprocess_model, request)
             return
-        if request.model_name not in self._models:
-            raise KeyError(
-                f"unknown model {request.model_name!r}; loaded: "
-                f"{self.model_names()} + ensembles "
-                f"{sorted(self._ensembles)}")
         config = self._models[request.model_name]
         first_stage = config.preprocess_model or request.model_name
         if (config.preprocess_model is not None

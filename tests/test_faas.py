@@ -166,6 +166,18 @@ class TestColdAndWarmStarts:
         assert stats.reaps == 2
         assert backend.total_instances() == 0
 
+    def test_infinite_keep_alive_never_reaps(self):
+        sim, backend = make_backend(seed=None,
+                                    keep_alive_seconds=float("inf"))
+        sim.schedule(0.0, lambda: backend.submit(Request("fn")))
+        sim.schedule(1e6, lambda: backend.submit(Request("fn")))
+        sim.run()
+        stats = backend.function_stats("fn")
+        assert (stats.cold_starts, stats.warm_starts, stats.reaps) == (
+            1, 1, 0)
+        assert backend.total_instances() == 1
+        assert sim.now < float("inf")
+
     def test_scale_to_zero_after_run_drains(self):
         sim, backend = make_backend(seed=None)
         for t in (0.0, 0.1, 0.2):

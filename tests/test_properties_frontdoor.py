@@ -7,11 +7,14 @@ images), and the latency histogram holds one observation per response.
 Random traces drive a Triton-like server (bounded queues, an ensemble,
 retried faults) and a FaaS backend (bounded function queues), each
 drained at a random time, and a hybrid fluid/DES replay, whose
-saturated stretches reach the counters through the bulk path.
+saturated stretches reach the counters through the bulk path.  A
+request for a model neither backend serves is refused before it is
+counted.
 """
 
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -82,13 +85,8 @@ def assert_conserved(backend, models, refused=Counter(),
     assert observed == len(backend.responses) + bulk_completed
 
 
-@given(trace=arrivals, queue_limit=st.integers(0, 8),
-       drain_time=st.floats(0.0, 1.5),
-       failure=st.sampled_from([0.0, 0.2, 0.6]),
-       retries=st.integers(0, 2))
-@settings(max_examples=40, deadline=None)
-def test_server_front_door_conserves(trace, queue_limit, drain_time,
-                                     failure, retries):
+def make_server(queue_limit: int = 0, failure: float = 0.0,
+                retries: int = 0) -> TritonLikeServer:
     server = TritonLikeServer()
     batcher = BatcherConfig(max_batch_size=4, max_queue_delay=0.002,
                             max_queue_size=queue_limit)
@@ -101,6 +99,32 @@ def test_server_front_door_conserves(trace, queue_limit, drain_time,
     server.register(ModelConfig("b", lambda n: 0.003 * n,
                                 batcher=batcher, instances=2))
     server.register_ensemble(EnsembleConfig("fan", "pre", ("a", "b")))
+    return server
+
+
+def make_faas(queue_depth: int = 0, concurrency: int = 1,
+              keep_alive: float = 0.0) -> FaaSBackend:
+    backend = FaaSBackend(Simulator(), seed=3)
+    platform = FaaSPlatformModel(
+        name="p", cold_start_base_seconds=0.02,
+        cold_start_jitter_seconds=0.01, artifact_bytes=1e6,
+        artifact_bandwidth_bps=1e9, memory_gb=1.0)
+    for name in FUNCTIONS:
+        backend.register(FaaSFunctionConfig(
+            name, lambda n: 0.004 * n, platform=platform,
+            concurrency_limit=concurrency, keep_alive_seconds=keep_alive,
+            max_queue_depth=queue_depth))
+    return backend
+
+
+@given(trace=arrivals, queue_limit=st.integers(0, 8),
+       drain_time=st.floats(0.0, 1.5),
+       failure=st.sampled_from([0.0, 0.2, 0.6]),
+       retries=st.integers(0, 2))
+@settings(max_examples=40, deadline=None)
+def test_server_front_door_conserves(trace, queue_limit, drain_time,
+                                     failure, retries):
+    server = make_server(queue_limit, failure, retries)
     refused = replay(server, SERVER_MODELS, trace, drain_time)
     assert server.is_drained
     assert_conserved(server, SERVER_MODELS, refused)
@@ -112,19 +136,24 @@ def test_server_front_door_conserves(trace, queue_limit, drain_time,
 @settings(max_examples=40, deadline=None)
 def test_faas_front_door_conserves(trace, queue_depth, concurrency,
                                    drain_time, keep_alive):
-    backend = FaaSBackend(Simulator(), seed=3)
-    platform = FaaSPlatformModel(
-        name="p", cold_start_base_seconds=0.02,
-        cold_start_jitter_seconds=0.01, artifact_bytes=1e6,
-        artifact_bandwidth_bps=1e9, memory_gb=1.0)
-    for name in FUNCTIONS:
-        backend.register(FaaSFunctionConfig(
-            name, lambda n: 0.004 * n, platform=platform,
-            concurrency_limit=concurrency, keep_alive_seconds=keep_alive,
-            max_queue_depth=queue_depth))
+    backend = make_faas(queue_depth, concurrency, keep_alive)
     refused = replay(backend, FUNCTIONS, trace, drain_time)
     assert backend.is_drained
     assert_conserved(backend, FUNCTIONS, refused)
+
+
+@pytest.mark.parametrize("backend, models", [
+    (make_server, SERVER_MODELS), (make_faas, FUNCTIONS)],
+    ids=["server", "faas"])
+def test_unknown_model_is_refused_before_it_is_counted(backend, models):
+    backend = backend()
+    with pytest.raises(KeyError, match="nope"):
+        backend.submit(Request("nope", num_images=3))
+    backend.submit(Request(models[0]))
+    backend.sim.run()
+    assert_conserved(backend, (*models, "nope"))
+    assert per_model(backend.metrics.get("images_submitted_total"),
+                     "nope") == 0
 
 
 @given(step_rate=st.floats(800.0, 2000.0), step_end=st.floats(2.0, 4.0),

@@ -54,6 +54,17 @@ class TestScheduling:
         with pytest.raises(ValueError, match="past"):
             Simulator().schedule(-0.1, lambda: None)
 
+    def test_infinite_delay_rejected(self):
+        # A foreground event at t = inf never fires, yet it would keep
+        # run() stepping daemon ticks towards it.
+        sim = Simulator()
+        with pytest.raises(ValueError, match="inf"):
+            sim.schedule(float("inf"), lambda: None)
+        with pytest.raises(ValueError, match="inf"):
+            sim.schedule_at(float("inf"), lambda: None)
+        sim.run()
+        assert sim.events_processed == 0
+
     def test_nan_delay_rejected(self):
         # A NaN entry would sit on the heap forever: the same-time
         # batch loop compares it with ``==``, which NaN never satisfies.
@@ -234,6 +245,17 @@ class TestEventStream:
         sim.schedule(1.0, lambda: order.append("event"))
         sim.run()
         assert order == ["event", "stream"]
+
+    def test_schedule_at_ties_a_stream_entry_exactly(self):
+        # 0.3 + (0.9 - 0.3) rounds to 0.9000000000000001: an absolute
+        # target reached through a delay would fire after the entry.
+        sim = Simulator()
+        order = []
+        sim.add_stream([0.9], lambda i: order.append(("stream", sim.now)))
+        sim.schedule(0.3, lambda: sim.schedule_at(
+            0.9, lambda: order.append(("event", sim.now))))
+        sim.run()
+        assert order == [("event", 0.9), ("stream", 0.9)]
 
     def test_streams_tie_by_registration_order(self):
         sim = Simulator()
