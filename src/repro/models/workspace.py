@@ -82,7 +82,7 @@ class WorkspaceArena:
 BN_EPS = 1e-5
 
 
-def fold_conv_bn(conv: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+def pack_conv_bn(conv: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
                  mean: np.ndarray, var: np.ndarray,
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A conv's channels-last operand and its inference-mode batch norm.
@@ -108,7 +108,7 @@ class WeightPack:
     Packs every 2D ``*.weight`` as a contiguous transpose (the ``x @
     W.T`` right operand), every conv ``X.conv`` that has a batch norm
     ``X.bn.*`` as its channels-last operand with the BN's scale and
-    shift (:func:`fold_conv_bn`), and every other 4D kernel as the
+    shift (:func:`pack_conv_bn`), and every other 4D kernel as the
     contiguous ``(in_c·k², out_c)`` matrix the NCHW im2col GEMM
     multiplies by.  A linear weight stored as the ``.T`` view of a
     contiguous ``(in, out)`` array, or a conv kernel stored as the
@@ -121,7 +121,7 @@ class WeightPack:
     packing (e.g. by quantized weights) runs the unpacked math instead.
     Conv-BN operands resolve by the conv's name prefix and remember
     their five source arrays: if one has since been replaced, the conv
-    is folded again from the current arrays.
+    is packed again from the current arrays.
     """
 
     __slots__ = ("weights", "arena", "_linear_t", "_conv_mat", "_conv_bn")
@@ -170,5 +170,5 @@ class WeightPack:
         if entry is None or any(
                 a is not b for a, b in zip(entry[0], sources)):
             entry = self._conv_bn[prefix] = (sources,
-                                             *fold_conv_bn(*sources))
+                                             *pack_conv_bn(*sources))
         return entry[1:]
