@@ -22,11 +22,11 @@ more than the GEMM.  This module factors that work out of the forward:
   when the kernel is already the transpose view of a contiguous
   channels-last array, as ResNet-50's are); any other conv kernel
   (ViT's patch embedding) as the flattened NCHW ``(C·k², out_c)``
-  im2col operand.  Linear and im2col
-  operands are looked up by the original weight array, so the op-level
-  API (``linear(x, weight, ...)``) is unchanged — ops that receive a
-  pack swap in the packed operand, ops that don't (or whose weight is
-  not the packed one) fall back to the unpacked math.
+  im2col operand.  Linear and im2col operands are looked up by the
+  original weight array, so the op-level API (``linear(x, weight,
+  ...)``) is unchanged — ops that receive a pack swap in the packed
+  operand, ops that don't (or whose weight is not the packed one) fall
+  back to the unpacked math.
 
 The packed operands hold the same values as the on-the-fly transposes
 they replace, and arena buffers are fully overwritten before use.
