@@ -30,6 +30,7 @@ import dataclasses
 import itertools
 from collections.abc import Callable, Collection
 
+from repro.bounds import within
 from repro.cache.keys import FrameFingerprint
 
 #: Fixed odd multipliers for the sketch's row hashes (splitmix-style).
@@ -53,11 +54,8 @@ class FrequencySketch:
                  sample_size: int = 10_000):
         if width < 16 or width & (width - 1):
             raise ValueError("width must be a power of two >= 16")
-        if not 1 <= depth <= len(_SKETCH_SEEDS):
-            raise ValueError(
-                f"depth must be in 1..{len(_SKETCH_SEEDS)}")
-        if sample_size < 1:
-            raise ValueError("sample_size must be >= 1")
+        within("depth", depth, f"[1, {len(_SKETCH_SEEDS)}]")
+        within("sample_size", sample_size, "[1, inf)")
         self.width = width
         self.depth = depth
         self.sample_size = sample_size
@@ -202,13 +200,11 @@ class CacheStore:
                  ttl_seconds: float | None = None,
                  admission: FrequencySketch | None = None,
                  pool=None, name: str = "cache"):
-        if capacity_bytes <= 0:
-            raise ValueError("capacity_bytes must be positive")
-        if match_threshold < 0:
-            raise ValueError("match_threshold must be >= 0")
-        if ttl_seconds is not None and ttl_seconds <= 0:
-            raise ValueError("ttl_seconds must be positive (or None)")
-        self.capacity_bytes = float(capacity_bytes)
+        self.capacity_bytes = float(
+            within("capacity_bytes", capacity_bytes, "(0, inf)"))
+        within("match_threshold", match_threshold, "[0, inf)")
+        if ttl_seconds is not None:
+            within("ttl_seconds", ttl_seconds, "(0, inf)")
         self._clock = clock
         self.match_threshold = match_threshold
         self.eviction = eviction if eviction is not None else LRUEviction()

@@ -44,29 +44,50 @@ replay frames through ``_two_tier_cache`` and ``_replay_frames``.
 Imports stay inside the functions, so ``repro report`` loads no
 simulator.  tests/golden/cli/ pins every simulation subcommand's
 output byte for byte.
+
+Every numeric option declares its bound where it is added:
+``add_argument(..., within="(0, inf)")`` checks the value with
+:func:`repro.bounds.within` as it is parsed, so an out-of-range value
+exits 2 with ``error: --option ...`` before any subcommand runs.  A
+``_cmd_*`` body checks only what relates two options, such as
+``--night-rate`` against ``--peak-rate``.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
+from repro.bounds import within
 
 
-def _require_positive(args: argparse.Namespace, *dests: str) -> None:
-    """Reject a non-positive, NaN or infinite option, naming its flag."""
-    for dest in dests:
-        value = getattr(args, dest)
-        if not 0 < value < math.inf:
-            raise ValueError(f"--{dest.replace('_', '-')} must be "
-                             f"positive and finite, got {value}")
+class _Within(argparse.Action):
+    """Store an option's value once it lies in ``interval``."""
+
+    def __init__(self, *args, interval: str, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.interval = interval
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        setattr(namespace, self.dest,
+                within(self.option_strings[0], value, self.interval))
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` whose ``add_argument`` also takes
+    ``within=``, the interval (see :mod:`repro.bounds`) the option's
+    value must lie in; a value outside it raises ``ValueError``, which
+    :func:`main` reports as ``error: --option ...``."""
+
+    def add_argument(self, *args, within: str | None = None, **kwargs):
+        if within is not None:
+            kwargs.update(action=_Within, interval=within)
+        return super().add_argument(*args, **kwargs)
 
 
 def _check_day(args: argparse.Namespace) -> None:
-    """Reject bad sparse-diurnal day options before anything runs."""
-    _require_positive(args, "duration", "peak_rate")
-    if not 0 <= args.night_rate <= args.peak_rate:
+    """The sparse-diurnal day's one cross-option bound."""
+    if args.night_rate > args.peak_rate:
         raise ValueError("--night-rate must lie in [0, --peak-rate], "
                          f"got {args.night_rate}")
 
@@ -228,7 +249,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     from repro.serving.observability import TimeSeriesSampler
     from repro.serving.server import TritonLikeServer
 
-    _require_positive(args, "rate", "interval")
     server = _register(TritonLikeServer(), "preprocess",
                        lambda n: 0.0008 * n, 16, 0.002)
     _register(server, "infer", lambda n: 0.004 + 0.0012 * n, 32, 0.005,
@@ -535,9 +555,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         raise ValueError("--scene-change-rates must name at least one "
                          "rate")
     for rate in rates:
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"scene change rate {rate} not in [0, 1]")
-    _require_positive(args, "rate")
+        within("--scene-change-rates", rate, "[0, 1]")
     spec = get_dataset(args.dataset)
     link = get_link(args.link)
 
@@ -629,23 +647,6 @@ def _cmd_network(args: argparse.Namespace) -> int:
     from repro.serving.metrics import ceil_rank
     from repro.serving.server import TritonLikeServer
 
-    if args.endpoints < 1:
-        raise ValueError("--endpoints must be >= 1")
-    if args.frames < 1:
-        raise ValueError("--frames must be >= 1")
-    _require_positive(args, "rate")
-    if args.broker_messages < 0:
-        raise ValueError("--broker-messages must be >= 0")
-    if args.loss is not None and not 0 <= args.loss < 1:
-        raise ValueError(f"--loss must lie in [0, 1), got {args.loss}")
-    if args.jitter_ms is not None and not 0 <= args.jitter_ms < math.inf:
-        raise ValueError("--jitter-ms must be non-negative and finite, "
-                         f"got {args.jitter_ms}")
-    if not 0 <= args.outage_start < math.inf:
-        raise ValueError("--outage-start must be non-negative and finite, "
-                         f"got {args.outage_start}")
-    if args.outage_start > 0:
-        _require_positive(args, "outage_seconds")
     link = get_link(args.link)
     if args.loss is not None or args.jitter_ms is not None:
         link = _dc.replace(
@@ -842,8 +843,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.serving.trace_export import explain_tail, render_attribution
     from repro.serving.traces import TraceReplayer, burst_trace, step_trace
 
-    if not 0.0 < args.sample_rate <= 1.0:
-        raise ValueError("--sample-rate must lie in (0, 1]")
     link = get_link(args.link)
 
     def server_for(batch: int, delay: float):
@@ -977,8 +976,6 @@ def _cmd_faas(args: argparse.Namespace) -> int:
     from repro.serving.slo import SLOConfig, SLOMonitor
     from repro.serving.traces import TraceReplayer, sparse_diurnal_trace
 
-    if args.max_events < 0:
-        raise ValueError("--max-events must be >= 0")
     _check_day(args)
     platform = get_platform(args.platform)
     faas_platform = get_faas_platform(args.faas_platform)
@@ -1238,43 +1235,44 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _step_load_parent(**defaults) -> argparse.ArgumentParser:
+def _step_load_parent(ceiling_within: str, ceiling_help: str,
+                      **defaults) -> argparse.ArgumentParser:
     """The step-load fleet flags ``autoscale`` and ``trace`` share,
-    with each subcommand's own defaults."""
-    p = argparse.ArgumentParser(add_help=False)
+    with each subcommand's own defaults and ``--max-replicas`` bound
+    and help."""
+    p = _Parser(add_help=False)
     p.add_argument("--model", default="resnet50",
                    help="model whose latency curve the replicas serve")
     p.add_argument("--platform", default="jetson",
                    help="platform each replica models (one device)")
-    p.add_argument("--slo-ms", type=float,
+    p.add_argument("--slo-ms", type=float, within="(0, inf)",
                    help="latency SLO (ms): the p95 autoscale defends, "
                         "the threshold trace's burn alerts watch")
-    p.add_argument("--base-rate", type=float,
+    p.add_argument("--base-rate", type=float, within="(0, inf)",
                    help="background arrival rate (requests/s)")
-    p.add_argument("--step-rate", type=float,
+    p.add_argument("--step-rate", type=float, within="(0, inf)",
                    help="arrival rate during the step (requests/s)")
-    p.add_argument("--step-start", type=float)
-    p.add_argument("--step-end", type=float)
-    p.add_argument("--duration", type=float,
+    p.add_argument("--step-start", type=float, within="[0, inf)")
+    p.add_argument("--step-end", type=float, within="(0, inf)")
+    p.add_argument("--duration", type=float, within="(0, inf)",
                    help="trace length (s); leave tail for scale-in")
-    p.add_argument("--max-replicas", type=int,
-                   help="replica ceiling (autoscale: 0 = derive from "
-                        "the capacity planner at the step rate)")
-    p.add_argument("--admit-rate", type=float,
+    p.add_argument("--max-replicas", type=int, within=ceiling_within,
+                   help=ceiling_help)
+    p.add_argument("--admit-rate", type=float, within="[0, inf)",
                    help="token-bucket admission rate (req/s; 0 = off)")
-    p.add_argument("--admit-burst", type=int,
+    p.add_argument("--admit-burst", type=int, within="[1, inf)",
                    help="token-bucket burst capacity")
-    p.add_argument("--shed-queue", type=int,
+    p.add_argument("--shed-queue", type=int, within="[0, inf)",
                    help="shed arrivals past this many queued requests "
                         "(0 = off)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, within="[0, inf)")
     p.set_defaults(**defaults)
     return p
 
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse command tree."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="HARVEST Inference reproduction toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -1295,7 +1293,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("advise", help="deployment tuning advice")
     p.add_argument("--platform", required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--latency-ms", type=float, default=1000.0 / 60.0)
+    p.add_argument("--latency-ms", type=float, default=1000.0 / 60.0,
+                   within="(0, inf)")
     p.set_defaults(func=_cmd_advise)
 
     p = sub.add_parser("predict", help="pre-deployment expectations")
@@ -1315,29 +1314,32 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "metrics",
         help="run a serving scenario and print its observability view")
-    p.add_argument("--rate", type=float, default=80.0,
+    p.add_argument("--rate", type=float, default=80.0, within="(0, inf)",
                    help="open-loop arrival rate (requests/s)")
-    p.add_argument("--requests", type=int, default=200)
-    p.add_argument("--interval", type=float, default=0.05,
+    p.add_argument("--requests", type=int, default=200, within="[1, inf)")
+    p.add_argument("--interval", type=float, default=0.05, within="(0, inf)",
                    help="time-series sampling interval (s)")
-    p.add_argument("--instances", type=int, default=1,
+    p.add_argument("--instances", type=int, default=1, within="[1, inf)",
                    help="inference instance-group size")
-    p.add_argument("--queue-limit", type=int, default=0,
+    p.add_argument("--queue-limit", type=int, default=0, within="[0, inf)",
                    help="bound the infer queue (images; 0 = unbounded)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, within="[0, inf)")
     p.set_defaults(func=_cmd_metrics)
 
     p = sub.add_parser(
         "autoscale",
         help="replay a step-load trace through the replica autoscaler",
         parents=[_step_load_parent(
+            "[0, inf)", "replica ceiling (0 = derive from the capacity "
+                        "planner at the step rate)",
             slo_ms=100.0, base_rate=200.0, step_rate=3000.0,
             step_start=5.0, step_end=15.0, duration=30.0, max_replicas=0,
             admit_rate=3500.0, admit_burst=200, shed_queue=500)])
-    p.add_argument("--interval", type=float, default=0.25,
+    p.add_argument("--interval", type=float, default=0.25, within="(0, inf)",
                    help="autoscaler evaluation interval (s)")
-    p.add_argument("--cooldown", type=float, default=1.0,
-                   help="seconds between scaling actions")
+    p.add_argument("--cooldown", type=float, default=1.0, within="[0, inf)",
+                   help="seconds between scaling actions (0 = no "
+                        "pause)")
     p.set_defaults(func=_cmd_autoscale)
 
     p = sub.add_parser(
@@ -1345,19 +1347,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay a trace across the continuum with end-to-end "
              "tracing, Perfetto export, and SLO burn-rate alerts",
         parents=[_step_load_parent(
+            "[1, inf)", "replica ceiling",
             slo_ms=1000.0 / 60.0, base_rate=60.0, step_rate=900.0,
             step_start=3.0, step_end=8.0, duration=15.0, max_replicas=4,
             admit_rate=0.0, admit_burst=100, shed_queue=300)])
     p.add_argument("--link", default="station_ethernet",
                    help="edge->cloud network link preset")
-    p.add_argument("--objective", type=float, default=0.99,
+    p.add_argument("--objective", type=float, default=0.99, within="(0, 1)",
                    help="fraction of requests that must meet the "
                         "threshold")
-    p.add_argument("--batch", type=int, default=4,
+    p.add_argument("--batch", type=int, default=4, within="[1, inf)",
                    help="replica max batch size")
     p.add_argument("--edge-preprocess-ms", type=float, default=2.0,
+                   within="[0, inf)",
                    help="edge preprocessing time per image (ms)")
-    p.add_argument("--image-kb", type=float, default=128.0,
+    p.add_argument("--image-kb", type=float, default=128.0, within="(0, inf)",
                    help="uplink payload per image (KiB)")
     p.add_argument("--out", default=None,
                    help="write Chrome/Perfetto trace-event JSON here")
@@ -1371,25 +1375,28 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dataset whose frames the camera captures")
     p.add_argument("--link", default="station_ethernet",
                    help="edge->cloud network link preset")
-    p.add_argument("--frames", type=int, default=240,
+    p.add_argument("--frames", type=int, default=240, within="[1, inf)",
                    help="frames per scene-change rate")
-    p.add_argument("--rate", type=float, default=20.0,
+    p.add_argument("--rate", type=float, default=20.0, within="(0, inf)",
                    help="camera frame rate (frames/s)")
     p.add_argument("--scene-change-rates", default="0.0,0.05,0.5",
                    help="comma-separated per-frame scene-cut "
                         "probabilities")
-    p.add_argument("--threshold", type=int, default=8,
+    p.add_argument("--threshold", type=int, default=8, within="[0, inf)",
                    help="fingerprint Hamming match budget (0 = exact)")
-    p.add_argument("--edge-ttl", type=float, default=2.0,
+    p.add_argument("--edge-ttl", type=float, default=2.0, within="(0, inf)",
                    help="edge result freshness bound (s)")
     p.add_argument("--edge-capacity-kb", type=float, default=64.0,
+                   within="(0, inf)",
                    help="edge result cache capacity (KiB)")
     p.add_argument("--cloud-capacity-mb", type=float, default=32.0,
+                   within="(0, inf)",
                    help="cloud tensor cache capacity (MiB)")
     p.add_argument("--preprocess-ms", type=float, default=55.0,
+                   within="(0, inf)",
                    help="cloud preprocess time per image (ms; CRSA's "
                         "CPU-bound warp)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, within="[0, inf)")
     p.add_argument("--out", default=None,
                    help="write the per-rate results as JSON here")
     p.set_defaults(func=_cmd_cache)
@@ -1399,22 +1406,23 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay co-located field endpoints over one contended, "
              "lossy uplink (shared fair-share link, broker QoS, "
              "optional outage with store-and-forward)")
-    p.add_argument("--endpoints", type=int, default=4,
+    p.add_argument("--endpoints", type=int, default=4, within="[1, inf)",
                    help="co-located cameras sharing the uplink")
     p.add_argument("--link", default="field_lte_lossy",
                    help="uplink preset (see repro.continuum.network)")
-    p.add_argument("--loss", type=float, default=None,
+    p.add_argument("--loss", type=float, default=None, within="[0, 1)",
                    help="override the preset's packet loss probability")
-    p.add_argument("--jitter-ms", type=float, default=None,
+    p.add_argument("--jitter-ms", type=float, default=None, within="[0, inf)",
                    help="override the preset's one-way jitter bound "
                         "(ms)")
-    p.add_argument("--frames", type=int, default=60,
+    p.add_argument("--frames", type=int, default=60, within="[1, inf)",
                    help="frames per endpoint")
-    p.add_argument("--rate", type=float, default=1.0,
+    p.add_argument("--rate", type=float, default=1.0, within="(0, inf)",
                    help="per-endpoint capture rate (frames/s)")
-    p.add_argument("--image-kb", type=float, default=256.0,
+    p.add_argument("--image-kb", type=float, default=256.0, within="(0, inf)",
                    help="image payload per frame (KiB)")
     p.add_argument("--scene-change-rate", type=float, default=0.05,
+                   within="[0, 1]",
                    help="per-frame scene-cut probability (drives edge "
                         "cache hits)")
     p.add_argument("--dataset", default="crsa",
@@ -1423,16 +1431,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cloud-side model")
     p.add_argument("--platform", default="a100",
                    help="cloud-side platform")
-    p.add_argument("--edge-ttl", type=float, default=30.0,
+    p.add_argument("--edge-ttl", type=float, default=30.0, within="(0, inf)",
                    help="edge result freshness bound (s)")
     p.add_argument("--outage-start", type=float, default=0.0,
-                   help="link outage start (s; 0 disables the outage)")
+                   within="[0, inf)",
+                   help="link outage start (s; 0 = no outage)")
     p.add_argument("--outage-seconds", type=float, default=3.0,
+                   within="(0, inf)",
                    help="link outage duration (s)")
     p.add_argument("--broker-messages", type=int, default=200,
+                   within="[0, inf)",
                    help="sensor messages per QoS level in the broker "
-                        "leg")
-    p.add_argument("--seed", type=int, default=0)
+                        "leg (0 = publish none)")
+    p.add_argument("--seed", type=int, default=0, within="[0, inf)")
     p.add_argument("--out", default=None,
                    help="write the scenario results as JSON here")
     p.add_argument("--trace-out", default=None,
@@ -1447,29 +1458,31 @@ def build_parser() -> argparse.ArgumentParser:
              "stacks, tail attribution, and fluid regime timeline")
     p.add_argument("--link", default="station_ethernet",
                    help="edge->cloud network link preset")
-    p.add_argument("--duration", type=float, default=10.0,
+    p.add_argument("--duration", type=float, default=10.0, within="(0, inf)",
                    help="continuum step-trace length (s)")
-    p.add_argument("--base-rate", type=float, default=40.0,
+    p.add_argument("--base-rate", type=float, default=40.0, within="(0, inf)",
                    help="background arrival rate (requests/s)")
-    p.add_argument("--step-rate", type=float, default=120.0,
+    p.add_argument("--step-rate", type=float, default=120.0, within="(0, inf)",
                    help="arrival rate during the step (requests/s)")
-    p.add_argument("--image-kb", type=float, default=128.0,
+    p.add_argument("--image-kb", type=float, default=128.0, within="(0, inf)",
                    help="uplink payload per image (KiB)")
-    p.add_argument("--sample-rate", type=float, default=1.0,
+    p.add_argument("--sample-rate", type=float, default=1.0, within="(0, 1]",
                    help="fraction of traces retained (deterministic "
                         "fractional sampling); the continuum;* profile "
                         "nodes cover only the retained traces")
-    p.add_argument("--quantile", type=float, default=0.99,
+    p.add_argument("--quantile", type=float, default=0.99, within="(0, 1)",
                    help="tail quantile the attribution report explains")
     p.add_argument("--fluid-duration", type=float, default=120.0,
+                   within="(0, inf)",
                    help="hybrid burst-trace length (s)")
     p.add_argument("--burst-rate", type=float, default=1200.0,
+                   within="(0, inf)",
                    help="burst arrival rate (requests/s; must exceed "
                         "the pool's saturated rate to go fluid)")
     p.add_argument("--forward", action="store_true",
                    help="also print ViT-Tiny's kernel-phase counts "
                         "from its config")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, within="[0, inf)")
     p.add_argument("--out", default=None,
                    help="write the profile report as JSON here")
     p.add_argument("--speedscope", default=None,
@@ -1494,34 +1507,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--faas-platform", default="container_faas",
                    help="serverless platform preset (see "
                         "repro.faas.platform)")
-    p.add_argument("--duration", type=float, default=7200.0,
+    p.add_argument("--duration", type=float, default=7200.0, within="(0, inf)",
                    help="trace length (s; the daylight window scales "
                         "with it)")
-    p.add_argument("--peak-rate", type=float, default=6.0,
+    p.add_argument("--peak-rate", type=float, default=6.0, within="(0, inf)",
                    help="solar-noon arrival rate (requests/s)")
-    p.add_argument("--night-rate", type=float, default=0.02,
-                   help="nighttime arrival floor (requests/s)")
-    p.add_argument("--keep-alive", type=float, default=45.0,
+    p.add_argument("--night-rate", type=float, default=0.02, within="[0, inf)",
+                   help="nighttime arrival floor (requests/s; 0 = "
+                        "an idle night)")
+    p.add_argument("--keep-alive", type=float, default=45.0, within="[0, inf]",
                    help="idle seconds before a warm instance is "
-                        "reaped (0 reaps after every response; inf "
-                        "never reaps)")
-    p.add_argument("--concurrency", type=int, default=8,
+                        "reaped (0 = reap after every response, inf = "
+                        "never reap)")
+    p.add_argument("--concurrency", type=int, default=8, within="[1, inf)",
                    help="per-function instance limit")
-    p.add_argument("--slo-ms", type=float, default=100.0,
+    p.add_argument("--slo-ms", type=float, default=100.0, within="(0, inf)",
                    help="latency threshold the burn-rate monitor "
                         "defends (ms)")
-    p.add_argument("--max-provisioned", type=int, default=2,
+    p.add_argument("--max-provisioned", type=int, default=2, within="[0, inf)",
                    help="provisioned-concurrency ceiling for the "
-                        "policy")
+                        "policy (0 = never provision)")
     p.add_argument("--hold-seconds", type=float, default=900.0,
+                   within="(0, inf)",
                    help="calm seconds before the policy releases a "
                         "pinned instance")
     p.add_argument("--replica-cost-per-hour", type=float, default=0.02,
+                   within="(0, inf)",
                    help="amortized cost of one provisioned edge "
                         "replica ($/h)")
-    p.add_argument("--max-events", type=int, default=12,
-                   help="policy events printed before eliding")
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--max-events", type=int, default=12, within="[0, inf)",
+                   help="policy events printed before eliding (0 = "
+                        "none)")
+    p.add_argument("--seed", type=int, default=1, within="[0, inf)")
     p.add_argument("--out", default=None,
                    help="write the scenario results as JSON here")
     p.set_defaults(func=_cmd_faas)
@@ -1531,20 +1548,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="fan a seed-replicated sparse-diurnal sweep across "
              "worker processes; deterministic table, aggregate CIs, "
              "and merged metrics")
-    p.add_argument("--replications", type=int, default=8,
+    p.add_argument("--replications", type=int, default=8, within="[1, inf)",
                    help="seed replications (= shards) of the workload")
-    p.add_argument("--duration", type=float, default=3600.0,
+    p.add_argument("--duration", type=float, default=3600.0, within="(0, inf)",
                    help="trace duration in seconds per shard")
-    p.add_argument("--peak-rate", type=float, default=3.0,
+    p.add_argument("--peak-rate", type=float, default=3.0, within="(0, inf)",
                    help="daytime peak arrival rate (req/s)")
-    p.add_argument("--night-rate", type=float, default=0.01,
-                   help="nighttime arrival rate (req/s)")
-    p.add_argument("--instances", type=int, default=1,
+    p.add_argument("--night-rate", type=float, default=0.01, within="[0, inf)",
+                   help="nighttime arrival rate (req/s; 0 = an idle "
+                        "night)")
+    p.add_argument("--instances", type=int, default=1, within="[1, inf)",
                    help="backend instances per shard's server")
-    p.add_argument("--seed", type=int, default=42,
+    p.add_argument("--seed", type=int, default=42, within="[0, inf)",
                    help="base seed; shard seeds derive from "
                         "(base, shard_index)")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=int, default=1, within="[1, inf)",
                    help="worker processes; the printed table is "
                         "byte-identical for any value")
     p.add_argument("--wall", action="store_true",
@@ -1560,9 +1578,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

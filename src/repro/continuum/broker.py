@@ -30,6 +30,7 @@ from collections.abc import Callable
 
 import numpy as np
 
+from repro.bounds import within
 from repro.continuum.network import NetworkLink
 from repro.serving.observability import HandleCache, ensure_registry
 
@@ -63,10 +64,8 @@ class Subscription:
 
     def __init__(self, broker, topic: str, callback, name: str,
                  service_seconds: float = 0.0, max_queue: int = 0):
-        if service_seconds < 0:
-            raise ValueError("service time must be >= 0")
-        if max_queue < 0:
-            raise ValueError("max_queue must be >= 0")
+        within("service_seconds", service_seconds, "[0, inf)")
+        within("max_queue", max_queue, "[0, inf)")
         self.broker = broker
         self.topic = topic
         self.callback = callback
@@ -174,10 +173,8 @@ class Broker:
 
     def __init__(self, sim, transport, seed: int = 0, registry=None,
                  retry_seconds: float = 1.0, max_retries: int = 2):
-        if retry_seconds <= 0:
-            raise ValueError("retry timeout must be positive")
-        if max_retries < 0:
-            raise ValueError("retry budget must be >= 0")
+        within("retry_seconds", retry_seconds, "(0, inf)")
+        within("max_retries", max_retries, "[0, inf)")
         self.sim = sim
         self.link = getattr(transport, "link", None)
         if not isinstance(self.link, NetworkLink):

@@ -26,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 import json
 
+from repro.bounds import within
 from repro.continuum.scenarios import (
     OfflineScenario,
     OnlineScenario,
@@ -64,6 +65,11 @@ class ModelEntryConfig:
     instances: int
     gpu_preprocessing: bool
 
+    def __post_init__(self) -> None:
+        within("max_batch_size", self.max_batch_size, "[1, inf)")
+        within("max_queue_delay", self.max_queue_delay, "[0, inf)")
+        within("instances", self.instances, "[1, inf)")
+
 
 @dataclasses.dataclass(frozen=True)
 class DeploymentManifest:
@@ -79,6 +85,27 @@ def _require(doc: dict, key: str):
     if key not in doc:
         raise ManifestError(f"manifest missing required key {key!r}")
     return doc[key]
+
+
+#: Each numeric key of a model entry: its type, default and bounds.
+_ENTRY_NUMBERS = {
+    "max_batch_size": (int, 64, "[1, inf)"),
+    "max_queue_delay_ms": ((int, float), 5.0, "[0, inf)"),
+    "instances": (int, 1, "[1, inf)"),
+}
+
+
+def _entry_number(raw: dict, model: str, key: str):
+    """A model entry's numeric ``key``, checked for type and bounds."""
+    kind, default, interval = _ENTRY_NUMBERS[key]
+    value = raw.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = "an integer" if kind is int else "a number"
+        raise ManifestError(f"{model}: {key} must be {noun}, got {value!r}")
+    try:
+        return within(key, value, interval)
+    except ValueError as exc:
+        raise ManifestError(f"{model}: {exc}") from None
 
 
 def load_manifest(doc: "dict | str") -> DeploymentManifest:
@@ -111,18 +138,15 @@ def load_manifest(doc: "dict | str") -> DeploymentManifest:
     for raw in raw_entries:
         model = get_model(_require(raw, "model"))
         dataset = get_dataset(_require(raw, "dataset"))
-        batch = raw.get("max_batch_size", 64)
         entry = ModelEntryConfig(
             model=model.name,
             dataset=dataset.name,
-            max_batch_size=batch,
-            max_queue_delay=raw.get("max_queue_delay_ms", 5.0) / 1e3,
-            instances=raw.get("instances", 1),
+            max_batch_size=_entry_number(raw, model.name, "max_batch_size"),
+            max_queue_delay=_entry_number(
+                raw, model.name, "max_queue_delay_ms") / 1e3,
+            instances=_entry_number(raw, model.name, "instances"),
             gpu_preprocessing=raw.get("gpu_preprocessing", True),
         )
-        if entry.instances < 1 or entry.max_batch_size < 1:
-            raise ManifestError(
-                f"{model.name}: instances and batch must be >= 1")
         if dataset.dataset_specific_preprocessing and \
                 not entry.gpu_preprocessing:
             # CPU CRSA preprocessing is the documented non-real-time

@@ -32,6 +32,7 @@ from __future__ import annotations
 import dataclasses
 import math
 
+from repro.bounds import within
 from repro.serving.observability import HandleCache, ensure_registry
 
 #: :attr:`Transfer.state` values.
@@ -180,20 +181,12 @@ class NetworkLink:
     mtu_bytes: float = 1500.0
 
     def __post_init__(self) -> None:
-        # Spelled ``not x > 0`` so that NaN, which fails every
-        # comparison, is rejected too.
-        if not self.bandwidth_bps > 0:
-            raise ValueError("bandwidth must be positive")
-        if not self.round_trip_seconds >= 0:
-            raise ValueError("RTT must be non-negative")
-        if not self.overhead_factor >= 1.0:
-            raise ValueError("overhead factor must be >= 1")
-        if not 0 <= self.jitter_seconds < math.inf:
-            raise ValueError("jitter must be non-negative and finite")
-        if not 0.0 <= self.loss_probability < 1.0:
-            raise ValueError("loss probability must lie in [0, 1)")
-        if not self.mtu_bytes > 0:
-            raise ValueError("MTU must be positive")
+        within("bandwidth_bps", self.bandwidth_bps, "(0, inf)")
+        within("round_trip_seconds", self.round_trip_seconds, "[0, inf)")
+        within("overhead_factor", self.overhead_factor, "[1, inf)")
+        within("jitter_seconds", self.jitter_seconds, "[0, inf)")
+        within("loss_probability", self.loss_probability, "[0, 1)")
+        within("mtu_bytes", self.mtu_bytes, "(0, inf)")
 
     # -- expected-value pricing ----------------------------------------
     @property
@@ -327,8 +320,7 @@ class NetworkLink:
 
     def sustainable_images_per_second(self, image_bytes: float) -> float:
         """Upload-rate ceiling for a stream of same-sized images."""
-        if image_bytes <= 0:
-            raise ValueError("image size must be positive")
+        within("image_bytes", image_bytes, "(0, inf)")
         return self.bandwidth_bps / (image_bytes * self.overhead_factor
                                      * 8.0 * self.retransmit_expansion)
 

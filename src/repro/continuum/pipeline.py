@@ -21,6 +21,7 @@ import dataclasses
 import itertools
 from collections.abc import Callable
 
+from repro.bounds import within
 from repro.continuum.network import NetworkLink
 from repro.data.datasets import DatasetSpec
 from repro.engine import calibration
@@ -214,14 +215,10 @@ class ContinuumReplayer:
                  cache_lookup_time: float = 0.0002,
                  trace_sample_rate: float = 1.0,
                  exemplars: bool = False):
-        if image_bytes <= 0:
-            raise ValueError("image_bytes must be positive")
-        if result_bytes < 0:
-            raise ValueError("result_bytes must be >= 0")
-        if cache_lookup_time < 0:
-            raise ValueError("cache_lookup_time must be >= 0")
-        if not 0.0 <= trace_sample_rate <= 1.0:
-            raise ValueError("trace_sample_rate must lie in [0, 1]")
+        within("image_bytes", image_bytes, "(0, inf)")
+        within("result_bytes", result_bytes, "[0, inf)")
+        within("cache_lookup_time", cache_lookup_time, "[0, inf)")
+        within("trace_sample_rate", trace_sample_rate, "[0, 1]")
         self.target = target
         self.link = link
         self.edge_preprocess_time = edge_preprocess_time

@@ -21,6 +21,8 @@ import dataclasses
 
 import numpy as np
 
+from repro.bounds import within
+
 
 @dataclasses.dataclass(frozen=True)
 class TilePlacement:
@@ -33,8 +35,8 @@ class TilePlacement:
     def __post_init__(self) -> None:
         if self.image.ndim != 3:
             raise ValueError("placement image must be (H, W, C)")
-        if self.x < 0 or self.y < 0:
-            raise ValueError("placements must be on-canvas (x, y >= 0)")
+        within("x", self.x, "[0, inf)")
+        within("y", self.y, "[0, inf)")
 
 
 def plan_survey(field_w: int, field_h: int, capture_w: int, capture_h: int,
@@ -132,6 +134,12 @@ class StitchCostModel:
 
     pixels_per_second_per_core: float = 3e6
     fixed_overhead_seconds: float = 30.0
+
+    def __post_init__(self) -> None:
+        within("pixels_per_second_per_core",
+               self.pixels_per_second_per_core, "(0, inf)")
+        within("fixed_overhead_seconds", self.fixed_overhead_seconds,
+               "[0, inf)")
 
     def stitch_seconds(self, total_capture_pixels: float,
                        cpu_cores: int) -> float:

@@ -32,6 +32,7 @@ import collections
 
 import numpy as np
 
+from repro.bounds import within
 from repro.continuum.network import LinkTelemetry, NetworkLink, Transfer
 
 #: Residual-work epsilon: flows within half a bit of done are done
@@ -237,8 +238,7 @@ class StoreAndForward:
 
     def __init__(self, transport, sim, outage=None,
                  capacity_bytes: float = float("inf"), registry=None):
-        if capacity_bytes <= 0:
-            raise ValueError("buffer capacity must be positive")
+        within("capacity_bytes", capacity_bytes, "(0, inf]")
         self.transport = transport
         self.link = transport.link
         self.sim = sim

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 
+from repro.bounds import within
 from repro.continuum.pipeline import EndToEndPipeline, e2e_batch_size
 from repro.data.datasets import DatasetSpec
 from repro.engine.calibration import LATENCY_TARGET_SECONDS, batch_grid
@@ -64,10 +65,9 @@ class TuningAdvisor:
     def __init__(self, platform: PlatformSpec,
                  latency_target_seconds: float = LATENCY_TARGET_SECONDS,
                  saturation_fraction: float = 0.9):
-        if latency_target_seconds <= 0:
-            raise ValueError("latency target must be positive")
-        if not 0.0 < saturation_fraction < 1.0:
-            raise ValueError("saturation fraction must be in (0, 1)")
+        within("latency_target_seconds", latency_target_seconds,
+               "(0, inf)")
+        within("saturation_fraction", saturation_fraction, "(0, 1)")
         self.platform = platform
         self.latency_target = latency_target_seconds
         self.saturation_fraction = saturation_fraction

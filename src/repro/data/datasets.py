@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 
+from repro.bounds import within
 from repro.data.distributions import (
     FixedSize,
     ImageSizeDistribution,
@@ -65,10 +66,9 @@ class DatasetSpec:
     dataset_specific_preprocessing: bool = False
 
     def __post_init__(self) -> None:
-        if self.samples < 1:
-            raise ValueError("samples must be positive")
-        if self.classes is not None and self.classes < 2:
-            raise ValueError("classification datasets need >= 2 classes")
+        within("samples", self.samples, "[1, inf)")
+        if self.classes is not None:
+            within("classes", self.classes, "[2, inf)")
 
     @property
     def mode_size(self) -> tuple[int, int]:

@@ -21,6 +21,8 @@ import math
 
 import numpy as np
 
+from repro.bounds import within
+
 
 class ImageSizeDistribution(abc.ABC):
     """Distribution over per-image (width, height) in pixels."""
@@ -53,8 +55,8 @@ class FixedSize(ImageSizeDistribution):
     height: int
 
     def __post_init__(self) -> None:
-        if min(self.width, self.height) < 1:
-            raise ValueError("image dimensions must be positive")
+        within("width", self.width, "[1, inf)")
+        within("height", self.height, "[1, inf)")
 
     @property
     def mode(self) -> tuple[int, int]:
@@ -98,10 +100,8 @@ class VariableSize(ImageSizeDistribution):
     max_side: int = 420
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.correlation <= 1.0:
-            raise ValueError("correlation must be within [0, 1]")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        within("correlation", self.correlation, "[0, 1]")
+        within("sigma", self.sigma, "(0, inf)")
         if not (self.min_side <= self.mode_width <= self.max_side
                 and self.min_side <= self.mode_height <= self.max_side):
             raise ValueError("mode must lie inside the truncation bounds")

@@ -15,6 +15,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
+from repro.bounds import within
 from repro.data.datasets import DatasetSpec
 from repro.data.encoding import encoded_bytes
 from repro.data.synthetic import SyntheticSampler
@@ -54,13 +55,11 @@ class DataLoader:
     def __init__(self, spec: DatasetSpec, batch_size: int = 1,
                  epoch_size: int | None = None, seed: int = 0,
                  scale: float = 1.0):
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         self.spec = spec
-        self.batch_size = batch_size
-        self.epoch_size = spec.samples if epoch_size is None else epoch_size
-        if self.epoch_size < 1:
-            raise ValueError("epoch_size must be >= 1")
+        self.batch_size = within("batch_size", batch_size, "[1, inf)")
+        self.epoch_size = within(
+            "epoch_size", spec.samples if epoch_size is None else epoch_size,
+            "[1, inf)")
         self._sampler = SyntheticSampler(spec, seed=seed, scale=scale)
 
     def __len__(self) -> int:

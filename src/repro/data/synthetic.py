@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.bounds import within
 from repro.data.datasets import DatasetSpec
 
 
@@ -103,12 +104,9 @@ def synth_frame_sequence(spec: DatasetSpec, n: int,
     uint8; the defaults are a 6x-downscaled 4K capture so fingerprinting
     stays cheap in tests and the CLI.
     """
-    if n < 1:
-        raise ValueError("need at least one frame")
-    if not 0.0 <= scene_change_rate <= 1.0:
-        raise ValueError("scene_change_rate must be in [0, 1]")
-    if jitter < 0:
-        raise ValueError("jitter must be >= 0")
+    within("n", n, "[1, inf)")
+    within("scene_change_rate", scene_change_rate, "[0, 1]")
+    within("jitter", jitter, "[0, inf)")
 
     def new_scene() -> np.ndarray:
         child = np.random.default_rng(rng.integers(2 ** 32))
@@ -180,8 +178,7 @@ class SyntheticSampler:
                  scale: float = 1.0):
         """``scale`` < 1 shrinks generated pixel dimensions (test speed)
         while preserving the *relative* size distribution."""
-        if not 0 < scale <= 1.0:
-            raise ValueError("scale must be in (0, 1]")
+        within("scale", scale, "(0, 1]")
         self.spec = spec
         self.scale = scale
         self._rng = np.random.default_rng(seed)

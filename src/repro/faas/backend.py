@@ -42,6 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from repro.bounds import within
 from repro.faas.cost import CostLedger, CostModel
 from repro.faas.platform import FaaSPlatformModel
 from repro.serving.frontend import ServingFrontend
@@ -75,12 +76,9 @@ class FaaSFunctionConfig:
     max_queue_depth: int = 0
 
     def __post_init__(self) -> None:
-        if self.concurrency_limit < 1:
-            raise ValueError("concurrency limit must be >= 1")
-        if not self.keep_alive_seconds >= 0:  # NaN compares false too
-            raise ValueError("keep-alive must be >= 0")
-        if self.max_queue_depth < 0:
-            raise ValueError("max queue depth must be >= 0")
+        within("concurrency_limit", self.concurrency_limit, "[1, inf)")
+        within("keep_alive_seconds", self.keep_alive_seconds, "[0, inf]")
+        within("max_queue_depth", self.max_queue_depth, "[0, inf)")
 
 
 @dataclasses.dataclass

@@ -20,6 +20,8 @@ from __future__ import annotations
 import dataclasses
 import math
 
+from repro.bounds import within
+
 
 @dataclasses.dataclass(frozen=True)
 class CostModel:
@@ -33,11 +35,12 @@ class CostModel:
     billing_quantum_seconds: float = 0.001
 
     def __post_init__(self) -> None:
-        if self.gb_second_price < 0 or self.invocation_price < 0 or \
-                self.provisioned_gb_second_price < 0:
-            raise ValueError("prices must be >= 0")
-        if self.billing_quantum_seconds <= 0:
-            raise ValueError("billing quantum must be positive")
+        within("gb_second_price", self.gb_second_price, "[0, inf)")
+        within("invocation_price", self.invocation_price, "[0, inf)")
+        within("provisioned_gb_second_price",
+               self.provisioned_gb_second_price, "[0, inf)")
+        within("billing_quantum_seconds", self.billing_quantum_seconds,
+               "(0, inf)")
 
     # ------------------------------------------------------------------
     def billed_seconds(self, duration_seconds: float) -> float:

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import dataclasses
 
+from repro.bounds import within
+
 
 @dataclasses.dataclass(frozen=True)
 class FaaSPlatformModel:
@@ -47,20 +49,18 @@ class FaaSPlatformModel:
     memory_gb: float
 
     def __post_init__(self) -> None:
-        if self.cold_start_base_seconds < 0:
-            raise ValueError("cold-start base must be >= 0")
-        if self.cold_start_jitter_seconds < 0:
-            raise ValueError("cold-start jitter must be >= 0")
+        within("cold_start_base_seconds", self.cold_start_base_seconds,
+               "[0, inf)")
+        within("cold_start_jitter_seconds",
+               self.cold_start_jitter_seconds, "[0, inf)")
         if self.cold_start_jitter_seconds > self.cold_start_base_seconds:
             raise ValueError(
                 "cold-start jitter half-width cannot exceed the base "
                 "(sandbox time would go negative)")
-        if self.artifact_bytes < 0:
-            raise ValueError("artifact size must be >= 0")
-        if self.artifact_bandwidth_bps <= 0:
-            raise ValueError("artifact bandwidth must be positive")
-        if self.memory_gb <= 0:
-            raise ValueError("memory allocation must be positive")
+        within("artifact_bytes", self.artifact_bytes, "[0, inf)")
+        within("artifact_bandwidth_bps", self.artifact_bandwidth_bps,
+               "(0, inf)")
+        within("memory_gb", self.memory_gb, "(0, inf)")
 
     # ------------------------------------------------------------------
     @property

@@ -17,6 +17,8 @@ from __future__ import annotations
 import dataclasses
 import itertools
 
+from repro.bounds import within
+
 
 class OutOfMemoryError(RuntimeError):
     """Raised when an allocation exceeds the pool's remaining capacity."""
@@ -49,9 +51,8 @@ class MemoryPool:
     """
 
     def __init__(self, capacity_bytes: float, name: str = "gpu"):
-        if capacity_bytes <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity_bytes = float(capacity_bytes)
+        self.capacity_bytes = float(
+            within("capacity_bytes", capacity_bytes, "(0, inf)"))
         self.name = name
         self._allocations: dict[int, Allocation] = {}
         self._handles = itertools.count(1)

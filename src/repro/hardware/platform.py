@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 
+from repro.bounds import within
 from repro.hardware.precision import Precision, parse_precision
 
 
@@ -67,8 +68,15 @@ class PlatformSpec:
     usable_memory_fraction: float = 0.92
 
     def __post_init__(self) -> None:
-        if self.practical_tflops <= 0:
-            raise ValueError("practical_tflops must be positive")
+        within("gpu_memory_gb", self.gpu_memory_gb, "(0, inf)")
+        within("host_memory_gb", self.host_memory_gb, "(0, inf)")
+        within("practical_tflops", self.practical_tflops, "(0, inf)")
+        within("memory_bandwidth_gbps", self.memory_bandwidth_gbps,
+               "(0, inf)")
+        within("usable_memory_fraction", self.usable_memory_fraction,
+               "(0, 1]")
+        if self.power_watts is not None:
+            within("power_watts", self.power_watts, "(0, inf)")
         peak = self.theoretical_tflops.get(self.benchmark_precision)
         if peak is None:
             raise ValueError(

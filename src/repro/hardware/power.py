@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 from typing import TYPE_CHECKING
 
+from repro.bounds import within
 from repro.hardware.platform import PlatformSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -41,10 +42,11 @@ class PowerProfile:
     overhead_factor: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0 <= self.idle_watts <= self.board_watts:
-            raise ValueError("need 0 <= idle <= board watts")
-        if self.overhead_factor < 1.0:
-            raise ValueError("overhead factor must be >= 1")
+        within("idle_watts", self.idle_watts, "[0, inf)")
+        within("board_watts", self.board_watts, "(0, inf)")
+        if self.idle_watts > self.board_watts:
+            raise ValueError("need idle <= board watts")
+        within("overhead_factor", self.overhead_factor, "[1, inf)")
 
     def watts_at(self, utilization: float) -> float:
         """Instantaneous draw at an MFU-like utilization in [0, 1]."""

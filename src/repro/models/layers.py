@@ -23,6 +23,8 @@ import dataclasses
 import enum
 import math
 
+from repro.bounds import within
+
 
 class LayerCategory(str, enum.Enum):
     """Buckets used for the paper's FLOP-breakdown claims (Section 4.0.2).
@@ -109,9 +111,9 @@ class Conv2d(LayerSpec):
     bias: bool = False
 
     def __post_init__(self) -> None:
-        if min(self.in_channels, self.out_channels, self.kernel_size,
-               self.stride) < 1:
-            raise ValueError(f"{self.name}: conv dimensions must be >= 1")
+        for field in ("in_channels", "out_channels", "kernel_size",
+                      "stride"):
+            within(f"{self.name}.{field}", getattr(self, field), "[1, inf)")
         if self.out_hw[0] < 1 or self.out_hw[1] < 1:
             raise ValueError(f"{self.name}: output spatial size collapsed")
 
@@ -185,8 +187,8 @@ class Linear(LayerSpec):
     bias: bool = True
 
     def __post_init__(self) -> None:
-        if min(self.in_features, self.out_features, self.tokens) < 1:
-            raise ValueError(f"{self.name}: linear dimensions must be >= 1")
+        for field in ("in_features", "out_features", "tokens"):
+            within(f"{self.name}.{field}", getattr(self, field), "[1, inf)")
 
     @property
     def category(self) -> LayerCategory:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 
+from repro.bounds import within
 from repro.models.graph import ModelGraph
 from repro.models.layers import (
     Activation,
@@ -52,6 +53,7 @@ class ViTConfig:
     num_classes: int = 39
 
     def __post_init__(self) -> None:
+        within("mlp_ratio", self.mlp_ratio, "(0, inf)")
         if self.img_size % self.patch_size:
             raise ValueError(
                 f"{self.name}: img_size {self.img_size} not divisible by "

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import math
 
+from repro.bounds import within
 from repro.data.datasets import DatasetSpec
 from repro.engine.oom import EngineMemoryModel
 from repro.hardware.platform import PlatformSpec
@@ -28,12 +29,10 @@ class WorkloadSpec:
     duty_cycle: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.images_per_second <= 0:
-            raise ValueError("demand must be positive")
-        if self.latency_slo_seconds <= 0:
-            raise ValueError("latency SLO must be positive")
-        if not 0 < self.duty_cycle <= 1.0:
-            raise ValueError("duty cycle must be in (0, 1]")
+        within("images_per_second", self.images_per_second, "(0, inf)")
+        within("latency_slo_seconds", self.latency_slo_seconds,
+               "(0, inf)")
+        within("duty_cycle", self.duty_cycle, "(0, 1]")
 
 
 @dataclasses.dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 
+from repro.bounds import within
 from repro.engine.latency import LatencyModel
 from repro.engine.oom import EngineMemoryModel
 from repro.hardware.platform import PlatformSpec
@@ -27,10 +28,9 @@ class ModelDemand:
     offered_images_per_second: float
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.offered_images_per_second < 0:
-            raise ValueError("offered load must be >= 0")
+        within("batch_size", self.batch_size, "[1, inf)")
+        within("offered_images_per_second",
+               self.offered_images_per_second, "[0, inf)")
 
 
 @dataclasses.dataclass
@@ -81,10 +81,8 @@ class PlacementPlanner:
 
     def __init__(self, platform: PlatformSpec, max_devices: int = 8,
                  compute_cap: float = 0.8):
-        if max_devices < 1:
-            raise ValueError("need at least one device")
-        if not 0 < compute_cap <= 1.0:
-            raise ValueError("compute_cap must be in (0, 1]")
+        within("max_devices", max_devices, "[1, inf)")
+        within("compute_cap", compute_cap, "(0, 1]")
         self.platform = platform
         self.max_devices = max_devices
         self.compute_cap = compute_cap

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 
+from repro.bounds import within
 from repro.hardware.platform import (
     PlatformKind,
     PlatformSpec,
@@ -61,8 +62,7 @@ def define_platform(
     if kind is PlatformKind.HOST:
         raise ValueError("define cloud or edge platforms")
     precision = parse_precision(precision)
-    if peak_tflops <= 0:
-        raise ValueError("peak_tflops must be positive")
+    within("peak_tflops", peak_tflops, "(0, inf)")
     practical = (measured_practical_tflops
                  if measured_practical_tflops is not None
                  else round(peak_tflops * _TIER_EFFICIENCY[kind], 1))
@@ -105,12 +105,9 @@ def cache_effective_qps(base_qps: float, hit_ratio: float,
     (CRSA's CPU-bound warp can be >0.5 of the Fig. 8 budget).  A fully
     absorbed workload (``h*f == 1``) returns ``inf``.
     """
-    if base_qps <= 0:
-        raise ValueError("base_qps must be positive")
-    if not 0.0 <= hit_ratio <= 1.0:
-        raise ValueError("hit_ratio must be in [0, 1]")
-    if not 0.0 <= stage_fraction <= 1.0:
-        raise ValueError("stage_fraction must be in [0, 1]")
+    within("base_qps", base_qps, "(0, inf)")
+    within("hit_ratio", hit_ratio, "[0, 1]")
+    within("stage_fraction", stage_fraction, "[0, 1]")
     remaining = 1.0 - hit_ratio * stage_fraction
     if remaining <= 0.0:
         return float("inf")
@@ -127,8 +124,7 @@ def uplink_fair_share_rate(link, endpoints: int,
     expansion.  The "can four field cameras stream through one LTE
     modem" question, answered before deploying.
     """
-    if endpoints < 1:
-        raise ValueError("endpoints must be >= 1")
+    within("endpoints", endpoints, "[1, inf)")
     return link.sustainable_images_per_second(image_bytes) / endpoints
 
 
@@ -181,14 +177,10 @@ def compare_serverless(trace, *, execute_seconds: float,
     """
     from repro.faas.cost import CostModel
 
-    if execute_seconds <= 0:
-        raise ValueError("execute_seconds must be positive")
-    if memory_gb <= 0:
-        raise ValueError("memory_gb must be positive")
-    if replica_cost_per_hour < 0:
-        raise ValueError("replica cost must be >= 0")
-    if replica_qps_capacity <= 0:
-        raise ValueError("replica_qps_capacity must be positive")
+    within("execute_seconds", execute_seconds, "(0, inf)")
+    within("memory_gb", memory_gb, "(0, inf)")
+    within("replica_cost_per_hour", replica_cost_per_hour, "[0, inf)")
+    within("replica_qps_capacity", replica_qps_capacity, "(0, inf)")
     if cost_model is None:
         cost_model = CostModel()
     rates = trace.rate_histogram(bins)
@@ -253,49 +245,3 @@ def preview_platform(platform: PlatformSpec,
         rows.append(report)
     return rows
 
-
-def _preview_worker(params: dict) -> dict:
-    """Sweep worker: one candidate platform's full preview report.
-
-    Runs inside a pool worker process, so the candidate arrives as the
-    plain :func:`define_platform` keyword dict (a ``PlatformSpec``
-    holds enum members and would pin pickling to this module's import
-    state) and the rows return as plain dicts.
-    """
-    candidate = dict(params["candidate"])
-    platform = define_platform(**candidate)
-    return {
-        "platform": platform.name,
-        "practical_tflops": platform.practical_tflops,
-        "rows": preview_platform(platform, donor=params.get("donor")),
-    }
-
-
-def preview_platform_grid(candidates: "list[dict]", jobs: int = 1,
-                          donor: str | None = None) -> list[dict]:
-    """Preview a grid of candidate platforms, optionally in parallel.
-
-    ``candidates`` is a list of :func:`define_platform` keyword dicts
-    (the procurement short-list).  Each candidate runs the full
-    model-zoo preview — independent work, so with ``jobs > 1`` the
-    grid fans out across processes via :mod:`repro.sweep`.  Reports
-    come back in candidate order regardless of worker count; a bad
-    datasheet fails its own candidate with the offending parameters
-    attached instead of sinking the whole grid.
-    """
-    if not candidates:
-        raise ValueError("preview_platform_grid needs candidates")
-    for candidate in candidates:
-        define_platform(**dict(candidate))  # fail fast, pre-dispatch
-
-    from repro.sweep import SweepRunner, SweepSpec
-
-    spec = SweepSpec(
-        worker="repro.predict.whatif:_preview_worker",
-        grid=[{"candidate": dict(c), "donor": donor}
-              for c in candidates],
-        expected_cost=lambda p: float(
-            p["candidate"].get("peak_tflops", 1.0)))
-    result = SweepRunner(jobs=jobs).run(spec)
-    result.raise_on_error()
-    return result.values()

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 
+from repro.bounds import within
 from repro.hardware.platform import PlatformSpec
 
 
@@ -43,8 +44,8 @@ class PlatformCostParams:
     def __post_init__(self) -> None:
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
-            if isinstance(value, float) and value <= 0:
-                raise ValueError(f"{field.name} must be positive")
+            if isinstance(value, float):
+                within(field.name, value, "(0, inf)")
 
 
 COST_PARAMS: dict[str, PlatformCostParams] = {

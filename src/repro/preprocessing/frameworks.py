@@ -22,6 +22,7 @@ import enum
 
 import numpy as np
 
+from repro.bounds import within
 from repro.data.datasets import DatasetSpec, ImageFormat
 from repro.hardware.platform import PlatformSpec
 from repro.preprocessing.cost import cost_params_for
@@ -78,9 +79,7 @@ class PreprocessFramework(abc.ABC):
     default_batch_size: int
 
     def __init__(self, output_size: int = 224):
-        if output_size < 1:
-            raise ValueError("output_size must be positive")
-        self.output_size = output_size
+        self.output_size = within("output_size", output_size, "[1, inf)")
 
     # -- functional path ------------------------------------------------
     def pipeline_for(self, dataset: DatasetSpec) -> PreprocessPipeline:

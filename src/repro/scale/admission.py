@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import dataclasses
 
+from repro.bounds import within
+
 
 @dataclasses.dataclass(frozen=True)
 class AdmissionConfig:
@@ -46,13 +48,9 @@ class AdmissionConfig:
     exempt_cache_hits: bool = False
 
     def __post_init__(self) -> None:
-        if not self.rate_per_second >= 0:  # NaN compares false too
-            raise ValueError("rate_per_second must be >= 0 (0 = off)")
-        if self.burst < 1:
-            raise ValueError("burst must be >= 1")
-        if self.max_queued_requests < 0:
-            raise ValueError(
-                "max_queued_requests must be >= 0 (0 = off)")
+        within("rate_per_second", self.rate_per_second, "[0, inf)")
+        within("burst", self.burst, "[1, inf)")
+        within("max_queued_requests", self.max_queued_requests, "[0, inf)")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -74,10 +72,8 @@ class TokenBucket:
     """
 
     def __init__(self, rate: float, burst: int):
-        if rate <= 0:
-            raise ValueError("token refill rate must be positive")
-        if burst < 1:
-            raise ValueError("burst must be >= 1")
+        within("rate", rate, "(0, inf)")
+        within("burst", burst, "[1, inf)")
         self.rate = rate
         self.burst = burst
         self._tokens = float(burst)

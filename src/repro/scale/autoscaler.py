@@ -30,6 +30,7 @@ import dataclasses
 import math
 from collections.abc import Callable
 
+from repro.bounds import within
 from repro.predict.capacity import DeploymentPlan
 from repro.scale.balancer import LoadBalancer
 from repro.serving.observability import Histogram, MetricsRegistry
@@ -46,8 +47,7 @@ def replica_ceiling(plan: DeploymentPlan,
     infeasible plan — no replica count will meet the SLO, so bounding a
     scale-out loop with it would be meaningless.
     """
-    if safety_factor < 1.0:
-        raise ValueError("safety_factor must be >= 1")
+    within("safety_factor", safety_factor, "[1, inf)")
     if not plan.meets_slo or plan.devices < 1:
         raise ValueError(
             f"plan for {plan.model!r} on {plan.platform!r} is "
@@ -83,27 +83,19 @@ class AutoscalerConfig:
     min_window_samples: int = 5
 
     def __post_init__(self) -> None:
-        # The `not x > 0` / `not x >= 0` forms reject NaN too.
-        if not self.slo_p95_seconds > 0:
-            raise ValueError("slo_p95_seconds must be positive")
-        if not self.interval > 0:
-            raise ValueError("interval must be positive")
-        if self.min_replicas < 1:
-            raise ValueError("min_replicas must be >= 1")
+        within("slo_p95_seconds", self.slo_p95_seconds, "(0, inf)")
+        within("interval", self.interval, "(0, inf)")
+        within("min_replicas", self.min_replicas, "[1, inf)")
         if self.max_replicas < self.min_replicas:
             raise ValueError("max_replicas must be >= min_replicas")
-        if self.breach_intervals < 1 or self.idle_intervals < 1:
-            raise ValueError("streak lengths must be >= 1")
-        if not self.scale_out_queue_depth > 0:
-            raise ValueError("scale_out_queue_depth must be positive")
-        if not 0 < self.scale_in_utilization < 1:
-            raise ValueError("scale_in_utilization must be in (0, 1)")
-        if not 0 < self.scale_in_p95_margin <= 1:
-            raise ValueError("scale_in_p95_margin must be in (0, 1]")
-        if not self.cooldown_seconds >= 0:
-            raise ValueError("cooldown_seconds must be >= 0")
-        if self.min_window_samples < 1:
-            raise ValueError("min_window_samples must be >= 1")
+        within("breach_intervals", self.breach_intervals, "[1, inf)")
+        within("idle_intervals", self.idle_intervals, "[1, inf)")
+        within("scale_out_queue_depth", self.scale_out_queue_depth,
+               "(0, inf)")
+        within("scale_in_utilization", self.scale_in_utilization, "(0, 1)")
+        within("scale_in_p95_margin", self.scale_in_p95_margin, "(0, 1]")
+        within("cooldown_seconds", self.cooldown_seconds, "[0, inf)")
+        within("min_window_samples", self.min_window_samples, "[1, inf)")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -398,16 +390,12 @@ class FaaSPolicyConfig:
     hold_seconds: float = 30.0
 
     def __post_init__(self) -> None:
-        if not self.interval > 0:  # NaN compares false too
-            raise ValueError("evaluation interval must be positive")
-        if self.min_provisioned < 0:
-            raise ValueError("min provisioned must be >= 0")
+        within("interval", self.interval, "(0, inf)")
+        within("min_provisioned", self.min_provisioned, "[0, inf)")
         if self.max_provisioned < self.min_provisioned:
             raise ValueError("max provisioned must be >= min")
-        if self.step < 1:
-            raise ValueError("step must be >= 1")
-        if not self.hold_seconds >= 0:
-            raise ValueError("hold_seconds must be >= 0")
+        within("step", self.step, "[1, inf)")
+        within("hold_seconds", self.hold_seconds, "[0, inf)")
 
 
 @dataclasses.dataclass(frozen=True)

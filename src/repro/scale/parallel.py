@@ -25,6 +25,7 @@ import dataclasses
 
 import numpy as np
 
+from repro.bounds import within
 from repro.engine.latency import LatencyModel
 from repro.hardware.platform import PlatformSpec
 from repro.models.graph import ModelGraph
@@ -77,8 +78,7 @@ class DataParallelGroup:
 
     def __init__(self, graph: ModelGraph, platform: PlatformSpec,
                  coordination_overhead: float = 0.02):
-        if coordination_overhead < 0:
-            raise ValueError("coordination overhead must be >= 0")
+        within("coordination_overhead", coordination_overhead, "[0, inf)")
         self.graph = graph
         self.platform = platform
         self.coordination_overhead = coordination_overhead

@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 from collections import deque
 
+from repro.bounds import within
 from repro.serving.observability import ensure_registry
 from repro.serving.request import Request
 
@@ -53,16 +54,13 @@ class BatcherConfig:
     max_queue_size: int = 0
 
     def __post_init__(self) -> None:
-        if self.max_batch_size < 1:
-            raise ValueError("max_batch_size must be >= 1")
-        if not self.max_queue_delay >= 0:  # NaN compares false too
-            raise ValueError("max_queue_delay must be >= 0")
+        within("max_batch_size", self.max_batch_size, "[1, inf)")
+        within("max_queue_delay", self.max_queue_delay, "[0, inf)")
         if any(p < 1 or p > self.max_batch_size
                for p in self.preferred_batch_sizes):
             raise ValueError(
                 "preferred batch sizes must lie in [1, max_batch_size]")
-        if self.max_queue_size < 0:
-            raise ValueError("max_queue_size must be >= 0 (0 = unbounded)")
+        within("max_queue_size", self.max_queue_size, "[0, inf)")
 
 
 @dataclasses.dataclass

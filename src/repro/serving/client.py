@@ -15,6 +15,7 @@ import itertools
 
 import numpy as np
 
+from repro.bounds import within
 from repro.serving.request import Request, Response
 from repro.serving.server import TritonLikeServer
 from repro.serving.tracectx import TraceContext
@@ -33,11 +34,8 @@ class OpenLoopClient:
                  rate_per_second: float, num_requests: int,
                  images_per_request: int = 1, seed: int = 0,
                  trace: bool = False):
-        if not rate_per_second > 0:  # NaN compares false too
-            raise ValueError(
-                f"rate_per_second must be positive, got {rate_per_second}")
-        if num_requests < 1:
-            raise ValueError("need at least one request")
+        within("rate_per_second", rate_per_second, "(0, inf)")
+        within("num_requests", num_requests, "[1, inf)")
         self.server = server
         self.model_name = model_name
         self.images_per_request = images_per_request
@@ -76,8 +74,7 @@ class ClosedLoopClient:
     def __init__(self, server: TritonLikeServer, model_name: str,
                  concurrency: int, num_requests: int,
                  images_per_request: int = 1):
-        if concurrency < 1:
-            raise ValueError("concurrency must be >= 1")
+        within("concurrency", concurrency, "[1, inf)")
         if num_requests < concurrency:
             raise ValueError("num_requests must cover the initial window")
         self.server = server

@@ -23,6 +23,8 @@ import dataclasses
 
 import numpy as np
 
+from repro.bounds import within
+
 
 @dataclasses.dataclass
 class FaultModel:
@@ -44,10 +46,8 @@ class FaultModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.failure_probability <= 1.0:
-            raise ValueError("failure probability must be in [0, 1]")
-        if not 0 <= self.detect_seconds < float("inf"):  # NaN too
-            raise ValueError("detection time must be >= 0 and finite")
+        within("failure_probability", self.failure_probability, "[0, 1]")
+        within("detect_seconds", self.detect_seconds, "[0, inf)")
         self._rng = np.random.default_rng(self.seed)
         self.injected = 0
 
@@ -82,8 +82,8 @@ class LinkOutageModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.mean_up_seconds <= 0 or self.mean_down_seconds <= 0:
-            raise ValueError("mean up/down durations must be positive")
+        within("mean_up_seconds", self.mean_up_seconds, "(0, inf)")
+        within("mean_down_seconds", self.mean_down_seconds, "(0, inf)")
         for start, end in self.windows:
             if not 0 <= start < end:
                 raise ValueError(
@@ -92,8 +92,7 @@ class LinkOutageModel:
     def windows_until(self, horizon: float
                       ) -> list[tuple[float, float]]:
         """Outage windows intersecting ``[0, horizon)``, in order."""
-        if horizon <= 0:
-            raise ValueError("horizon must be positive")
+        within("horizon", horizon, "(0, inf)")
         if self.windows:
             return [(start, min(end, horizon))
                     for start, end in self.windows if start < horizon]

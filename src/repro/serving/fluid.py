@@ -55,6 +55,7 @@ import dataclasses
 
 import numpy as np
 
+from repro.bounds import within
 from repro.serving.batcher import QueuedRequest
 from repro.serving.request import Request
 from repro.serving.server import TritonLikeServer
@@ -83,18 +84,14 @@ class FluidConfig:
     min_fluid_arrivals: int = 256
 
     def __post_init__(self) -> None:
-        if self.enter_queued_images < 1:
-            raise ValueError("enter_queued_images must be >= 1")
-        if self.exit_queued_images < 0:
-            raise ValueError("exit_queued_images must be >= 0")
+        within("enter_queued_images", self.enter_queued_images, "[1, inf)")
+        within("exit_queued_images", self.exit_queued_images, "[0, inf)")
         if self.exit_queued_images >= self.enter_queued_images:
             raise ValueError(
                 "exit threshold must sit below the entry threshold "
                 "(hysteresis keeps the controller from oscillating)")
-        if not self.sustain_seconds >= 0:  # NaN compares false too
-            raise ValueError("sustain_seconds must be >= 0")
-        if self.min_fluid_arrivals < 1:
-            raise ValueError("min_fluid_arrivals must be >= 1")
+        within("sustain_seconds", self.sustain_seconds, "[0, inf)")
+        within("min_fluid_arrivals", self.min_fluid_arrivals, "[1, inf)")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -127,10 +124,8 @@ class HybridReplayer:
     def __init__(self, server: TritonLikeServer, model_name: str,
                  images_per_request: int = 1, time_scale: float = 1.0,
                  config: FluidConfig | None = None):
-        if images_per_request < 1:
-            raise ValueError("images_per_request must be >= 1")
-        if time_scale <= 0:
-            raise ValueError("time_scale must be positive")
+        within("images_per_request", images_per_request, "[1, inf)")
+        within("time_scale", time_scale, "(0, inf)")
         model = server.model_config(model_name)  # KeyError if unknown
         if model.preprocess_model is not None:
             raise ValueError(

@@ -8,6 +8,7 @@ from typing import Sequence, TypeVar
 
 import numpy as np
 
+from repro.bounds import within
 from repro.serving.request import Response
 
 T = TypeVar("T")
@@ -71,8 +72,7 @@ def summarize_responses(responses: list[Response],
     window on those arrivals stretches the duration and deflates the
     very throughput the warmup cut was meant to stabilize.
     """
-    if not 0.0 <= warmup_fraction < 1.0:
-        raise ValueError("warmup_fraction must be in [0, 1)")
+    within("warmup_fraction", warmup_fraction, "[0, 1)")
     if not responses:
         return LatencyStats.empty()
     ordered = sorted(responses, key=lambda r: r.completion_time)

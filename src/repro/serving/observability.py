@@ -30,6 +30,8 @@ from collections.abc import Callable, Iterable
 
 import numpy as np
 
+from repro.bounds import within
+
 #: Canonical label encoding: sorted (key, value) pairs.
 LabelKey = tuple[tuple[str, str], ...]
 
@@ -705,11 +707,8 @@ class TimeSeriesSampler:
 
     def __init__(self, server, interval: float = 0.05,
                  max_samples: int = 1_000_000):
-        if not 0 < interval < float("inf"):  # NaN compares false too
-            raise ValueError("sampling interval must be positive and "
-                             "finite")
-        if max_samples < 1:
-            raise ValueError("max_samples must be >= 1")
+        within("interval", interval, "(0, inf)")
+        within("max_samples", max_samples, "[1, inf)")
         self.server = server
         self.interval = interval
         self.max_samples = max_samples

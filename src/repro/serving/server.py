@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 
+from repro.bounds import within
 from repro.serving.batcher import (
     BatcherConfig,
     DynamicBatcher,
@@ -47,10 +48,8 @@ class ModelConfig:
     max_retries: int = 2
 
     def __post_init__(self) -> None:
-        if self.instances < 1:
-            raise ValueError("instance count must be >= 1")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
+        within("instances", self.instances, "[1, inf)")
+        within("max_retries", self.max_retries, "[0, inf)")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -201,10 +200,9 @@ class TritonLikeServer(ServingFrontend):
         ``tensor_bytes`` is the per-image size charged for a cached
         tensor (default: a 224x224x3 float32 activation).
         """
-        if tensor_bytes <= 0:
-            raise ValueError("tensor_bytes must be positive")
         self.cache = cache
-        self._cache_tensor_bytes = float(tensor_bytes)
+        self._cache_tensor_bytes = float(
+            within("tensor_bytes", tensor_bytes, "(0, inf)"))
 
     def _cache_lookup_tensor(self, request: Request) -> bool:
         """Whether the cloud tensor tier already holds this frame."""

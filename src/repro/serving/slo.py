@@ -33,6 +33,7 @@ from bisect import bisect_right
 from collections import deque
 from collections.abc import Callable
 
+from repro.bounds import within
 from repro.serving.observability import Histogram, MetricsRegistry
 
 
@@ -61,25 +62,18 @@ class SLOConfig:
     rearm_seconds: float = 5.0
 
     def __post_init__(self) -> None:
-        # Every check is written so that NaN, which compares false,
-        # fails it.
-        if not self.latency_threshold_seconds > 0:
-            raise ValueError("latency threshold must be positive")
-        if not 0 < self.objective < 1:
-            raise ValueError("objective must be in (0, 1)")
-        if not self.interval > 0:
-            raise ValueError("evaluation interval must be positive")
-        if not (self.fast_window_seconds > 0 and
-                self.slow_window_seconds >= self.fast_window_seconds):
-            raise ValueError(
-                "windows must be positive with slow >= fast")
-        if not (self.fast_burn_threshold > 0 and
-                self.slow_burn_threshold > 0):
-            raise ValueError("burn thresholds must be positive")
-        if self.min_window_samples < 1:
-            raise ValueError("min_window_samples must be >= 1")
-        if not self.rearm_seconds >= 0:
-            raise ValueError("rearm_seconds must be >= 0")
+        within("latency_threshold_seconds",
+               self.latency_threshold_seconds, "(0, inf)")
+        within("objective", self.objective, "(0, 1)")
+        within("interval", self.interval, "(0, inf)")
+        within("fast_window_seconds", self.fast_window_seconds, "(0, inf)")
+        within("slow_window_seconds", self.slow_window_seconds, "(0, inf)")
+        if self.slow_window_seconds < self.fast_window_seconds:
+            raise ValueError("windows must be positive with slow >= fast")
+        within("fast_burn_threshold", self.fast_burn_threshold, "(0, inf)")
+        within("slow_burn_threshold", self.slow_burn_threshold, "(0, inf)")
+        within("min_window_samples", self.min_window_samples, "[1, inf)")
+        within("rearm_seconds", self.rearm_seconds, "[0, inf)")
 
 
 class _Window:

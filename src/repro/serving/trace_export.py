@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 
+from repro.bounds import within
 from repro.serving.metrics import ceil_rank
 from repro.serving.tracectx import SpanRecord, TraceContext
 
@@ -307,8 +308,7 @@ def explain_tail(registry, traces: list[TraceContext],
     witness from :func:`critical_path_summary` when no exemplar joins
     (exemplars disabled, or their traces sampled out).
     """
-    if not 0.0 < quantile < 1.0:
-        raise ValueError("quantile must lie in (0, 1)")
+    within("quantile", quantile, "(0, 1)")
     closed = [t for t in traces if t.closed]
     if not closed:
         raise ValueError("no closed traces to explain")

@@ -31,6 +31,7 @@ import math
 
 import numpy as np
 
+from repro.bounds import within
 from repro.serving.request import Request
 from repro.serving.tracectx import TraceContext
 
@@ -44,10 +45,8 @@ class ArrivalTrace:
     duration: float
 
     def __post_init__(self) -> None:
-        if not self.duration > 0:  # NaN compares false too
-            raise ValueError(
-                f"trace duration must be positive, got {self.duration}"
-                " (mean_rate and rate_histogram divide by it)")
+        # mean_rate and rate_histogram divide by the duration.
+        within("duration", self.duration, "(0, inf)")
         times = self.arrival_times
         if times:
             arr = np.asarray(times, dtype=float)
@@ -67,8 +66,7 @@ class ArrivalTrace:
 
     def rate_histogram(self, bins: int = 24) -> list[float]:
         """Requests/second per time bin (for reports and tests)."""
-        if bins < 1:
-            raise ValueError("bins must be >= 1")
+        within("bins", bins, "[1, inf)")
         edges = np.linspace(0.0, self.duration, bins + 1)
         counts, _ = np.histogram(self.arrival_times, bins=edges)
         width = self.duration / bins
@@ -77,19 +75,6 @@ class ArrivalTrace:
 
 #: Candidate block size for vectorized thinning (draws per RNG call).
 _THINNING_BLOCK = 16384
-
-
-def _require_positive(**params: float) -> None:
-    """Reject a NaN, infinite or non-positive parameter, by name.
-
-    Runs before any derived check: a NaN ``duration`` would otherwise
-    surface as a misplaced daylight window, and a NaN ``peak_rate`` as
-    a silently empty trace.
-    """
-    for name, value in params.items():
-        if not 0 < value < math.inf:
-            raise ValueError(
-                f"{name} must be positive and finite, got {value}")
 
 
 def _thinning(rate_fn, peak_rate: float, duration: float,
@@ -104,7 +89,6 @@ def _thinning(rate_fn, peak_rate: float, duration: float,
     uniforms are drawn one block at a time instead of two scalar draws
     per candidate, which is what makes million-arrival traces cheap.
     """
-    _require_positive(peak_rate=peak_rate, duration=duration)
     chunks: list[np.ndarray] = []
     t = 0.0
     while t < duration:
@@ -130,9 +114,9 @@ def diurnal_trace(duration: float = 86400.0, peak_rate: float = 50.0,
     to ``peak_rate`` requests/s at solar noon and falls back to
     ``base_rate`` overnight.
     """
-    _require_positive(duration=duration, peak_rate=peak_rate)
-    if not base_rate >= 0:
-        raise ValueError(f"base_rate must be >= 0, got {base_rate}")
+    within("duration", duration, "(0, inf)")
+    within("peak_rate", peak_rate, "(0, inf)")
+    within("base_rate", base_rate, "[0, inf)")
     if peak_rate <= base_rate:
         raise ValueError("peak rate must exceed the base rate")
     dawn, dusk = daylight
@@ -168,11 +152,9 @@ def sparse_diurnal_trace(duration: float = 86400.0,
     shortened trace keeps the same day shape instead of pinning dawn
     at six o'clock of a day it no longer contains.
     """
-    _require_positive(duration=duration, peak_rate=peak_rate)
-    if not night_rate >= 0:
-        raise ValueError(
-            f"night_rate (the nighttime floor) must be >= 0, got "
-            f"{night_rate}")
+    within("duration", duration, "(0, inf)")
+    within("peak_rate", peak_rate, "(0, inf)")
+    within("night_rate", night_rate, "[0, inf)")
     if night_rate > peak_rate:
         raise ValueError(
             f"nighttime floor ({night_rate}) cannot exceed the peak "
@@ -199,15 +181,15 @@ def burst_trace(duration: float = 3600.0, background_rate: float = 1.0,
                 burst_seconds: float = 30.0,
                 seed: int = 0) -> ArrivalTrace:
     """Survey-upload pattern: quiet background plus dense bursts."""
-    _require_positive(duration=duration)
-    if bursts < 0 or not burst_seconds > 0:
-        raise ValueError("bad burst parameters")
+    within("duration", duration, "(0, inf)")
+    within("bursts", bursts, "[0, inf)")
+    within("burst_seconds", burst_seconds, "(0, inf)")
     if burst_seconds > duration:
         raise ValueError(
             f"burst_seconds ({burst_seconds}) cannot exceed the trace "
             f"duration ({duration}); burst starts would be negative")
-    if not (background_rate >= 0 and burst_rate > 0):
-        raise ValueError("rates must be nonnegative (burst positive)")
+    within("background_rate", background_rate, "[0, inf)")
+    within("burst_rate", burst_rate, "(0, inf)")
     rng = np.random.default_rng(seed)
     starts = np.sort(rng.uniform(0, duration - burst_seconds,
                                  size=bursts))
@@ -242,9 +224,9 @@ def step_trace(duration: float = 60.0, base_rate: float = 5.0,
     deterministic for a given seed, which the autoscaler CLI and tests
     rely on for byte-identical replays.
     """
-    _require_positive(duration=duration)
-    if not (base_rate > 0 and step_rate > 0):
-        raise ValueError("rates must be positive")
+    within("duration", duration, "(0, inf)")
+    within("base_rate", base_rate, "(0, inf)")
+    within("step_rate", step_rate, "(0, inf)")
     if not 0 <= step_start < step_end <= duration:
         raise ValueError("step window must fit inside the trace")
 
@@ -276,10 +258,8 @@ class TraceReplayer:
     def __init__(self, target, model_name: str,
                  images_per_request: int = 1,
                  time_scale: float = 1.0, trace: bool = False):
-        if images_per_request < 1:
-            raise ValueError("images_per_request must be >= 1")
-        if time_scale <= 0:
-            raise ValueError("time_scale must be positive")
+        within("images_per_request", images_per_request, "[1, inf)")
+        within("time_scale", time_scale, "(0, inf)")
         self.target = target
         self.model_name = model_name
         self.images_per_request = images_per_request

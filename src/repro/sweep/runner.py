@@ -38,6 +38,7 @@ import time
 import traceback as traceback_module
 from concurrent.futures.process import BrokenProcessPool
 
+from repro.bounds import within
 from repro.sweep.spec import Shard, SweepSpec, resolve_worker
 
 
@@ -176,12 +177,10 @@ class SweepRunner:
 
     def __init__(self, jobs: int = 1, mp_context=None, retries: int = 1,
                  timeout_seconds: float | None = None):
-        if jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        if retries < 0:
-            raise ValueError("retries must be >= 0")
-        if timeout_seconds is not None and timeout_seconds <= 0:
-            raise ValueError("timeout_seconds must be positive")
+        within("jobs", jobs, "[1, inf)")
+        within("retries", retries, "[0, inf)")
+        if timeout_seconds is not None:
+            within("timeout_seconds", timeout_seconds, "(0, inf)")
         self.jobs = jobs
         self.mp_context = mp_context
         self.retries = retries

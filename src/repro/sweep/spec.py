@@ -29,6 +29,8 @@ import importlib
 import itertools
 from collections.abc import Callable, Mapping, Sequence
 
+from repro.bounds import within
+
 
 def derive_seed(base: int, shard_index: int) -> int:
     """Derive shard ``shard_index``'s seed from the sweep's base seed.
@@ -131,8 +133,7 @@ class SweepSpec:
     expected_cost: Callable[[dict], float] | None = None
 
     def __post_init__(self) -> None:
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
+        within("replications", self.replications, "[1, inf)")
         if self.grid is not None and len(self.grid) == 0:
             raise ValueError("an explicit grid cannot be empty")
         # With neither grid nor axes the spec is a pure seed-replication

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.bounds import within
 from repro.models.functional import FunctionalModel, build_functional
 from repro.preprocessing.pipelines import model_pipeline
 
@@ -28,8 +29,7 @@ class FeatureExtractor:
 
     def __init__(self, model_name: str, seed: int = 0,
                  batch_size: int = 32):
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        within("batch_size", batch_size, "[1, inf)")
         self.model: FunctionalModel = build_functional(model_name,
                                                        seed=seed)
         self.model_name = model_name

@@ -13,6 +13,7 @@ import dataclasses
 
 import numpy as np
 
+from repro.bounds import within
 from repro.models.functional import softmax
 
 
@@ -53,8 +54,7 @@ class LinearProbe:
                  seed: int = 0):
         if feature_dim < 1 or classes < 2:
             raise ValueError("need feature_dim >= 1 and classes >= 2")
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
+        within("momentum", momentum, "[0, 1)")
         if learning_rate <= 0 or epochs < 1:
             raise ValueError("learning rate and epochs must be positive")
         self.classes = classes

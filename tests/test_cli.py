@@ -158,7 +158,7 @@ class TestAutoscale:
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("option, message", [
-        ("--cooldown", "cooldown_seconds"),
+        ("--cooldown", "--cooldown"),
         ("--interval", "interval"),
     ])
     def test_nan_option_is_rejected_before_the_run(self, capsys, option,
@@ -510,9 +510,9 @@ class TestFaas:
         assert "--max-events" in capsys.readouterr().err
 
     @pytest.mark.parametrize("option, message", [
-        ("--slo-ms", "latency threshold"),
+        ("--slo-ms", "--slo-ms"),
         ("--keep-alive", "keep-alive"),
-        ("--hold-seconds", "hold_seconds"),
+        ("--hold-seconds", "--hold-seconds"),
         ("--duration", "--duration"),
         ("--peak-rate", "--peak-rate"),
         ("--night-rate", "--night-rate"),

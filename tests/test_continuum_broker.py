@@ -208,7 +208,7 @@ class TestFanOut:
     def test_subscription_validation(self):
         sim = Simulator()
         broker = Broker(sim, get_link("farm_wifi"))
-        with pytest.raises(ValueError, match="service time"):
+        with pytest.raises(ValueError, match="service_seconds"):
             broker.subscribe("t", lambda *a: None,
                              service_seconds=-1.0)
         with pytest.raises(ValueError, match="max_queue"):

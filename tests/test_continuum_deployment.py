@@ -95,6 +95,23 @@ class TestValidation:
         with pytest.raises(ManifestError, match="real-time"):
             load_manifest(doc)
 
+    @pytest.mark.parametrize("key, value", [
+        ("max_queue_delay_ms", float("nan")),
+        ("max_queue_delay_ms", -1.0),
+        ("max_queue_delay_ms", float("inf")),
+        ("max_batch_size", 2.5),
+        ("instances", True),
+        ("instances", "2"),
+    ])
+    def test_bad_entry_number_is_named_by_load_manifest(self, key, value):
+        # Each used to pass load_manifest: the first two failed later
+        # in build_stack, the next three built a stack, and "2" raised
+        # a bare TypeError.
+        doc = valid_manifest()
+        doc["models"][0][key] = value
+        with pytest.raises(ManifestError, match=f"^vit_small: {key} "):
+            load_manifest(doc)
+
 
 class TestBuildStack:
     def test_stack_serves_requests_end_to_end(self):

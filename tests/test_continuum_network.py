@@ -56,13 +56,13 @@ class TestNetworkLink:
 
     @pytest.mark.parametrize("field, value, match", [
         ("bandwidth_bps", math.nan, "bandwidth"),
-        ("round_trip_seconds", math.nan, "RTT"),
+        ("round_trip_seconds", math.nan, "round_trip_seconds"),
         ("overhead_factor", math.nan, "overhead"),
         ("jitter_seconds", math.nan, "jitter"),
         ("jitter_seconds", math.inf, "jitter"),
         ("jitter_seconds", -0.001, "jitter"),
         ("loss_probability", math.nan, "loss"),
-        ("mtu_bytes", math.nan, "MTU"),
+        ("mtu_bytes", math.nan, "mtu_bytes"),
     ])
     def test_validation_rejects_nan(self, field, value, match):
         with pytest.raises(ValueError, match=match):

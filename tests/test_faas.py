@@ -115,14 +115,14 @@ class TestCostModel:
     def test_validation(self):
         with pytest.raises(ValueError, match="quantum"):
             CostModel(billing_quantum_seconds=0.0)
-        with pytest.raises(ValueError, match="prices"):
+        with pytest.raises(ValueError, match="gb_second_price"):
             CostModel(gb_second_price=-1.0)
 
 
 class TestFunctionConfig:
     @pytest.mark.parametrize("keep_alive", [-1.0, float("nan")])
     def test_keep_alive_must_be_a_nonnegative_number(self, keep_alive):
-        with pytest.raises(ValueError, match="keep-alive"):
+        with pytest.raises(ValueError, match="keep_alive_seconds"):
             make_backend(keep_alive_seconds=keep_alive)
 
     @pytest.mark.parametrize("seconds", [-0.5, float("nan")])

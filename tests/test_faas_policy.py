@@ -41,7 +41,7 @@ class TestPolicyConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="interval"):
             FaaSPolicyConfig(interval=0.0)
-        with pytest.raises(ValueError, match="min provisioned"):
+        with pytest.raises(ValueError, match="min_provisioned"):
             FaaSPolicyConfig(min_provisioned=-1)
         with pytest.raises(ValueError, match="max provisioned"):
             FaaSPolicyConfig(min_provisioned=2, max_provisioned=1)

@@ -111,9 +111,9 @@ class TestSparseDiurnalTrace:
         assert max(hist) == pytest.approx(5.0, rel=0.35)
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="must be positive"):
+        with pytest.raises(ValueError, match="peak_rate"):
             sparse_diurnal_trace(peak_rate=0.0)
-        with pytest.raises(ValueError, match=">= 0"):
+        with pytest.raises(ValueError, match="night_rate"):
             sparse_diurnal_trace(peak_rate=2.0, night_rate=-0.1)
         with pytest.raises(ValueError, match="cannot exceed"):
             sparse_diurnal_trace(peak_rate=2.0, night_rate=3.0)
@@ -256,11 +256,11 @@ class TestTraceRegressions:
             burst_trace(duration=10.0, bursts=1, burst_seconds=30.0)
 
     def test_burst_rate_validation(self):
-        with pytest.raises(ValueError, match="rates"):
+        with pytest.raises(ValueError, match="background_rate"):
             burst_trace(background_rate=-0.5)
-        with pytest.raises(ValueError, match="rates"):
+        with pytest.raises(ValueError, match="burst_rate"):
             burst_trace(burst_rate=0.0)
-        with pytest.raises(ValueError, match="rates"):
+        with pytest.raises(ValueError, match="background_rate"):
             burst_trace(background_rate=math.nan)
         with pytest.raises(ValueError, match="duration"):
             burst_trace(duration=math.nan)

@@ -42,6 +42,31 @@ same() {
     echo "$name smoke ok: deterministic across runs"
 }
 
+# refuses OPTION ARGS... runs `python -m repro ARGS`, which must exit
+# 2 with empty stdout and a first stderr line `error: OPTION ...`:
+# a bad value is refused, naming its option, before anything runs.
+refuses() {
+    option="$1"
+    shift
+    status=0
+    python -m repro "$@" > "$WORK/refused.out" 2> "$WORK/refused.err" \
+        || status=$?
+    first="$(head -n 1 "$WORK/refused.err")"
+    case "$status:$first" in
+        "2:error: $option "*) ;;
+        *) echo "repro $* gave exit $status: $first" >&2; exit 1 ;;
+    esac
+    if [ -s "$WORK/refused.out" ]; then
+        echo "repro $* wrote to stdout before refusing" >&2
+        exit 1
+    fi
+    echo "refuses ok: $option"
+}
+refuses --edge-preprocess-ms trace --duration 6 --step-start 1 \
+    --step-end 3 --step-rate 700 --base-rate 60 --seed 2 \
+    --edge-preprocess-ms inf
+refuses --instances sweep --replications 2 --duration 300 --instances 0
+
 # Trace smoke: a short traced continuum replay is deterministic and
 # must pass the Chrome trace-event schema check.
 same trace "" trace --duration 6 --step-start 1 --step-end 3 \
