@@ -24,7 +24,6 @@ from repro.analysis.stats import (
     ConfidenceInterval,
     bootstrap_ci,
     latency_cis,
-    probability_a_beats_b,
 )
 
 __all__ = [
@@ -44,5 +43,4 @@ __all__ = [
     "ConfidenceInterval",
     "bootstrap_ci",
     "latency_cis",
-    "probability_a_beats_b",
 ]

@@ -1,9 +1,7 @@
 """Statistical utilities for benchmark results.
 
 Measurement hygiene for the harness: bootstrap confidence intervals on
-latency/throughput summaries, and a rank-based A/B comparison so
-ablations can claim "X beats Y" with an error probability instead of a
-single-run delta.
+latency/throughput summaries.
 """
 
 from __future__ import annotations
@@ -70,22 +68,3 @@ def latency_cis(latencies, confidence: float = 0.95,
                                                           axis=axis),
             confidence, seed=seed, name="p95"),
     }
-
-
-def probability_a_beats_b(a, b, resamples: int = 2000,
-                          seed: int = 0) -> float:
-    """Bootstrap P(mean(A) < mean(B)) — for "A is faster" claims.
-
-    Values are latencies, so *lower is better*; returns the probability
-    that A's mean latency is below B's under resampling.
-    """
-    a = np.asarray(list(a), dtype=float)
-    b = np.asarray(list(b), dtype=float)
-    if a.size < 2 or b.size < 2:
-        raise ValueError("need at least two samples per group")
-    rng = np.random.default_rng(seed)
-    a_means = a[rng.integers(0, a.size, size=(resamples, a.size))].mean(
-        axis=1)
-    b_means = b[rng.integers(0, b.size, size=(resamples, b.size))].mean(
-        axis=1)
-    return float(np.mean(a_means < b_means))

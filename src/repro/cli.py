@@ -92,6 +92,15 @@ def _check_day(args: argparse.Namespace) -> None:
                          f"got {args.night_rate}")
 
 
+def _check_step(args: argparse.Namespace) -> None:
+    """The step trace's one cross-option bound."""
+    if not args.step_start < args.step_end <= args.duration:
+        raise ValueError("--step-start and --step-end must satisfy "
+                         "--step-start < --step-end <= --duration, got "
+                         f"{args.step_start:g}, {args.step_end:g} and "
+                         f"{args.duration:g}")
+
+
 def _write(path: str, content, note: str = "") -> None:
     """Write ``content`` to ``path`` and say so on stdout.
 
@@ -298,6 +307,7 @@ def _step_load_fleet(args: argparse.Namespace, model_name: str,
     from repro.serving.server import TritonLikeServer
     from repro.serving.traces import step_trace
 
+    _check_step(args)
     latency = LatencyModel(get_model(args.model).graph,
                            get_platform(args.platform))
     sim = Simulator()
@@ -549,8 +559,13 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     from repro.serving.metrics import ceil_rank
     from repro.serving.server import TritonLikeServer
 
-    rates = [float(token) for token in
-             args.scene_change_rates.split(",") if token.strip()]
+    rates = []
+    for token in filter(str.strip, args.scene_change_rates.split(",")):
+        try:
+            rates.append(float(token))
+        except ValueError:
+            raise ValueError("--scene-change-rates must list numbers, "
+                             f"got {token.strip()!r}") from None
     if not rates:
         raise ValueError("--scene-change-rates must name at least one "
                          "rate")

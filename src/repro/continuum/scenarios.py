@@ -61,8 +61,6 @@ class OfflineScenario(ScenarioSpec):
     """
 
     name: str = "offline"
-    #: Whether captures are stitched into an orthomosaic first (Fig. 3a).
-    stitch_first: bool = True
     #: Model-input tile size cut from the mosaic.
     tile_size: int = 224
 

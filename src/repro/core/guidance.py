@@ -114,42 +114,6 @@ class TuningAdvisor:
             meets_target=True)
 
     # ------------------------------------------------------------------
-    def recommend_batch_energy_aware(
-            self, graph: ModelGraph) -> BatchRecommendation:
-        """Energy-optimal batch among latency-feasible ones.
-
-        The conclusion's "balancing latency requirements with energy
-        efficiency": among grid batches meeting the latency target (and
-        fitting memory), pick the one minimizing joules/image instead of
-        maximizing throughput.  On these models the two usually agree at
-        large batch — the interesting cases are edge deployments where
-        the latency budget cuts the grid short.
-        """
-        from repro.hardware.power import EnergyModel
-
-        grid = batch_grid(self.platform.name)
-        mem_limit = max_batch_size(graph, self.platform, grid)
-        model = LatencyModel(graph, self.platform)
-        feasible = [b for b in grid if b <= mem_limit
-                    and model.latency(b) <= self.latency_target]
-        if not feasible:
-            rec = self.recommend_batch(graph)
-            return dataclasses.replace(rec, meets_target=False)
-        energy = EnergyModel(graph, self.platform)
-        best = min(feasible,
-                   key=lambda b: energy.point(b).joules_per_image)
-        point = model.point(best)
-        return BatchRecommendation(
-            model=graph.name, platform=self.platform.name,
-            batch_size=best,
-            expected_throughput=point.throughput,
-            expected_latency_seconds=point.latency_seconds,
-            mfu_at_batch=point.mfu,
-            memory_limited_batch=mem_limit,
-            multi_instance_suggested=False,
-            meets_target=True)
-
-    # ------------------------------------------------------------------
     def recommend_model(self, dataset: DatasetSpec,
                         ) -> list[ModelRecommendation]:
         """Rank the zoo for a dataset on this platform.

@@ -29,10 +29,7 @@ from repro.data.synthetic import (
     SyntheticSampler,
 )
 from repro.data.encoding import (
-    EncodedImage,
     encoded_bytes,
-    rle_encode,
-    rle_decode,
 )
 from repro.data.loader import DataLoader, Sample
 
@@ -50,10 +47,7 @@ __all__ = [
     "synth_image",
     "synth_crsa_frame",
     "SyntheticSampler",
-    "EncodedImage",
     "encoded_bytes",
-    "rle_encode",
-    "rle_decode",
     "DataLoader",
     "Sample",
 ]

@@ -1,36 +1,13 @@
-"""Image encoding: size models for JPEG/TIFF plus a real RLE codec.
+"""Image encoding: the nominal size model for JPEG/TIFF/raw payloads.
 
 The characterization needs encoded byte counts (decode cost and network
-transfer scale with them), not bit-exact JPEG files.  :func:`encoded_bytes`
-provides the nominal size model; :func:`rle_encode`/:func:`rle_decode` are
-a real, lossless run-length codec used wherever the pipeline must actually
-round-trip bytes (the serving layer's request payloads, the offline
-stitching cache), keeping that code path honest without a JPEG dependency.
+transfer scale with them), not bit-exact JPEG files.
+:func:`encoded_bytes` provides that size model.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
-import numpy as np
-
 from repro.data.datasets import ImageFormat
-
-
-@dataclasses.dataclass(frozen=True)
-class EncodedImage:
-    """An encoded payload plus the metadata needed to decode it."""
-
-    payload: bytes
-    width: int
-    height: int
-    channels: int
-    image_format: ImageFormat
-
-    @property
-    def nbytes(self) -> int:
-        """Encoded payload size in bytes."""
-        return len(self.payload)
 
 
 def encoded_bytes(width: int, height: int,
@@ -39,77 +16,3 @@ def encoded_bytes(width: int, height: int,
     if min(width, height) < 1:
         raise ValueError("image dimensions must be positive")
     return width * height * image_format.bytes_per_pixel
-
-
-# ----------------------------------------------------------------------
-# Real RLE codec (lossless, byte-oriented)
-# ----------------------------------------------------------------------
-# Format: sequence of (count: uint8 >= 1, value: uint8) pairs over the
-# flattened uint8 image, preceded by a 13-byte header
-# (magic 'R', width u4, height u4, channels u4, little-endian).
-
-_MAGIC = ord("R")
-_HEADER = np.dtype([("magic", "u1"), ("w", "<u4"), ("h", "<u4"),
-                    ("c", "<u4")])
-
-
-def rle_encode(image: np.ndarray) -> EncodedImage:
-    """Losslessly encode a ``(H, W)`` or ``(H, W, C)`` uint8 image."""
-    if image.dtype != np.uint8:
-        raise ValueError(f"RLE codec takes uint8 images, got {image.dtype}")
-    if image.ndim == 2:
-        image = image[..., None]
-    if image.ndim != 3:
-        raise ValueError(f"expected 2D/3D image, got shape {image.shape}")
-    h, w, c = image.shape
-    flat = np.ascontiguousarray(image).reshape(-1)
-
-    # Vectorized run extraction: boundaries where the value changes.
-    if flat.size == 0:
-        raise ValueError("cannot encode an empty image")
-    change = np.flatnonzero(np.diff(flat)) + 1
-    starts = np.concatenate(([0], change))
-    ends = np.concatenate((change, [flat.size]))
-    lengths = ends - starts
-    values = flat[starts]
-
-    # Split runs longer than 255 into uint8-sized chunks.
-    full, rem = np.divmod(lengths, 255)
-    reps = full + (rem > 0)
-    rep_values = np.repeat(values, reps)
-    rep_counts = np.full(rep_values.size, 255, dtype=np.uint8)
-    # The last chunk of each run carries the remainder (255 if rem == 0).
-    last_idx = np.cumsum(reps) - 1
-    rep_counts[last_idx] = np.where(rem > 0, rem, 255).astype(np.uint8)
-
-    pairs = np.empty(rep_values.size * 2, dtype=np.uint8)
-    pairs[0::2] = rep_counts
-    pairs[1::2] = rep_values
-
-    header = np.zeros(1, dtype=_HEADER)
-    header["magic"], header["w"], header["h"], header["c"] = _MAGIC, w, h, c
-    return EncodedImage(header.tobytes() + pairs.tobytes(),
-                        width=w, height=h, channels=c,
-                        image_format=ImageFormat.RAW)
-
-
-def rle_decode(encoded: EncodedImage) -> np.ndarray:
-    """Decode back to ``(H, W, C)`` uint8; validates header and length."""
-    payload = encoded.payload
-    if len(payload) < _HEADER.itemsize:
-        raise ValueError("payload shorter than header")
-    header = np.frombuffer(payload[:_HEADER.itemsize], dtype=_HEADER)[0]
-    if header["magic"] != _MAGIC:
-        raise ValueError("bad magic byte; not an RLE payload")
-    w, h, c = int(header["w"]), int(header["h"]), int(header["c"])
-    body = np.frombuffer(payload[_HEADER.itemsize:], dtype=np.uint8)
-    if body.size % 2:
-        raise ValueError("truncated RLE stream")
-    counts = body[0::2].astype(np.int64)
-    values = body[1::2]
-    if counts.sum() != w * h * c:
-        raise ValueError(
-            f"RLE stream decodes to {counts.sum()} bytes, header says "
-            f"{w * h * c}")
-    flat = np.repeat(values, counts)
-    return flat.reshape(h, w, c)

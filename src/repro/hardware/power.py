@@ -8,9 +8,8 @@ the standard linear utilization model,
     P(util) = P_idle + (P_board − P_idle) · util,
 
 where utilization is the engine's MFU.  The resulting images/joule metric
-drives the energy-aware deployment advice: the edge device loses on
-throughput but wins decisively on energy per image for small models —
-the quantitative version of the continuum trade-off.
+shows the continuum trade-off quantitatively: the edge device loses on
+throughput but wins decisively on energy per image for small models.
 """
 
 from __future__ import annotations

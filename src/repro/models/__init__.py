@@ -8,10 +8,8 @@ computed analytically (:mod:`repro.models.layers`) — these reproduce the
 Table 3 columns and the Section 4 FLOP-breakdown claims.
 
 A real NumPy forward pass for every layer lives in
-:mod:`repro.models.functional`, an ONNX-like intermediate representation
-with (de)serialization in :mod:`repro.models.ir`, and a TensorRT-like
-engine *builder* (precision conversion + operator fusion) in
-:mod:`repro.models.trt`.
+:mod:`repro.models.functional`, and a TensorRT-like engine *builder*
+(precision conversion + operator fusion) in :mod:`repro.models.trt`.
 
 FLOP conventions
 ----------------
@@ -49,7 +47,6 @@ from repro.models.zoo import (
     list_models,
     table3_rows,
 )
-from repro.models.ir import ModelIR, to_ir, from_ir, dumps, loads
 from repro.models.trt import TRTEngineBuilder, BuiltEngineSpec
 from repro.models.functional import (
     FunctionalModel,
@@ -85,11 +82,6 @@ __all__ = [
     "get_model",
     "list_models",
     "table3_rows",
-    "ModelIR",
-    "to_ir",
-    "from_ir",
-    "dumps",
-    "loads",
     "TRTEngineBuilder",
     "BuiltEngineSpec",
     "FunctionalModel",

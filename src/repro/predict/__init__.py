@@ -30,11 +30,6 @@ from repro.predict.capacity import (
     DeploymentPlan,
     WorkloadSpec,
 )
-from repro.predict.placement import (
-    ModelDemand,
-    PlacementPlan,
-    PlacementPlanner,
-)
 from repro.predict.validation import (
     backtest_platform,
     BacktestResult,
@@ -48,9 +43,6 @@ __all__ = [
     "CapacityPlanner",
     "DeploymentPlan",
     "WorkloadSpec",
-    "ModelDemand",
-    "PlacementPlan",
-    "PlacementPlanner",
     "backtest_platform",
     "BacktestResult",
 ]

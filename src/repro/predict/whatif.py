@@ -128,29 +128,6 @@ def uplink_fair_share_rate(link, endpoints: int,
     return link.sustainable_images_per_second(image_bytes) / endpoints
 
 
-def preview_cache_capacity(base_qps: float, stage_fraction: float,
-                           hit_ratios: tuple[float, ...] = (
-                               0.0, 0.25, 0.5, 0.8, 0.9, 0.95),
-                           ) -> list[dict]:
-    """The "do we need more replicas or a cache" table.
-
-    One row per candidate hit ratio: the effective sustainable QPS and
-    the capacity multiplier versus the uncached baseline, for a cache
-    short-circuiting ``stage_fraction`` of per-request cost.
-    """
-    rows = []
-    for hit_ratio in hit_ratios:
-        effective = cache_effective_qps(base_qps, hit_ratio,
-                                        stage_fraction)
-        rows.append({
-            "hit_ratio": hit_ratio,
-            "stage_fraction": stage_fraction,
-            "effective_qps": effective,
-            "capacity_multiplier": effective / base_qps,
-        })
-    return rows
-
-
 def compare_serverless(trace, *, execute_seconds: float,
                        memory_gb: float, replica_cost_per_hour: float,
                        replica_qps_capacity: float, cost_model=None,

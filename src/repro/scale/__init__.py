@@ -7,7 +7,7 @@ scale-out the paper anticipates:
 
 * :mod:`repro.scale.parallel` — data-parallel replica groups (the second
   node GPU, multi-node batches) with a communication-overhead efficiency
-  law, plus batch sharding;
+  law;
 * :mod:`repro.scale.balancer` — request load balancing across an
   elastic pool of replica servers on the discrete-event simulator
   (round-robin, join-shortest-queue; live add/drain/release);
@@ -21,7 +21,6 @@ scale-out the paper anticipates:
 from repro.scale.parallel import (
     DataParallelGroup,
     ScalingPoint,
-    shard_batch,
 )
 from repro.scale.balancer import (
     LoadBalancer,
@@ -44,7 +43,6 @@ from repro.scale.autoscaler import (
 __all__ = [
     "DataParallelGroup",
     "ScalingPoint",
-    "shard_batch",
     "LoadBalancer",
     "RoundRobinPolicy",
     "JoinShortestQueuePolicy",

@@ -23,35 +23,10 @@ from __future__ import annotations
 
 import dataclasses
 
-import numpy as np
-
 from repro.bounds import within
 from repro.engine.latency import LatencyModel
 from repro.hardware.platform import PlatformSpec
 from repro.models.graph import ModelGraph
-
-
-def shard_batch(batch: np.ndarray, replicas: int) -> list[np.ndarray]:
-    """Split a ``(N, ...)`` batch across replicas as evenly as possible.
-
-    Shard sizes differ by at most one; empty shards are not produced
-    (fewer shards than replicas when N < replicas).
-    """
-    if replicas < 1:
-        raise ValueError("need at least one replica")
-    if batch.ndim < 1 or batch.shape[0] < 1:
-        raise ValueError("batch must have a leading sample axis")
-    n = batch.shape[0]
-    counts = [n // replicas + (1 if i < n % replicas else 0)
-              for i in range(replicas)]
-    shards = []
-    start = 0
-    for count in counts:
-        if count == 0:
-            continue
-        shards.append(batch[start:start + count])
-        start += count
-    return shards
 
 
 @dataclasses.dataclass(frozen=True)
@@ -109,16 +84,3 @@ class DataParallelGroup:
             raise ValueError("need at least one replica")
         return [self.point(n, batch_per_replica)
                 for n in range(1, max_replicas + 1)]
-
-    def split_batch_latency(self, total_batch: int,
-                            replicas: int) -> float:
-        """Latency of one large batch scattered across the group.
-
-        The group waits for the slowest shard (the largest one), plus the
-        scatter/gather coordination term.
-        """
-        if total_batch < 1:
-            raise ValueError("batch must be >= 1")
-        largest_shard = -(-total_batch // replicas)
-        base = self.latency_model.latency(largest_shard)
-        return base * (1.0 + self.coordination_overhead * (replicas - 1))

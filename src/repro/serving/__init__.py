@@ -62,7 +62,6 @@ from repro.serving.fluid import (
 )
 from repro.serving.metrics import LatencyStats, summarize_responses
 from repro.serving.faults import FaultModel
-from repro.serving.repository import ModelRepository, RepositoryEntry
 from repro.serving.traces import (
     ArrivalTrace,
     TraceReplayer,
@@ -119,8 +118,6 @@ __all__ = [
     "LatencyStats",
     "summarize_responses",
     "FaultModel",
-    "ModelRepository",
-    "RepositoryEntry",
     "ArrivalTrace",
     "TraceReplayer",
     "burst_trace",

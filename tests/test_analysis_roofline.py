@@ -1,4 +1,4 @@
-"""Tests for the per-layer roofline analysis and energy-aware advice."""
+"""Tests for the per-layer roofline analysis."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.analysis.layer_roofline import (
     model_layer_roofline,
     roofline_summary,
 )
-from repro.core.guidance import TuningAdvisor
 from repro.hardware.platform import A100, JETSON
 
 
@@ -50,32 +49,3 @@ class TestLayerRoofline:
     def test_invalid_batch_rejected(self, vit_tiny):
         with pytest.raises(ValueError):
             model_layer_roofline(vit_tiny, A100, batch_size=0)
-
-
-class TestEnergyAwareAdvice:
-    def test_energy_choice_is_latency_feasible(self, resnet50):
-        advisor = TuningAdvisor(JETSON, latency_target_seconds=0.05)
-        rec = advisor.recommend_batch_energy_aware(resnet50)
-        assert rec.meets_target
-        assert rec.expected_latency_seconds <= 0.05
-
-    def test_energy_choice_minimizes_joules(self, resnet50):
-        from repro.engine.calibration import batch_grid
-        from repro.engine.latency import LatencyModel
-        from repro.engine.oom import max_batch_size
-        from repro.hardware.power import EnergyModel
-
-        advisor = TuningAdvisor(JETSON, latency_target_seconds=0.05)
-        rec = advisor.recommend_batch_energy_aware(resnet50)
-        energy = EnergyModel(resnet50, JETSON)
-        model = LatencyModel(resnet50, JETSON)
-        limit = max_batch_size(resnet50, JETSON)
-        chosen = energy.point(rec.batch_size).joules_per_image
-        for b in batch_grid("jetson"):
-            if b <= limit and model.latency(b) <= 0.05:
-                assert chosen <= energy.point(b).joules_per_image + 1e-12
-
-    def test_unreachable_target_reported(self, vit_base):
-        advisor = TuningAdvisor(JETSON, latency_target_seconds=1e-5)
-        rec = advisor.recommend_batch_energy_aware(vit_base)
-        assert not rec.meets_target

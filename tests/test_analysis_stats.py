@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.stats import (
-    bootstrap_ci,
-    latency_cis,
-    probability_a_beats_b,
-)
+from repro.analysis.stats import bootstrap_ci, latency_cis
 
 
 class TestBootstrapCI:
@@ -44,21 +40,3 @@ class TestBootstrapCI:
         cis = latency_cis(rng.exponential(0.01, size=300))
         assert set(cis) == {"mean", "p95"}
         assert cis["p95"].estimate > cis["mean"].estimate
-
-
-class TestABComparison:
-    def test_clear_winner(self, rng):
-        fast = rng.normal(1.0, 0.1, size=100)
-        slow = rng.normal(2.0, 0.1, size=100)
-        assert probability_a_beats_b(fast, slow) > 0.99
-        assert probability_a_beats_b(slow, fast) < 0.01
-
-    def test_identical_distributions_are_a_tossup(self, rng):
-        a = rng.normal(1.0, 0.2, size=400)
-        b = rng.normal(1.0, 0.2, size=400)
-        p = probability_a_beats_b(a, b)
-        assert 0.2 < p < 0.8
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            probability_a_beats_b([1.0], [1.0, 2.0])

@@ -301,14 +301,6 @@ class TestWhatifCacheModel:
         with pytest.raises(ValueError, match="stage_fraction"):
             cache_effective_qps(10.0, 0.5, -0.1)
 
-    def test_preview_rows_are_monotone(self):
-        from repro.predict.whatif import preview_cache_capacity
-
-        rows = preview_cache_capacity(60.0, 0.6)
-        multipliers = [row["capacity_multiplier"] for row in rows]
-        assert multipliers == sorted(multipliers)
-        assert multipliers[0] == pytest.approx(1.0)
-
 
 class TestFullHitTraceRegression:
     """A 100% hit run must stay observable end to end."""

@@ -219,6 +219,21 @@ class TestTrace:
         assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["autoscale", "trace"])
+@pytest.mark.parametrize("window", [
+    ["--step-start", "20", "--duration", "6"],
+    ["--step-start", "5", "--step-end", "4"],
+])
+def test_step_window_outside_the_trace_names_its_options(capsys, command,
+                                                         window):
+    assert main([command] + window) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    first = captured.err.splitlines()[0]
+    assert first.startswith("error: --step-start ")
+    assert "--step-end" in first and "--duration" in first
+
+
 class TestCache:
     FAST = ["cache", "--frames", "80", "--rate", "20",
             "--scene-change-rates", "0.05", "--seed", "1"]
@@ -290,6 +305,13 @@ class TestCache:
     def test_out_of_range_rate_is_an_error_exit(self, capsys):
         assert main(["cache", "--scene-change-rates", "1.5"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_non_numeric_rate_names_the_option(self, capsys):
+        assert main(["cache", "--scene-change-rates", "abc",
+                     "--frames", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --scene-change-rates ")
 
 
 class TestNetwork:

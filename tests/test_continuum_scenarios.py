@@ -36,7 +36,6 @@ class TestOfflineScenario:
 
     def test_defaults(self):
         scenario = OfflineScenario()
-        assert scenario.stitch_first
         assert scenario.tile_size == 224
 
 

@@ -1,15 +1,9 @@
-"""Tests for repro.data.encoding — size models and the real RLE codec."""
+"""Tests for repro.data.encoding — the encoded-size model."""
 
-import numpy as np
 import pytest
 
 from repro.data.datasets import ImageFormat
-from repro.data.encoding import (
-    encoded_bytes,
-    rle_decode,
-    rle_encode,
-)
-from repro.data.synthetic import synth_image
+from repro.data.encoding import encoded_bytes
 
 
 class TestEncodedBytes:
@@ -23,79 +17,3 @@ class TestEncodedBytes:
     def test_invalid_dims_rejected(self):
         with pytest.raises(ValueError):
             encoded_bytes(0, 10, ImageFormat.JPEG)
-
-
-class TestRLECodec:
-    def test_roundtrip_random_image(self, rng):
-        img = synth_image(37, 23, rng)
-        decoded = rle_decode(rle_encode(img))
-        np.testing.assert_array_equal(img, decoded)
-
-    def test_roundtrip_grayscale(self, rng):
-        img = (rng.random((9, 11)) * 255).astype(np.uint8)
-        decoded = rle_decode(rle_encode(img))
-        np.testing.assert_array_equal(img[..., None], decoded)
-
-    def test_constant_image_compresses_well(self):
-        img = np.full((64, 64, 3), 7, np.uint8)
-        enc = rle_encode(img)
-        assert enc.nbytes < img.size / 50
-
-    def test_long_runs_split_correctly(self):
-        # A run longer than 255 must chunk and still round-trip.
-        img = np.zeros((1, 1000, 1), np.uint8)
-        img[0, 600:] = 9
-        decoded = rle_decode(rle_encode(img))
-        np.testing.assert_array_equal(img, decoded)
-
-    def test_run_of_exactly_255(self):
-        img = np.zeros((1, 255, 1), np.uint8)
-        decoded = rle_decode(rle_encode(img))
-        np.testing.assert_array_equal(img, decoded)
-
-    def test_run_of_exactly_510(self):
-        img = np.zeros((1, 510, 1), np.uint8)
-        decoded = rle_decode(rle_encode(img))
-        np.testing.assert_array_equal(img, decoded)
-
-    def test_metadata_on_encoded(self, rng):
-        img = synth_image(20, 10, rng)
-        enc = rle_encode(img)
-        assert (enc.width, enc.height, enc.channels) == (20, 10, 3)
-
-    def test_non_uint8_rejected(self):
-        with pytest.raises(ValueError, match="uint8"):
-            rle_encode(np.zeros((4, 4), np.float32))
-
-    def test_wrong_rank_rejected(self):
-        with pytest.raises(ValueError):
-            rle_encode(np.zeros((2, 2, 2, 2), np.uint8))
-
-    def test_empty_image_rejected(self):
-        with pytest.raises(ValueError):
-            rle_encode(np.zeros((0, 4), np.uint8))
-
-    def test_truncated_payload_rejected(self, rng):
-        import dataclasses
-
-        enc = rle_encode(synth_image(8, 8, rng))
-        broken = dataclasses.replace(enc, payload=enc.payload[:-3])
-        with pytest.raises(ValueError):
-            rle_decode(broken)
-
-    def test_bad_magic_rejected(self, rng):
-        import dataclasses
-
-        enc = rle_encode(synth_image(8, 8, rng))
-        broken = dataclasses.replace(
-            enc, payload=b"X" + enc.payload[1:])
-        with pytest.raises(ValueError, match="magic"):
-            rle_decode(broken)
-
-    def test_header_too_short_rejected(self, rng):
-        import dataclasses
-
-        enc = rle_encode(synth_image(8, 8, rng))
-        broken = dataclasses.replace(enc, payload=enc.payload[:4])
-        with pytest.raises(ValueError, match="header"):
-            rle_decode(broken)

@@ -100,20 +100,3 @@ class TestChartsVsFigures:
                   if el.tag.endswith("text") and el.text]
         for name in ("ViT Tiny", "ViT Small", "ViT Base", "ResNet50"):
             assert name in labels
-
-
-class TestRepositoryVsZooConsistency:
-    def test_repository_roundtrip_preserves_engine_performance(
-            self, tmp_path, vit_small):
-        # Serving a model from disk must price identically to serving
-        # the in-memory zoo entry.
-        from repro.serving.repository import ModelRepository
-
-        repo = ModelRepository(tmp_path)
-        repo.add_model(vit_small)
-        loaded = repo.load("vit_small").graph
-        original = LatencyModel(vit_small, A100)
-        restored = LatencyModel(loaded, A100)
-        for batch in (1, 64, 1024):
-            assert restored.throughput(batch) == pytest.approx(
-                original.throughput(batch))

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data.encoding import rle_decode, rle_encode
 from repro.hardware.gemm import gemm_flops
 from repro.hardware.memory import MemoryPool, OutOfMemoryError
 from repro.models.layers import AttentionMatmul, Conv2d, Linear
@@ -19,31 +18,6 @@ from repro.preprocessing.ops import (
 from repro.serving.batcher import BatcherConfig, DynamicBatcher
 from repro.serving.events import Simulator
 from repro.serving.request import Request
-
-
-# ----------------------------------------------------------------------
-# RLE codec: encode/decode is the identity for every uint8 image.
-# ----------------------------------------------------------------------
-@given(
-    h=st.integers(1, 24), w=st.integers(1, 24), c=st.integers(1, 4),
-    seed=st.integers(0, 2**31 - 1),
-)
-@settings(max_examples=60, deadline=None)
-def test_rle_roundtrip_identity(h, w, c, seed):
-    rng = np.random.default_rng(seed)
-    # Mix long runs and noise to exercise the chunking path.
-    img = rng.choice(np.array([0, 0, 0, 7, 255], np.uint8),
-                     size=(h, w, c))
-    decoded = rle_decode(rle_encode(img))
-    np.testing.assert_array_equal(img, decoded)
-
-
-@given(value=st.integers(0, 255), length=st.integers(1, 2000))
-@settings(max_examples=40, deadline=None)
-def test_rle_constant_run_roundtrip(value, length):
-    img = np.full((1, length, 1), value, np.uint8)
-    decoded = rle_decode(rle_encode(img))
-    np.testing.assert_array_equal(img, decoded)
 
 
 # ----------------------------------------------------------------------

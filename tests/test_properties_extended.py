@@ -9,34 +9,10 @@ from repro.continuum.network import NetworkLink
 from repro.continuum.offload import OffloadPolicy, Placement
 from repro.continuum.stitching import TilePlacement, stitch_mosaic
 from repro.hardware.platform import A100, JETSON
-from repro.models.ir import dumps, loads
-from repro.models.vit import ViTConfig, build_vit
 from repro.preprocessing.ops import solve_homography, warp_perspective
 from repro.serving.batcher import BatcherConfig, DynamicBatcher
 from repro.serving.request import Request
 from repro.serving.traces import ArrivalTrace
-
-
-# ----------------------------------------------------------------------
-# IR: round-trip identity over random ViT architectures.
-# ----------------------------------------------------------------------
-@given(
-    dim_per_head=st.integers(2, 16), heads=st.integers(1, 4),
-    depth=st.integers(1, 4), patch=st.sampled_from([2, 4, 8]),
-    patches_per_side=st.integers(2, 6), classes=st.integers(2, 50),
-)
-@settings(max_examples=40, deadline=None)
-def test_ir_roundtrip_random_vits(dim_per_head, heads, depth, patch,
-                                  patches_per_side, classes):
-    cfg = ViTConfig("rand", img_size=patch * patches_per_side,
-                    patch_size=patch, dim=dim_per_head * heads,
-                    depth=depth, heads=heads, num_classes=classes)
-    graph = build_vit(cfg)
-    restored = loads(dumps(graph))
-    assert restored.total_params() == graph.total_params()
-    assert restored.total_macs() == graph.total_macs()
-    assert restored.peak_activation_elements() == \
-        graph.peak_activation_elements()
 
 
 # ----------------------------------------------------------------------
@@ -152,23 +128,3 @@ def test_trace_histogram_conserves_mass(times, bins):
     width = 100.0 / bins
     assert sum(r * width for r in hist) == pytest.approx(len(times))
 
-
-# ----------------------------------------------------------------------
-# Placement: budgets hold for random demand mixes.
-# ----------------------------------------------------------------------
-@given(
-    loads=st.lists(st.floats(10, 8000), min_size=1, max_size=8),
-    batch=st.sampled_from([8, 32, 64]),
-)
-@settings(max_examples=30, deadline=None)
-def test_placement_budgets_hold(loads, batch, vit_tiny):
-    from repro.predict.placement import ModelDemand, PlacementPlanner
-
-    planner = PlacementPlanner(A100, max_devices=4, compute_cap=0.7)
-    demands = [ModelDemand(vit_tiny, batch, load) for load in loads]
-    plan = planner.place(demands)
-    for device in plan.devices:
-        assert device.memory_bytes <= A100.usable_gpu_memory_bytes
-        assert device.compute_fraction <= 0.7 + 1e-9
-    placed = sum(len(d.models) for d in plan.devices)
-    assert placed + len(plan.unplaced) == len(demands)

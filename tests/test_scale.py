@@ -1,6 +1,5 @@
 """Tests for repro.scale — data parallelism and load balancing."""
 
-import numpy as np
 import pytest
 
 from repro.hardware.platform import A100
@@ -9,51 +8,12 @@ from repro.scale.balancer import (
     LoadBalancer,
     RoundRobinPolicy,
 )
-from repro.scale.parallel import DataParallelGroup, shard_batch
+from repro.scale.parallel import DataParallelGroup
 from repro.serving.batcher import BatcherConfig
 from repro.serving.events import Simulator
 from repro.serving.metrics import summarize_responses
 from repro.serving.request import Request
 from repro.serving.server import ModelConfig, TritonLikeServer
-
-
-class TestShardBatch:
-    def test_even_split(self, rng):
-        batch = rng.random((8, 3))
-        shards = shard_batch(batch, 2)
-        assert [s.shape[0] for s in shards] == [4, 4]
-        np.testing.assert_array_equal(np.concatenate(shards), batch)
-
-    def test_uneven_split_differs_by_one(self, rng):
-        shards = shard_batch(rng.random((10, 2)), 3)
-        sizes = [s.shape[0] for s in shards]
-        assert sizes == [4, 3, 3]
-
-    def test_fewer_samples_than_replicas(self, rng):
-        shards = shard_batch(rng.random((2, 2)), 5)
-        assert [s.shape[0] for s in shards] == [1, 1]
-
-    def test_samples_equal_replicas(self, rng):
-        batch = rng.random((4, 2))
-        shards = shard_batch(batch, 4)
-        assert [s.shape[0] for s in shards] == [1, 1, 1, 1]
-        np.testing.assert_array_equal(np.concatenate(shards), batch)
-
-    def test_one_more_sample_than_replicas(self, rng):
-        shards = shard_batch(rng.random((5, 2)), 4)
-        assert [s.shape[0] for s in shards] == [2, 1, 1, 1]
-
-    def test_one_fewer_sample_than_replicas(self, rng):
-        # The empty tail shard is dropped, not returned zero-length.
-        shards = shard_batch(rng.random((3, 2)), 4)
-        assert [s.shape[0] for s in shards] == [1, 1, 1]
-        assert all(s.shape[0] > 0 for s in shards)
-
-    def test_validation(self, rng):
-        with pytest.raises(ValueError):
-            shard_batch(rng.random((4, 2)), 0)
-        with pytest.raises(ValueError):
-            shard_batch(np.empty((0, 2)), 2)
 
 
 class TestDataParallelGroup:
@@ -86,10 +46,6 @@ class TestDataParallelGroup:
         throughputs = [p.throughput for p in curve]
         assert throughputs == sorted(throughputs)
 
-    def test_split_batch_latency_improves_with_replicas(self, group):
-        assert group.split_batch_latency(256, 2) < \
-            group.split_batch_latency(256, 1)
-
     def test_validation(self, vit_small):
         with pytest.raises(ValueError):
             DataParallelGroup(vit_small, A100, coordination_overhead=-1)
@@ -98,8 +54,6 @@ class TestDataParallelGroup:
             group.efficiency(0)
         with pytest.raises(ValueError):
             group.scaling_curve(0)
-        with pytest.raises(ValueError):
-            group.split_batch_latency(0, 2)
 
 
 def _make_backend(sim, service=0.01):

@@ -66,6 +66,9 @@ refuses --edge-preprocess-ms trace --duration 6 --step-start 1 \
     --step-end 3 --step-rate 700 --base-rate 60 --seed 2 \
     --edge-preprocess-ms inf
 refuses --instances sweep --replications 2 --duration 300 --instances 0
+refuses --scene-change-rates cache --scene-change-rates abc --frames 5
+refuses --step-start trace --step-start 20 --duration 6
+refuses --step-start autoscale --step-start 5 --step-end 4
 
 # Trace smoke: a short traced continuum replay is deterministic and
 # must pass the Chrome trace-event schema check.
