@@ -26,8 +26,13 @@ is plain NumPy and fully deterministic.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import math
+from typing import NamedTuple
 
 import numpy as np
+
+from repro.bounds import within
 
 
 def luma(frame: np.ndarray) -> np.ndarray:
@@ -35,15 +40,26 @@ def luma(frame: np.ndarray) -> np.ndarray:
 
     Accepts grayscale ``(H, W)``, single-channel ``(H, W, 1)``, RGB
     ``(H, W, 3)`` (Rec. 601 weights), or any other channel count
-    (plain channel mean).
+    (plain channel mean).  Integer RGB channels are weighted as they
+    are: each multiply casts its channel to float64 element by element,
+    exactly as a float64 copy of the frame would, without making one.
+    Other frames are converted to float64 first, so a ``float32`` frame
+    gets float64 luma rather than NumPy 2's ``float32`` product.
     """
-    arr = np.asarray(frame, dtype=np.float64)
-    if arr.ndim == 2:
-        return arr
-    if arr.ndim != 3:
+    arr = np.asarray(frame)
+    if arr.ndim not in (2, 3):
         raise ValueError(
             f"expected a (H, W) or (H, W, C) array, got shape "
             f"{arr.shape}")
+    if (arr.ndim == 3 and arr.shape[2] == 3
+            and np.issubdtype(arr.dtype, np.integer)):
+        plane = np.multiply(arr[..., 0], 0.299, dtype=np.float64)
+        plane += np.multiply(arr[..., 1], 0.587, dtype=np.float64)
+        plane += np.multiply(arr[..., 2], 0.114, dtype=np.float64)
+        return plane
+    arr = np.asarray(arr, dtype=np.float64)
+    if arr.ndim == 2:
+        return arr
     if arr.shape[2] == 1:
         return arr[..., 0]
     if arr.shape[2] == 3:
@@ -52,32 +68,89 @@ def luma(frame: np.ndarray) -> np.ndarray:
     return arr.mean(axis=2)
 
 
-def _integral(plane: np.ndarray) -> np.ndarray:
-    """The zero-padded integral image of a non-empty 2-D plane."""
+def _edges(n: int, cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end of each of ``cells`` cells over ``n`` pixels.
+
+    Degenerate cells (an axis shorter than the grid) borrow the nearest
+    pixel so every cell stays defined and non-empty.
+    """
+    edges = np.linspace(0, n, cells + 1).round().astype(np.int64)
+    start = np.minimum(edges[:-1], n - 1)
+    return start, np.minimum(np.maximum(edges[1:], start + 1), n)
+
+
+class _Plan(NamedTuple):
+    """Where the cells of some grids lie in a row-subset integral table.
+
+    The table's row 0 is zeros, and its row ``i + 1`` is the column
+    prefix sums through plane row ``sums[i]``, prefixed along the row:
+    the integral image's row ``sums[i] + 1``.  ``sums`` ascends and
+    ends at the last plane row, so the table ends with the plane's
+    total.  ``corners`` holds the flat indices of every cell's four
+    corners in the table, grid after grid, in the order of the
+    four-term sum, and ``areas`` the cell areas.  Every array is
+    read-only: plans are shared.
+    """
+
+    sums: np.ndarray
+    corners: np.ndarray
+    areas: np.ndarray
+
+
+@functools.lru_cache(maxsize=64)
+def _plan(h: int, w: int, grids: tuple[tuple[int, int], ...]) -> _Plan:
+    """The plan of ``(rows, cols)`` grids over an ``(h, w)`` plane."""
+    y_edges = [_edges(h, rows) for rows, _ in grids]
+    # Not np.unique: it imports numpy.ma, about 1 MB of resident memory.
+    rows = np.array(sorted({int(y) for pair in y_edges for edges in pair
+                            for y in edges}))
+    corners, areas = [], []
+    for (y0, y1), (_, cols) in zip(y_edges, grids):
+        x0, x1 = _edges(w, cols)
+        top = np.searchsorted(rows, y0)[:, None] * (w + 1)
+        bottom = np.searchsorted(rows, y1)[:, None] * (w + 1)
+        corners.append(np.stack([bottom + x1, top + x1, bottom + x0,
+                                 top + x0]).reshape(4, -1))
+        areas.append(np.outer(y1 - y0, x1 - x0).ravel())
+    plan = _Plan(rows[1:] - 1, np.concatenate(corners, axis=1),
+                 np.concatenate(areas).astype(np.float64))
+    for array in plan:
+        array.flags.writeable = False
+    return plan
+
+
+def _grid_means(plane: np.ndarray,
+                *grids: tuple[int, int]) -> list[np.ndarray]:
+    """Every cell mean of each ``(rows, cols)`` grid of a 2-D plane.
+
+    The column prefix sums are taken once; only the rows the grids
+    read are then prefixed along each row, into a zero-bordered table.
+    Each entry equals the full integral image's, and each cell is the
+    same four-term sum over the integral image, so the means are those
+    of a per-cell loop bit for bit.  The last entry of the table is the
+    plane's total, which is finite unless some pixel is not: a frame
+    with a NaN or infinite pixel is refused here rather than hashed
+    like a black frame.
+    """
     if plane.ndim != 2:
         raise ValueError("block_means needs a 2-D plane")
     h, w = plane.shape
     if h < 1 or w < 1:
         raise ValueError("plane must be non-empty")
-    integral = np.zeros((h + 1, w + 1), dtype=np.float64)
-    integral[1:, 1:] = plane.cumsum(axis=0).cumsum(axis=1)
-    return integral
-
-
-def _cell_means(integral: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Every ``(rows, cols)`` cell mean of an integral image at once."""
-    h, w = integral.shape[0] - 1, integral.shape[1] - 1
-    ys = np.linspace(0, h, rows + 1).round().astype(np.int64)
-    xs = np.linspace(0, w, cols + 1).round().astype(np.int64)
-    # Degenerate cells (input smaller than the grid) borrow the nearest
-    # pixel so every cell stays defined and non-empty.
-    y0 = np.minimum(ys[:-1], h - 1)
-    y1 = np.minimum(np.maximum(ys[1:], y0 + 1), h)
-    x0 = np.minimum(xs[:-1], w - 1)
-    x1 = np.minimum(np.maximum(xs[1:], x0 + 1), w)
-    total = (integral[np.ix_(y1, x1)] - integral[np.ix_(y0, x1)]
-             - integral[np.ix_(y1, x0)] + integral[np.ix_(y0, x0)])
-    return total / np.outer(y1 - y0, x1 - x0)
+    plan = _plan(h, w, grids)
+    table = np.zeros((plan.sums.size + 1, w + 1), dtype=np.float64)
+    table[1:, 1:] = plane.cumsum(axis=0)[plan.sums].cumsum(axis=1)
+    table = table.ravel()
+    if not math.isfinite(table[-1]):
+        raise ValueError(
+            f"pixels must be finite, but the plane sums to {table[-1]}")
+    cell = table[plan.corners]
+    means = (cell[0] - cell[1] - cell[2] + cell[3]) / plan.areas
+    split, start = [], 0
+    for rows, cols in grids:
+        split.append(means[start:start + rows * cols].reshape(rows, cols))
+        start += rows * cols
+    return split
 
 
 def block_means(plane: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -88,7 +161,9 @@ def block_means(plane: np.ndarray, rows: int, cols: int) -> np.ndarray:
     is deterministic.  Inputs smaller than the grid repeat pixels.
     Every cell is four reads of one integral image, whatever its size.
     """
-    return _cell_means(_integral(plane), rows, cols)
+    within("rows", rows, "[1, inf)")
+    within("cols", cols, "[1, inf)")
+    return _grid_means(plane, (rows, cols))[0]
 
 
 def _pack_bits(bits: np.ndarray) -> int:
@@ -98,14 +173,11 @@ def _pack_bits(bits: np.ndarray) -> int:
     return value >> (-bits.size % 8)
 
 
-def _dhash_of(integral: np.ndarray, hash_size: int) -> int:
-    means = _cell_means(integral, hash_size, hash_size + 1)
+def _dhash_of(means: np.ndarray) -> int:
     return _pack_bits(means[:, :-1] < means[:, 1:])
 
 
-def _blocks_of(plane: np.ndarray, integral: np.ndarray,
-               block_grid: int) -> int:
-    means = _cell_means(integral, block_grid, block_grid)
+def _blocks_of(means: np.ndarray, plane: np.ndarray) -> int:
     return _pack_bits(means > plane.mean())
 
 
@@ -118,9 +190,9 @@ def dhash_bits(frame: np.ndarray, hash_size: int = 8) -> int:
     to every other uniform frame's hash, which is exactly the wanted
     semantics for a content-addressed cache.
     """
-    if hash_size < 2:
-        raise ValueError("hash_size must be >= 2")
-    return _dhash_of(_integral(luma(frame)), hash_size)
+    within("hash_size", hash_size, "[2, inf)")
+    return _dhash_of(
+        _grid_means(luma(frame), (hash_size, hash_size + 1))[0])
 
 
 def block_signature_bits(frame: np.ndarray, block_grid: int = 4) -> int:
@@ -129,10 +201,10 @@ def block_signature_bits(frame: np.ndarray, block_grid: int = 4) -> int:
     ``block_grid**2`` bits comparing each cell of a ``block_grid``
     square partition against the global mean luma.
     """
-    if block_grid < 1:
-        raise ValueError("block_grid must be >= 1")
+    within("block_grid", block_grid, "[1, inf)")
     plane = luma(frame)
-    return _blocks_of(plane, _integral(plane), block_grid)
+    return _blocks_of(_grid_means(plane, (block_grid, block_grid))[0],
+                      plane)
 
 
 def hamming(a: int, b: int) -> int:
@@ -205,18 +277,18 @@ def fingerprint(frame: np.ndarray, hash_size: int = 8,
                 block_grid: int = 4) -> FrameFingerprint:
     """Fingerprint one frame (any resolution, grayscale or color).
 
-    One pass: the luma plane and its integral image are computed once
-    and serve both the dHash and the block-signature grids.
+    One pass: the luma plane and its column prefix sums are computed
+    once, and one table of the integral rows either grid reads serves
+    both the dHash and the block-signature grids.
     """
-    if hash_size < 2:
-        raise ValueError("hash_size must be >= 2")
+    within("hash_size", hash_size, "[2, inf)")
+    within("block_grid", block_grid, "[1, inf)")
     plane = luma(frame)
-    integral = _integral(plane)
-    if block_grid < 1:
-        raise ValueError("block_grid must be >= 1")
+    gradient, cells = _grid_means(plane, (hash_size, hash_size + 1),
+                                  (block_grid, block_grid))
     return FrameFingerprint(
-        dhash=_dhash_of(integral, hash_size),
-        blocks=_blocks_of(plane, integral, block_grid),
+        dhash=_dhash_of(gradient),
+        blocks=_blocks_of(cells, plane),
         hash_size=hash_size,
         block_grid=block_grid,
     )

@@ -314,8 +314,7 @@ class CacheStore:
         near-duplicate and every victim evicted before the refusal are
         gone.
         """
-        if size_bytes <= 0:
-            raise ValueError("size_bytes must be positive")
+        within("size_bytes", size_bytes, "(0, inf]")
         now = self._clock()
         if size_bytes > self.capacity_bytes:
             self.stats.uncacheable += 1

@@ -249,8 +249,21 @@ def _reference_pack_bits(bits):
     return value
 
 
+def _reference_luma(frame):
+    """Luma from a float64 copy of the whole frame."""
+    arr = np.asarray(frame, dtype=np.float64)
+    if arr.ndim == 2:
+        return arr
+    if arr.shape[2] == 1:
+        return arr[..., 0]
+    if arr.shape[2] == 3:
+        return (0.299 * arr[..., 0] + 0.587 * arr[..., 1]
+                + 0.114 * arr[..., 2])
+    return arr.mean(axis=2)
+
+
 def _reference_fingerprint(frame, hash_size, block_grid):
-    plane = luma(frame)
+    plane = _reference_luma(frame)
     grad = _reference_block_means(plane, hash_size, hash_size + 1)
     cells = _reference_block_means(plane, block_grid, block_grid)
     return (_reference_pack_bits(grad[:, :-1] < grad[:, 1:]),
@@ -288,6 +301,17 @@ def _parity_frames(seed=2024):
             yield rng.random(shape).astype(np.float32)
 
 
+def _frames_in_use(height, width, seed=30):
+    """RGB frames of one size: uint8 and float32 take the float64
+    luma path or the integer one, uint16 and int32 the integer one."""
+    rng = np.random.default_rng([seed, height, width])
+    shape = (height, width, 3)
+    yield rng.integers(0, 256, shape, dtype=np.uint8)
+    yield (rng.random(shape) * 255.0).astype(np.float32)
+    yield rng.integers(0, 1 << 16, shape, dtype=np.uint16)
+    yield rng.integers(-(1 << 31), (1 << 31) - 1, shape, dtype=np.int32)
+
+
 class TestVectorisedParity:
     """Fingerprints are bit-identical to the per-cell, per-bit code."""
 
@@ -321,3 +345,50 @@ class TestVectorisedParity:
                 digest.update(f"{fp.packed:x};".encode())
         assert digest.hexdigest() == PINNED_PACKED_SHA256
 
+    #: 96x54 (the benchmark's cameras), 180x320 (the CLI default) and
+    #: 540x960 (the functional CRSA path).
+    @pytest.mark.parametrize("height,width", [(54, 96), (180, 320),
+                                              (540, 960)])
+    def test_frame_sizes_in_use_match_reference(self, height, width):
+        for frame in _frames_in_use(height, width):
+            plane = luma(frame)
+            assert plane.dtype == np.float64, frame.dtype
+            assert np.array_equal(plane, _reference_luma(frame)), \
+                frame.dtype
+            for hash_size, block_grid in GEOMETRIES:
+                fp = fingerprint(frame, hash_size=hash_size,
+                                 block_grid=block_grid)
+                assert (fp.dhash, fp.blocks) == _reference_fingerprint(
+                    frame, hash_size, block_grid), frame.dtype
+
+
+class TestNonFiniteFrames:
+    """A NaN or infinite pixel must not fingerprint like a black frame,
+    whose cached result it would otherwise hit."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("signature", [fingerprint, dhash_bits,
+                                           block_signature_bits])
+    def test_non_finite_pixel_refused(self, signature, value):
+        frame = np.zeros((54, 96, 3))
+        frame[0, 95, 1] = value
+        with pytest.raises(ValueError, match="finite"):
+            signature(frame)
+
+
+class TestGridSizes:
+    @pytest.mark.parametrize("rows,cols,name", [(0, 3, "rows"),
+                                                (-1, 3, "rows"),
+                                                (3, 0, "cols")])
+    def test_block_means_rejects_empty_grids(self, rows, cols, name):
+        with pytest.raises(ValueError, match=name):
+            block_means(np.ones((4, 4)), rows, cols)
+
+    def test_geometry_is_checked_before_the_frame(self):
+        # A 1-D array is no frame, but the bad grid is named first.
+        with pytest.raises(ValueError, match="block_grid"):
+            fingerprint(np.zeros(8), block_grid=0)
+        with pytest.raises(ValueError, match="block_grid"):
+            block_signature_bits(np.zeros(8), block_grid=0)
+        with pytest.raises(ValueError, match="hash_size"):
+            dhash_bits(np.zeros(8), hash_size=1)

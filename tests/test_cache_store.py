@@ -144,7 +144,8 @@ class TestEviction:
     def test_oversized_value_is_uncacheable(self, clock):
         store = CacheStore(100, clock)
         assert not store.insert(fp(1), "v", 101)
-        assert store.stats.uncacheable == 1
+        assert not store.insert(fp(2), "v", float("inf"))
+        assert store.stats.uncacheable == 2
 
     def test_byte_accounting_tracks_residency(self, clock):
         store = CacheStore(100, clock)
@@ -161,6 +162,17 @@ class TestEviction:
             store.insert(fp(1), "v", 0)
         with pytest.raises(ValueError, match="capacity"):
             CacheStore(0, clock)
+
+    def test_nan_size_is_refused_and_the_byte_bound_holds(self, clock):
+        # A NaN size would make used_bytes NaN, and every later
+        # "used + size > capacity" test false, so nothing would evict.
+        store = CacheStore(100, clock)
+        with pytest.raises(ValueError, match="size_bytes"):
+            store.insert(fp(1), "v", float("nan"))
+        for key in range(2, 7):
+            store.insert(fp(key), "v", 60)
+        assert len(store) == 1
+        assert store.used_bytes == 60
 
 
 class TestTinyLFUAdmission:
