@@ -40,19 +40,16 @@ def luma(frame: np.ndarray) -> np.ndarray:
 
     Accepts grayscale ``(H, W)``, single-channel ``(H, W, 1)``, RGB
     ``(H, W, 3)`` (Rec. 601 weights), or any other channel count
-    (plain channel mean).  Integer RGB channels are weighted as they
-    are: each multiply casts its channel to float64 element by element,
-    exactly as a float64 copy of the frame would, without making one.
-    Other frames are converted to float64 first, so a ``float32`` frame
-    gets float64 luma rather than NumPy 2's ``float32`` product.
+    (plain channel mean).  RGB channels are weighted as they are: each
+    multiply casts its channel to float64 element by element, exactly
+    as a float64 copy of the frame would, without making one.
     """
     arr = np.asarray(frame)
     if arr.ndim not in (2, 3):
         raise ValueError(
             f"expected a (H, W) or (H, W, C) array, got shape "
             f"{arr.shape}")
-    if (arr.ndim == 3 and arr.shape[2] == 3
-            and np.issubdtype(arr.dtype, np.integer)):
+    if arr.ndim == 3 and arr.shape[2] == 3:
         plane = np.multiply(arr[..., 0], 0.299, dtype=np.float64)
         plane += np.multiply(arr[..., 1], 0.587, dtype=np.float64)
         plane += np.multiply(arr[..., 2], 0.114, dtype=np.float64)
@@ -62,9 +59,6 @@ def luma(frame: np.ndarray) -> np.ndarray:
         return arr
     if arr.shape[2] == 1:
         return arr[..., 0]
-    if arr.shape[2] == 3:
-        return (0.299 * arr[..., 0] + 0.587 * arr[..., 1]
-                + 0.114 * arr[..., 2])
     return arr.mean(axis=2)
 
 

@@ -302,8 +302,8 @@ def _parity_frames(seed=2024):
 
 
 def _frames_in_use(height, width, seed=30):
-    """RGB frames of one size: uint8 and float32 take the float64
-    luma path or the integer one, uint16 and int32 the integer one."""
+    """RGB frames of one size: uint8 and float32, as the benchmark and
+    the CLI feed them, and the wider uint16 and int32."""
     rng = np.random.default_rng([seed, height, width])
     shape = (height, width, 3)
     yield rng.integers(0, 256, shape, dtype=np.uint8)
