@@ -38,8 +38,9 @@ def synth_image(width: int, height: int,
     Smoothed noise per channel with vegetation-like channel gains
     (G > R > B) plus mild per-pixel texture.
     """
-    if min(width, height, channels) < 1:
-        raise ValueError("image dimensions must be positive")
+    within("width", width, "[1, inf)")
+    within("height", height, "[1, inf)")
+    within("channels", channels, "[1, 3]")
     base = _smooth(rng.random((height, width)))
     texture = rng.random((height, width)) * 0.15
     gains = np.array([0.55, 0.85, 0.35][:channels])
@@ -61,8 +62,8 @@ def synth_crsa_frame(width: int = 3840, height: int = 2160,
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    if min(width, height) < 8:
-        raise ValueError("frame too small")
+    within("width", width, "[8, inf)")
+    within("height", height, "[8, inf)")
     frame = synth_image(width, height, rng)
     # Soil tint: damp the green channel.
     frame = frame.astype(np.float32)
@@ -121,7 +122,7 @@ def synth_frame_sequence(spec: DatasetSpec, n: int,
         if index > 0 and rng.random() < scene_change_rate:
             scene = new_scene()
         noisy = scene + rng.uniform(-jitter, jitter, scene.shape)
-        frames.append(np.clip(noisy, 0, 255).astype(np.uint8))
+        frames.append(np.clip(noisy, 0, 255, out=noisy).astype(np.uint8))
     return frames
 
 
@@ -142,10 +143,10 @@ def synth_labeled_images(n: int, classes: int, image_size: int,
     fine-tuning experiments (the paper: "enabling landholders to easily
     train localized AI models with their own data").
     """
-    if n < 1 or classes < 2 or image_size < 4:
-        raise ValueError("need n >= 1, classes >= 2, image_size >= 4")
-    if signal_strength < 0:
-        raise ValueError("signal_strength must be >= 0")
+    within("n", n, "[1, inf)")
+    within("classes", classes, "[2, inf)")
+    within("image_size", image_size, "[4, inf)")
+    within("signal_strength", signal_strength, "[0, inf)")
     class_rng = np.random.default_rng(12345)  # fixed class signatures
     gains = class_rng.uniform(0.4, 1.0, size=(classes, 3))
     frequencies = class_rng.integers(1, max(2, image_size // 4),

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.models.resnet import STAGES, BottleneckConfig
 from repro.models.vit import ViTConfig, VIT_CONFIGS
-from repro.models.workspace import WeightPack, WorkspaceArena
+from repro.models.workspace import WeightPack, WorkspaceArena, scratch
 
 
 class MacTally:
@@ -46,20 +46,22 @@ class MacTally:
 
 def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None,
            tally: MacTally | None = None,
-           pack: WeightPack | None = None) -> np.ndarray:
+           pack: WeightPack | None = None,
+           out: np.ndarray | None = None) -> np.ndarray:
     """``y = x @ W^T + b`` over the last axis.
 
     ``weight`` is ``(out, in)`` (PyTorch convention).  With a
     :class:`~repro.models.workspace.WeightPack` the GEMM consumes the
     pre-transposed contiguous operand instead of transposing per call;
-    the values are identical either way.
+    the values are identical either way.  ``out`` (an arena slot, say)
+    receives the result in place of a new array.
     """
     if x.shape[-1] != weight.shape[1]:
         raise ValueError(
             f"linear: input features {x.shape[-1]} != weight in "
             f"{weight.shape[1]}")
     operand = (pack.linear_operand(weight) if pack is not None else None)
-    y = x @ (operand if operand is not None else weight.T)
+    y = np.matmul(x, operand if operand is not None else weight.T, out=out)
     if bias is not None:
         y += bias
     if tally is not None:
@@ -118,24 +120,15 @@ def im2col(x: np.ndarray, kernel: int, stride: int, padding: int,
 
 def conv2d(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None,
            stride: int = 1, padding: int = 0,
-           tally: MacTally | None = None,
-           pack: WeightPack | None = None) -> np.ndarray:
-    """2D convolution; ``weight`` is ``(out_c, in_c, k, k)``.
-
-    With a :class:`~repro.models.workspace.WeightPack` the im2col GEMM
-    reads the pre-flattened contiguous operand and its patch matrix
-    comes from the pack's arena; the arithmetic is unchanged.
-    """
+           tally: MacTally | None = None) -> np.ndarray:
+    """2D convolution; ``weight`` is ``(out_c, in_c, k, k)``: the NCHW
+    im2col GEMM."""
     out_c, in_c, k, _ = weight.shape
     if x.shape[1] != in_c:
         raise ValueError(
             f"conv2d: input channels {x.shape[1]} != weight in_c {in_c}")
-    arena = pack.arena if pack is not None else None
-    patches, out_h, out_w = im2col(x, k, stride, padding, arena=arena)
-    operand = (pack.conv_operand(weight) if pack is not None else None)
-    if operand is None:
-        operand = weight.reshape(out_c, -1).T
-    y = patches @ operand  # (N, OH*OW, out_c)
+    patches, out_h, out_w = im2col(x, k, stride, padding)
+    y = patches @ weight.reshape(out_c, -1).T  # (N, OH*OW, out_c)
     if bias is not None:
         y = y + bias
     if tally is not None:
@@ -153,11 +146,25 @@ def batchnorm2d(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
 
 
 def layernorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-              eps: float = 1e-6) -> np.ndarray:
-    """Layer normalization over the last axis."""
+              eps: float = 1e-6,
+              arena: WorkspaceArena | None = None) -> np.ndarray:
+    """Layer normalization over the last axis.
+
+    The result is built in one buffer, the arena's ``"norm"`` slot when
+    there is one: the squared deviations are summed there and then
+    overwritten by the deviations again, so the arithmetic is
+    ``np.var``'s, bit for bit, with no other full-size temporary.
+    """
     mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mean) / np.sqrt(var + eps) * gamma + beta
+    out = scratch(arena, x.shape, np.result_type(x, gamma, beta), "norm")
+    np.subtract(x, mean, out=out)
+    np.multiply(out, out, out=out)
+    var = out.mean(axis=-1, keepdims=True)
+    np.subtract(x, mean, out=out)
+    out /= np.sqrt(var + eps)
+    out *= gamma
+    out += beta
+    return out
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -165,15 +172,16 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
+def gelu(x: np.ndarray, arena: WorkspaceArena | None = None) -> np.ndarray:
     """Tanh-approximated GELU (the ViT default).
 
     The cube is spelled ``x * x * x``: NumPy routes ``x ** 3`` through
     the generic scalar ``pow`` loop, which costs ~50x more than two
-    multiplies and dominated the whole ViT forward.
+    multiplies and dominated the whole ViT forward.  The result is
+    built in one buffer, the arena's ``"gelu"`` slot when there is one.
     """
     c = math.sqrt(2.0 / math.pi)
-    inner = x * x
+    inner = np.multiply(x, x, out=scratch(arena, x.shape, x.dtype, "gelu"))
     inner *= x
     inner *= 0.044715
     inner += x
@@ -217,12 +225,12 @@ def attention(qkv: np.ndarray, heads: int,
 
     ``qkv`` has shape ``(N, T, 3*D)``; returns ``(N, T, D)``.
 
-    The slow path splits QKV and reshapes each third to heads (three
-    gather copies); with an arena the qkv→heads rearrangement is fused
-    into one ``copyto`` through a 5-axis view, the score matrix lands
-    in a pooled buffer, and the softmax runs in place.  Same math, two
-    fewer copies and zero steady-state allocations for the largest
-    intermediate (the ``N·heads·T²`` scores).
+    The qkv→heads rearrangement is one ``copyto`` through a 5-axis
+    view, the softmax runs in place on the score tile, and the context
+    GEMM writes each head's columns of the ``(N, T, D)`` result
+    directly.  With an arena the three buffers are its ``"split"``,
+    ``"scores"`` and ``"ctx"`` slots, so steady-state repeated
+    inference allocates none of them.
     """
     n, t, three_d = qkv.shape
     if three_d % 3:
@@ -233,30 +241,20 @@ def attention(qkv: np.ndarray, heads: int,
     head_dim = d // heads
     if tally is not None:
         tally.add(2.0 * n * t * t * d)  # QK^T and AV
-    if arena is not None:
-        split = arena.take((3, n, heads, t, head_dim), qkv.dtype, "split")
-        np.copyto(split, qkv.reshape(n, t, 3, heads, head_dim)
-                  .transpose(2, 0, 3, 1, 4))
-        q, k, v = split[0], split[1], split[2]
-        scores = arena.take((n, heads, t, t), qkv.dtype, "scores")
-        np.matmul(q, k.transpose(0, 1, 3, 2), out=scores)
-        scores /= math.sqrt(head_dim)
-        scores -= scores.max(axis=-1, keepdims=True)
-        np.exp(scores, out=scores)
-        scores /= scores.sum(axis=-1, keepdims=True)
-        ctx = scores @ v  # (N, heads, T, head_dim)
-        return np.ascontiguousarray(
-            ctx.transpose(0, 2, 1, 3)).reshape(n, t, d)
-    q, k, v = np.split(qkv, 3, axis=-1)
-
-    def to_heads(a: np.ndarray) -> np.ndarray:
-        return a.reshape(n, t, heads, head_dim).transpose(0, 2, 1, 3)
-
-    q, k, v = to_heads(q), to_heads(k), to_heads(v)
-    scores = (q @ k.transpose(0, 1, 3, 2)) / math.sqrt(head_dim)
-    weights = softmax(scores, axis=-1)
-    ctx = weights @ v  # (N, heads, T, head_dim)
-    return ctx.transpose(0, 2, 1, 3).reshape(n, t, d)
+    split = scratch(arena, (3, n, heads, t, head_dim), qkv.dtype, "split")
+    np.copyto(split, qkv.reshape(n, t, 3, heads, head_dim)
+              .transpose(2, 0, 3, 1, 4))
+    q, k, v = split[0], split[1], split[2]
+    scores = scratch(arena, (n, heads, t, t), qkv.dtype, "scores")
+    np.matmul(q, k.transpose(0, 1, 3, 2), out=scores)
+    scores /= math.sqrt(head_dim)
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    ctx = scratch(arena, (n, t, d), qkv.dtype, "ctx")
+    np.matmul(scores, v,
+              out=ctx.reshape(n, t, heads, head_dim).transpose(0, 2, 1, 3))
+    return ctx
 
 
 # ----------------------------------------------------------------------
@@ -322,6 +320,61 @@ def init_vit_weights(cfg: ViTConfig, seed: int = 0) -> dict[str, np.ndarray]:
     return w
 
 
+def _vit_features(cfg: ViTConfig, weights: dict[str, np.ndarray],
+                  x: np.ndarray, tally: MacTally | None,
+                  pack: WeightPack | None) -> np.ndarray:
+    """The normalized class-token embeddings ``(N, D)`` of ``x``.
+
+    Every intermediate is one named buffer, written in place: the
+    residual stream (``"seq"``), each GEMM output and each epilogue's
+    result.  With a pack they are its arena's slots, so they are
+    reused from call to call; without one they are new arrays.  The
+    returned rows are a view of the ``"norm"`` buffer.
+    """
+    arena = pack.arena if pack is not None else None
+    n = x.shape[0]
+    patch = weights["patch_embed.weight"]
+    dtype = np.result_type(x, patch)
+
+    def dense(y: np.ndarray, name: str, slot: str) -> np.ndarray:
+        weight = weights[f"{name}.weight"]
+        out = scratch(arena, (*y.shape[:-1], weight.shape[0]),
+                      np.result_type(y, weight), slot)
+        return linear(y, weight, weights[f"{name}.bias"], tally=tally,
+                      pack=pack, out=out)
+
+    # Patch embedding is a stride=kernel conv whose GEMM writes the
+    # token rows of the residual stream.
+    patches, out_h, out_w = im2col(x, cfg.patch_size, cfg.patch_size, 0,
+                                   arena=arena)
+    operand = pack.conv_operand(patch) if pack is not None else None
+    if operand is None:
+        operand = patch.reshape(cfg.dim, -1).T
+    seq = scratch(arena, (n, cfg.tokens, cfg.dim), dtype, "seq")
+    np.matmul(patches, operand, out=seq[:, 1:])
+    seq[:, 1:] += weights["patch_embed.bias"]
+    if tally is not None:
+        tally.add(n * out_h * out_w * float(patch.size))
+    seq[:, 0] = weights["cls_token"]
+    seq += weights["pos_embed"]
+
+    for i in range(cfg.depth):
+        p = f"block{i}"
+        y = layernorm(seq, weights[f"{p}.norm1.gamma"],
+                      weights[f"{p}.norm1.beta"], arena=arena)
+        ctx = attention(dense(y, f"{p}.qkv", "qkv"), cfg.heads,
+                        tally=tally, arena=arena)
+        seq += dense(ctx, f"{p}.proj", "proj")
+        y = layernorm(seq, weights[f"{p}.norm2.gamma"],
+                      weights[f"{p}.norm2.beta"], arena=arena)
+        y = gelu(dense(y, f"{p}.fc1", "hidden"), arena=arena)
+        seq += dense(y, f"{p}.fc2", "proj")
+
+    seq = layernorm(seq, weights["norm.gamma"], weights["norm.beta"],
+                    arena=arena)
+    return seq[:, 0]
+
+
 def vit_forward(cfg: ViTConfig, weights: dict[str, np.ndarray],
                 x: np.ndarray, tally: MacTally | None = None,
                 return_features: bool = False,
@@ -330,47 +383,31 @@ def vit_forward(cfg: ViTConfig, weights: dict[str, np.ndarray],
 
     ``return_features=True`` returns the penultimate class-token
     embedding ``(N, D)`` instead — the representation the fine-tuning
-    substrate trains localized heads on.  ``pack=None`` runs the
-    allocation-per-op reference path; a
+    substrate trains localized heads on.  ``pack=None`` runs the whole
+    batch at once on new arrays, the reference path; a
     :class:`~repro.models.workspace.WeightPack` (what
-    :func:`build_functional` attaches) runs the pre-packed/arena fast
-    path with identical results and identical ``tally`` accounting.
+    :func:`build_functional` attaches) runs one image at a time on its
+    pre-packed operands and arena slots, so the scratch memory is one
+    image's whatever the batch, with matching results and identical
+    ``tally`` accounting.
     """
     n, c, h, wd = x.shape
     if (c, h, wd) != (cfg.in_channels, cfg.img_size, cfg.img_size):
         raise ValueError(
             f"expected input (N, {cfg.in_channels}, {cfg.img_size}, "
             f"{cfg.img_size}), got {x.shape}")
-    # Patch embedding is a stride=kernel conv.
-    arena = pack.arena if pack is not None else None
-    tokens = conv2d(x, weights["patch_embed.weight"],
-                    weights["patch_embed.bias"],
-                    stride=cfg.patch_size, tally=tally, pack=pack)
-    tokens = tokens.reshape(n, cfg.dim, -1).transpose(0, 2, 1)
-    cls = np.broadcast_to(weights["cls_token"], (n, 1, cfg.dim))
-    seq = np.concatenate([cls, tokens], axis=1) + weights["pos_embed"]
-
-    for i in range(cfg.depth):
-        p = f"block{i}"
-        y = layernorm(seq, weights[f"{p}.norm1.gamma"],
-                      weights[f"{p}.norm1.beta"])
-        qkv = linear(y, weights[f"{p}.qkv.weight"],
-                     weights[f"{p}.qkv.bias"], tally=tally, pack=pack)
-        ctx = attention(qkv, cfg.heads, tally=tally, arena=arena)
-        seq += linear(ctx, weights[f"{p}.proj.weight"],
-                      weights[f"{p}.proj.bias"], tally=tally, pack=pack)
-        y = layernorm(seq, weights[f"{p}.norm2.gamma"],
-                      weights[f"{p}.norm2.beta"])
-        y = gelu(linear(y, weights[f"{p}.fc1.weight"],
-                        weights[f"{p}.fc1.bias"], tally=tally, pack=pack))
-        seq += linear(y, weights[f"{p}.fc2.weight"],
-                      weights[f"{p}.fc2.bias"], tally=tally, pack=pack)
-
-    seq = layernorm(seq, weights["norm.gamma"], weights["norm.beta"])
+    if pack is None:
+        features = _vit_features(cfg, weights, x, tally, None)
+    else:
+        features = np.empty(
+            (n, cfg.dim), np.result_type(x, weights["patch_embed.weight"]))
+        for i in range(n):
+            features[i] = _vit_features(cfg, weights, x[i:i + 1], tally,
+                                        pack)[0]
     if return_features:
-        return seq[:, 0]
-    return linear(seq[:, 0], weights["head.weight"],
-                  weights["head.bias"], tally=tally, pack=pack)
+        return features
+    return linear(features, weights["head.weight"], weights["head.bias"],
+                  tally=tally, pack=pack)
 
 
 # ----------------------------------------------------------------------
@@ -424,81 +461,108 @@ def init_resnet50_weights(img_size: int = 224, num_classes: int = 1000,
 
 
 def _conv_bn_nhwc(x: np.ndarray, pack: WeightPack, prefix: str,
-                  stride: int = 1, padding: int = 0, relu: bool = True,
+                  slot: str, stride: int = 1, padding: int = 0,
+                  relu: bool = True,
                   tally: MacTally | None = None) -> np.ndarray:
-    """Conv ``prefix.conv`` + its batch norm (+ ReLU) on an NHWC tensor.
+    """Conv ``prefix.conv`` + its batch norm (+ ReLU) on one ``(H, W, C)``
+    image, into the arena slot ``slot``.
 
     The GEMM reads the conv kernel's channels-last operand, and the
     inference-mode BN is the epilogue: an in-place per-channel scale
-    and shift, then an in-place clamp.  A 1×1 conv multiplies the
-    activation as it lies (strided by slicing).  Larger kernels work
-    one image at a time: the image is padded into the arena's
-    ``"padded"`` slot, its ``(OH, OW, k, k, C)`` patches gathered into
-    the ``"patches"`` slot, and the GEMM writes straight into that
-    image's rows of the output, so the scratch memory is one image's
-    worth whatever the batch size.
+    and shift, then an in-place clamp.  A stride-1 1×1 conv multiplies
+    the activation as it lies.  Otherwise the image's pixels are
+    gathered into the arena's ``"patches"`` slot first: a strided 1×1
+    conv takes every ``stride``-th pixel, and a larger kernel pads the
+    image into the ``"padded"`` slot and takes its ``(OH, OW, k, k, C)``
+    patches.
     """
     operand, scale, shift = pack.conv_bn_operand(prefix)
     k = pack.weights[f"{prefix}.conv"].shape[-1]
-    n, h, w, c = x.shape
-    if k == 1:
-        if stride > 1:
-            x = x[:, ::stride, ::stride]
-        out_h, out_w = x.shape[1:3]
-        y = x.reshape(-1, c) @ operand
+    arena = pack.arena
+    h, w, c = x.shape
+    if k == 1 and stride == 1:
+        out_h, out_w = h, w
+        cols = x.reshape(-1, c)
+    elif k == 1:
+        picked = x[::stride, ::stride]
+        out_h, out_w = picked.shape[:2]
+        cols = arena.take((out_h * out_w, c), x.dtype, "patches")
+        np.copyto(cols.reshape(out_h, out_w, c), picked)
     else:
-        arena = pack.arena
-        # Zeroed once: every image overwrites only the interior.
         padded = arena.take((h + 2 * padding, w + 2 * padding, c), x.dtype,
                             "padded")
         padded.fill(0)
+        padded[padding:padding + h, padding:padding + w] = x
         out_h = (padded.shape[0] - k) // stride + 1
         out_w = (padded.shape[1] - k) // stride + 1
         sh, sw, sc = padded.strides
         view = np.lib.stride_tricks.as_strided(
             padded, shape=(out_h, out_w, k, k, c),
             strides=(sh * stride, sw * stride, sh, sw, sc), writeable=False)
-        tile = arena.take((out_h, out_w, k, k, c), x.dtype, "patches")
-        cols = tile.reshape(out_h * out_w, k * k * c)
-        y = np.empty((n, out_h * out_w, operand.shape[1]),
-                     np.result_type(x.dtype, operand.dtype))
-        for img, out in zip(x, y):
-            padded[padding:padding + h, padding:padding + w] = img
-            np.copyto(tile, view)
-            np.matmul(cols, operand, out=out)
+        cols = arena.take((out_h * out_w, k * k * c), x.dtype, "patches")
+        np.copyto(cols.reshape(out_h, out_w, k, k, c), view)
+    y = arena.take((out_h * out_w, operand.shape[1]),
+                   np.result_type(x.dtype, operand.dtype), slot)
+    np.matmul(cols, operand, out=y)
     y *= scale
     y += shift
     if relu:
         np.maximum(y, 0, out=y)
     if tally is not None:
-        tally.add(n * out_h * out_w * float(operand.size))
-    return y.reshape(n, out_h, out_w, -1)
+        tally.add(out_h * out_w * float(operand.size))
+    return y.reshape(out_h, out_w, -1)
 
 
 def _maxpool_nhwc(x: np.ndarray, kernel: int, stride: int, padding: int,
-                  arena: WorkspaceArena) -> np.ndarray:
-    """Max pooling over (N, H, W, C): one strided maximum per tap.
-
-    Each image is padded with ``-inf`` into the arena's ``"padded"``
-    slot in turn, so the scratch memory is one image's worth.
-    """
-    n, h, w, c = x.shape
+                  arena: WorkspaceArena, slot: str) -> np.ndarray:
+    """Max pooling of one ``(H, W, C)`` image into the arena slot
+    ``slot``: the image is padded with ``-inf`` into the ``"padded"``
+    slot, then one strided maximum per tap."""
+    h, w, c = x.shape
     padded = arena.take((h + 2 * padding, w + 2 * padding, c), x.dtype,
                         "padded")
     padded.fill(-np.inf)
+    padded[padding:padding + h, padding:padding + w] = x
     out_h = (h + 2 * padding - kernel) // stride + 1
     out_w = (w + 2 * padding - kernel) // stride + 1
     span_h, span_w = stride * (out_h - 1) + 1, stride * (out_w - 1) + 1
-    out = np.empty((n, out_h, out_w, c), x.dtype)
-    for img, o in zip(x, out):
-        padded[padding:padding + h, padding:padding + w] = img
-        np.copyto(o, padded[:span_h:stride, :span_w:stride])
-        for i in range(kernel):
-            for j in range(kernel):
-                if i or j:
-                    np.maximum(o, padded[i:i + span_h:stride,
-                                         j:j + span_w:stride], out=o)
+    out = arena.take((out_h, out_w, c), x.dtype, slot)
+    np.copyto(out, padded[:span_h:stride, :span_w:stride])
+    for i in range(kernel):
+        for j in range(kernel):
+            if i or j:
+                np.maximum(out, padded[i:i + span_h:stride,
+                                       j:j + span_w:stride], out=out)
     return out
+
+
+def _resnet50_pooled(image: np.ndarray, pack: WeightPack, img_size: int,
+                     tally: MacTally | None) -> np.ndarray:
+    """One ``(H, W, 3)`` image's pooled 2048-d embedding.
+
+    The activations live in three arena slots: a block reads its input
+    from one of ``"act0"`` and ``"act1"`` and leaves its output in the
+    other, and ``"act2"`` holds the middle conv's output and then the
+    downsampled shortcut.
+    """
+    y = _conv_bn_nhwc(image, pack, "stem", "act0", stride=2, padding=3,
+                      tally=tally)
+    y = _maxpool_nhwc(y, kernel=3, stride=2, padding=1, arena=pack.arena,
+                      slot="act1")
+    here, spare = "act1", "act0"
+    for name, cfg in _resnet_block_configs(img_size):
+        out = _conv_bn_nhwc(y, pack, f"{name}.1", spare, tally=tally)
+        out = _conv_bn_nhwc(out, pack, f"{name}.2", "act2",
+                            stride=cfg.stride, padding=1, tally=tally)
+        out = _conv_bn_nhwc(out, pack, f"{name}.3", spare, relu=False,
+                            tally=tally)
+        if cfg.has_downsample:
+            y = _conv_bn_nhwc(y, pack, f"{name}.downsample", "act2",
+                              stride=cfg.stride, relu=False, tally=tally)
+        out += y
+        np.maximum(out, 0, out=out)
+        y, here, spare = out, spare, here
+    return y.mean(axis=(0, 1))
 
 
 def resnet50_forward(weights: dict[str, np.ndarray], x: np.ndarray,
@@ -509,35 +573,23 @@ def resnet50_forward(weights: dict[str, np.ndarray], x: np.ndarray,
     """ResNet50 inference: ``(N, 3, H, W) -> (N, num_classes)`` logits.
 
     ``return_features=True`` returns the pooled 2048-d embedding.  The
-    input is read channels-last once, at the stem, and every layer
-    after runs NHWC on the conv operands and BN scales of ``pack``, a
+    images run one at a time, each read channels-last once, at the
+    stem; every layer after runs NHWC on the conv operands, BN scales
+    and arena of ``pack``, a
     :class:`~repro.models.workspace.WeightPack` of ``weights`` (one is
-    built for the call when none is given).
+    built for the call when none is given), so the scratch memory is
+    one image's whatever the batch.
     """
     if x.shape[1:] != (3, img_size, img_size):
         raise ValueError(
             f"expected input (N, 3, {img_size}, {img_size}), got {x.shape}")
     if pack is None:
         pack = WeightPack(weights)
-
-    y = _conv_bn_nhwc(x.transpose(0, 2, 3, 1), pack, "stem", stride=2,
-                      padding=3, tally=tally)
-    y = _maxpool_nhwc(y, kernel=3, stride=2, padding=1, arena=pack.arena)
-
-    for name, cfg in _resnet_block_configs(img_size):
-        identity = y
-        y = _conv_bn_nhwc(y, pack, f"{name}.1", tally=tally)
-        y = _conv_bn_nhwc(y, pack, f"{name}.2", stride=cfg.stride,
-                          padding=1, tally=tally)
-        y = _conv_bn_nhwc(y, pack, f"{name}.3", relu=False, tally=tally)
-        if cfg.has_downsample:
-            identity = _conv_bn_nhwc(identity, pack, f"{name}.downsample",
-                                     stride=cfg.stride, relu=False,
-                                     tally=tally)
-        y += identity
-        np.maximum(y, 0, out=y)
-
-    pooled = y.mean(axis=(1, 2))
+    pooled = np.empty((x.shape[0], weights["fc.weight"].shape[1]),
+                      np.result_type(x, weights["stem.conv"]))
+    for features, image in zip(pooled, x):
+        features[:] = _resnet50_pooled(image.transpose(1, 2, 0), pack,
+                                       img_size, tally)
     if return_features:
         return pooled
     return linear(pooled, weights["fc.weight"], weights["fc.bias"],

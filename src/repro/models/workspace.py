@@ -5,11 +5,16 @@ data movement, not FLOPs, at characterization batch sizes: layout
 shuffles, im2col copies and elementwise passes around each GEMM cost
 more than the GEMM.  This module factors that work out of the forward:
 
-* :class:`WorkspaceArena` — one growable scratch buffer per role
-  (``"padded"``, ``"patches"``, ``"split"``, ``"scores"``).  A forward
-  pass asks for a workspace by role and shape and gets a view of the
-  role's buffer, so the arena holds the largest request of each role,
-  not one buffer per layer shape; steady-state repeated inference (the
+* :class:`WorkspaceArena` — one growable scratch buffer per role: the
+  im2col ``"padded"`` and ``"patches"``, ResNet-50's ``"act0"``,
+  ``"act1"`` and ``"act2"`` activations, and ViT's residual ``"seq"``,
+  GEMM outputs (``"qkv"``, ``"proj"``, ``"hidden"``), epilogue results
+  (``"norm"``, ``"gelu"``) and attention buffers (``"split"``,
+  ``"scores"``, ``"ctx"``).  A forward pass asks for a workspace by
+  role and shape and gets a view of the role's buffer, so the arena
+  holds the largest request of each role, not one buffer per layer
+  shape.  The packed forwards run one image at a time, so that is one
+  image's largest request; steady-state repeated inference (the
   serving replay pattern) reuses the same buffers with zero new
   allocations.
 * :class:`WeightPack` — per-model GEMM-ready operands built once at
@@ -48,9 +53,9 @@ class WorkspaceArena:
     largest single workspace of each role rather than the sum over
     layer shapes.  Every ``take`` on a slot returns the same memory, so
     a caller must finish consuming a buffer before taking the same slot
-    again; distinct slots never alias.  The functional ops satisfy this
-    by construction: each workspace is reduced into a fresh array
-    before the next layer runs.
+    again; distinct slots never alias.  The functional forwards satisfy
+    this by construction: a layer never writes the slot it reads, and
+    each image's result is copied out before the next image runs.
     """
 
     __slots__ = ("_buffers",)
@@ -76,6 +81,15 @@ class WorkspaceArena:
         if buf is None or buf.size < size:
             buf = self._buffers[key] = np.empty(size, dtype)
         return buf[:size].reshape(shape)
+
+
+def scratch(arena: WorkspaceArena | None, shape: tuple[int, ...], dtype,
+            slot: str) -> np.ndarray:
+    """``arena.take(shape, dtype, slot)``, or a new array without an
+    arena: where an op's result or workspace lives."""
+    if arena is None:
+        return np.empty(shape, dtype)
+    return arena.take(shape, dtype, slot)
 
 
 #: Batch-norm epsilon of the packed convs (the ``batchnorm2d`` default).

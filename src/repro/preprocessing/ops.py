@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.bounds import within
+
 Array = np.ndarray
 
 
@@ -55,20 +57,24 @@ def _as_float(image: Array) -> Array:
 #: scratch is a few arrays of this length, not a few full frames.
 _PLAN_BAND = 1 << 16
 
+#: Arrays per gather stage of a plan: four taps, then their weights.
+_STAGE = 8
 
-def _sampling_plan(out_h: int, out_w: int, h: int, w: int,
-                   sample) -> tuple[Array, ...]:
+
+def _sampling_plan(out_h: int, out_w: int, h: int, w: int, sample,
+                   top: int = 0, left: int = 0) -> tuple[Array, ...]:
     """Bilinear taps for sampling an ``(h, w)`` frame, per output pixel.
 
-    ``sample(rows, cols)`` maps a band of output pixels, given by their
-    row and column indices, to the source coordinates ``(xs, ys)`` to
-    sample there and a boolean ``inside`` mask (or ``None``) that
-    zeroes the weights of samples that must read as black.  The plan
-    is four flat ``int32`` pixel indices (``y·w + x``) followed by
-    their four ``float32`` corner weights, filled one band of
-    ``_PLAN_BAND`` output pixels at a time; every step is elementwise,
-    so the band size never changes a value.  Out-of-bounds samples
-    clamp to the edge.
+    The output is the ``out_h × out_w`` window at ``(top, left)`` of the
+    sampled grid.  ``sample(rows, cols)`` maps a band of output pixels,
+    given by their grid row and column indices, to the source
+    coordinates ``(xs, ys)`` to sample there and a boolean ``inside``
+    mask (or ``None``) that zeroes the weights of samples that must
+    read as black.  The plan is four flat ``int32`` pixel indices
+    (``y·w + x``) followed by their four ``float32`` corner weights,
+    filled one band of ``_PLAN_BAND`` output pixels at a time; every
+    step is elementwise, so neither the band nor the window changes a
+    pixel's value.  Out-of-bounds samples clamp to the edge.
     """
     size = out_h * out_w
     plan = (*(np.empty(size, np.int32) for _ in range(4)),
@@ -76,7 +82,7 @@ def _sampling_plan(out_h: int, out_w: int, h: int, w: int,
     for start in range(0, size, _PLAN_BAND):
         band = slice(start, min(start + _PLAN_BAND, size))
         rows, cols = np.divmod(np.arange(band.start, band.stop), out_w)
-        xs, ys, inside = sample(rows, cols)
+        xs, ys, inside = sample(rows + top, cols + left)
         # Clipping to [-1, w] first keeps the int cast defined for
         # far-off (even infinite) coordinates; the clamped taps are
         # unchanged.
@@ -99,15 +105,53 @@ def _sampling_plan(out_h: int, out_w: int, h: int, w: int,
     return plan
 
 
-def _apply_plan(image: Array, plan: tuple[Array, ...],
-                out_h: int, out_w: int) -> Array:
-    """``Σₖ pixels[idxₖ] · wₖ``: the planned bilinear blend, float32."""
-    h, w = image.shape[:2]
-    flat = image.reshape(h * w, -1)
-    out = flat.take(plan[0], axis=0) * plan[4][:, None]
-    for k in range(1, 4):
-        out += flat.take(plan[k], axis=0) * plan[4 + k][:, None]
-    return out.astype(np.float32, copy=False).reshape(out_h, out_w, -1)
+def apply_plan(pixels: Array, plan: tuple[Array, ...]) -> Array:
+    """Run a plan's gather stages over ``(pixels, C)`` rows, in order.
+
+    Each stage is ``Σₖ pixels[idxₖ] · wₖ``, the planned bilinear blend,
+    and its float32 ``(taps, C)`` result is the next stage's pixels.
+    """
+    for s in range(0, len(plan), _STAGE):
+        idx, wts = plan[s:s + 4], plan[s + 4:s + _STAGE]
+        out = pixels.take(idx[0], axis=0) * wts[0][:, None]
+        for k in range(1, 4):
+            out += pixels.take(idx[k], axis=0) * wts[k][:, None]
+        pixels = out.astype(np.float32, copy=False)
+    return pixels
+
+
+def _resize_sample(h: int, w: int, out_h: int, out_w: int):
+    """The half-pixel-centers source coordinates of an ``(out_h,
+    out_w)`` bilinear resize of an ``(h, w)`` frame."""
+    scale_y, scale_x = h / out_h, w / out_w
+    ys = (np.arange(out_h, dtype=np.float32) + 0.5) * scale_y - 0.5
+    xs = (np.arange(out_w, dtype=np.float32) + 0.5) * scale_x - 0.5
+    return lambda rows, cols: (xs[cols], ys[rows], None)
+
+
+def _warp_sample(homography: Array, h: int, w: int):
+    """Source coordinates of a warp of an ``(h, w)`` frame through
+    ``homography`` (source → destination), with the inside mask."""
+    inverse = np.linalg.inv(homography)
+
+    def sample(rows: Array, cols: Array) -> tuple[Array, ...]:
+        coords = np.stack([cols, rows, np.ones_like(cols)]).astype(
+            np.float64)
+        mapped = inverse @ coords
+        with np.errstate(divide="ignore", invalid="ignore"):
+            src_x = np.nan_to_num(mapped[0] / mapped[2], nan=-1.0)
+            src_y = np.nan_to_num(mapped[1] / mapped[2], nan=-1.0)
+        # Samples falling outside the source frame read as zero.
+        inside = ((src_x >= -0.5) & (src_x <= w - 0.5)
+                  & (src_y >= -0.5) & (src_y <= h - 0.5))
+        return src_x, src_y, inside
+
+    return sample
+
+
+def _check_out_size(out_h: int, out_w: int) -> None:
+    within("out_h", out_h, "[1, inf)")
+    within("out_w", out_w, "[1, inf)")
 
 
 def resize_bilinear(image: Array, out_h: int, out_w: int) -> Array:
@@ -118,19 +162,56 @@ def resize_bilinear(image: Array, out_h: int, out_w: int) -> Array:
     """
     if image.ndim != 3:
         raise ValueError(f"expected (H, W, C), got shape {image.shape}")
-    if min(out_h, out_w) < 1:
-        raise ValueError("output size must be positive")
+    _check_out_size(out_h, out_w)
     h, w = image.shape[:2]
+    plan = _PLANS.get(
+        ("resize", h, w, out_h, out_w),
+        lambda: _sampling_plan(out_h, out_w, h, w,
+                               _resize_sample(h, w, out_h, out_w)))
+    return apply_plan(image.reshape(h * w, -1), plan).reshape(
+        out_h, out_w, -1)
+
+
+def cropped_resize_plan(h: int, w: int, resized: tuple[int, int],
+                        crop: int, homography: Array | None = None,
+                        ) -> tuple[Array, ...]:
+    """The plan of ``center_crop(resize(image), crop, crop)``, cached.
+
+    ``resized`` is the ``(out_h, out_w)`` of the resize, and only the
+    ``crop × crop`` output pixels the crop keeps are planned.  With a
+    ``homography`` the image is first ``warp_perspective``-ed to its
+    own ``(h, w)``, and the plan's first stage warps only the window of
+    warped pixels that the resize taps read; its second stage is the
+    resize, indexed into that window.  Every pixel is bit-identical to
+    running the ops in order.
+    """
+    out_h, out_w = resized
+    if crop > out_h or crop > out_w:
+        raise ValueError(
+            f"crop {crop}x{crop} exceeds image {out_h}x{out_w}")
+    key = ("cropped", h, w, out_h, out_w, crop,
+           None if homography is None else homography.tobytes())
 
     def build() -> tuple[Array, ...]:
-        scale_y, scale_x = h / out_h, w / out_w
-        ys = (np.arange(out_h, dtype=np.float32) + 0.5) * scale_y - 0.5
-        xs = (np.arange(out_w, dtype=np.float32) + 0.5) * scale_x - 0.5
-        return _sampling_plan(out_h, out_w, h, w,
-                              lambda rows, cols: (xs[cols], ys[rows], None))
+        taps = _sampling_plan(crop, crop, h, w,
+                              _resize_sample(h, w, out_h, out_w),
+                              (out_h - crop) // 2, (out_w - crop) // 2)
+        if homography is None:
+            return taps
+        # The warped rows and columns the resize reads: tap 0 is each
+        # output pixel's (y0, x0) corner and tap 3 its (y1, x1).
+        rows0, cols0 = np.divmod(taps[0], w)
+        rows1, cols1 = np.divmod(taps[3], w)
+        top, left = int(rows0.min()), int(cols0.min())
+        win_h = int(rows1.max()) - top + 1
+        win_w = int(cols1.max()) - left + 1
+        warp = _sampling_plan(win_h, win_w, h, w,
+                              _warp_sample(homography, h, w), top, left)
+        local = tuple((t // w - top) * win_w + (t % w - left)
+                      for t in taps[:4])
+        return (*warp, *local, *taps[4:])
 
-    plan = _PLANS.get(("resize", h, w, out_h, out_w), build)
-    return _apply_plan(image, plan, out_h, out_w)
+    return _PLANS.get(key, build)
 
 
 def center_crop(image: Array, crop_h: int, crop_w: int) -> Array:
@@ -148,8 +229,10 @@ def normalize(image: Array, mean: Array, std: Array) -> Array:
     """Scale uint8 [0,255] to [0,1] then per-channel standardize."""
     mean = np.asarray(mean, dtype=np.float32)
     std = np.asarray(std, dtype=np.float32)
-    if np.any(std <= 0):
-        raise ValueError("std must be positive")
+    for value in std.ravel():
+        within("std", float(value), "(0, inf)")
+    for value in mean.ravel():
+        within("mean", float(value), "(-inf, inf)")
     c = image.shape[-1]
     if mean.shape != (c,) or std.shape != (c,):
         raise ValueError(
@@ -203,30 +286,14 @@ def warp_perspective(image: Array, homography: Array,
     homography = np.asarray(homography, dtype=np.float64)
     if homography.shape != (3, 3):
         raise ValueError("homography must be 3x3")
-    if min(out_h, out_w) < 1:
-        raise ValueError("output size must be positive")
+    _check_out_size(out_h, out_w)
     h, w = image.shape[:2]
-
-    def build() -> tuple[Array, ...]:
-        inverse = np.linalg.inv(homography)
-
-        def sample(rows: Array, cols: Array) -> tuple[Array, ...]:
-            coords = np.stack([cols, rows, np.ones_like(cols)]).astype(
-                np.float64)
-            mapped = inverse @ coords
-            with np.errstate(divide="ignore", invalid="ignore"):
-                src_x = np.nan_to_num(mapped[0] / mapped[2], nan=-1.0)
-                src_y = np.nan_to_num(mapped[1] / mapped[2], nan=-1.0)
-            # Samples falling outside the source frame read as zero.
-            inside = ((src_x >= -0.5) & (src_x <= w - 0.5)
-                      & (src_y >= -0.5) & (src_y <= h - 0.5))
-            return src_x, src_y, inside
-
-        return _sampling_plan(out_h, out_w, h, w, sample)
-
     plan = _PLANS.get(
-        ("warp", h, w, out_h, out_w, homography.tobytes()), build)
-    return _apply_plan(image, plan, out_h, out_w)
+        ("warp", h, w, out_h, out_w, homography.tobytes()),
+        lambda: _sampling_plan(out_h, out_w, h, w,
+                               _warp_sample(homography, h, w)))
+    return apply_plan(image.reshape(h * w, -1), plan).reshape(
+        out_h, out_w, -1)
 
 
 def ground_plane_homography(width: int, height: int,
@@ -241,10 +308,8 @@ def ground_plane_homography(width: int, height: int,
     fraction of the frame width the ground plane spans at the horizon
     row (``horizon_fraction`` from the top).
     """
-    if not 0.0 < horizon_fraction < 1.0:
-        raise ValueError("horizon_fraction must be in (0, 1)")
-    if not 0.0 < top_squeeze <= 1.0:
-        raise ValueError("top_squeeze must be in (0, 1]")
+    within("horizon_fraction", horizon_fraction, "(0, 1)")
+    within("top_squeeze", top_squeeze, "(0, 1]")
     cx = width / 2.0
     y_top = height * horizon_fraction
     half_top = width * top_squeeze / 2.0

@@ -1,5 +1,7 @@
 """Tests for repro.data.synthetic — procedural imagery."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.data.synthetic import (
     synth_crsa_frame,
     synth_frame_sequence,
     synth_image,
+    synth_labeled_images,
 )
 
 
@@ -35,6 +38,12 @@ class TestSynthImage:
     def test_invalid_dims_rejected(self, rng):
         with pytest.raises(ValueError):
             synth_image(0, 10, rng)
+
+    def test_more_channels_than_gains_rejected(self, rng):
+        # There are three channel gains; a fourth channel used to come
+        # back as a three-channel image.
+        with pytest.raises(ValueError, match="^channels must lie in"):
+            synth_image(8, 8, rng, channels=4)
 
     def test_not_constant(self, rng):
         img = synth_image(32, 32, rng)
@@ -180,3 +189,25 @@ class TestSynthFrameSequence:
             synth_frame_sequence(spec, 3, 1.5, rng)
         with pytest.raises(ValueError, match="jitter"):
             synth_frame_sequence(spec, 3, 0.0, rng, jitter=-1.0)
+
+    def test_pinned_crsa_sequence(self):
+        # Every pixel of a seeded sequence is pinned: the noisy frames
+        # are clipped in place and must not move a bit.
+        frames = synth_frame_sequence(get_dataset("crsa"), 8, 0.25,
+                                      np.random.default_rng(5),
+                                      width=96, height=54)
+        digest = hashlib.sha256()
+        for frame in frames:
+            digest.update(frame.tobytes())
+        assert digest.hexdigest() == (
+            "f82311131d37e3f11d7b3ade5242c957"
+            "b80823601b0800513843d3f6657211da")
+
+
+class TestSynthLabeledImages:
+    @pytest.mark.parametrize("strength", [float("nan"), -0.5,
+                                          float("inf")])
+    def test_bad_signal_strength_rejected(self, strength):
+        with pytest.raises(ValueError, match="signal_strength"):
+            synth_labeled_images(4, 3, 8, np.random.default_rng(0),
+                                 signal_strength=strength)

@@ -1,5 +1,7 @@
 """Tests for repro.models.functional — the real NumPy execution path."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from repro.models.functional import (
 )
 from repro.models.resnet import build_resnet50
 from repro.models.vit import VIT_CONFIGS, ViTConfig, build_vit
-from repro.models.workspace import WeightPack
+from repro.models.workspace import WeightPack, WorkspaceArena
 
 
 class TestLowLevelOps:
@@ -165,6 +167,55 @@ class TestViTForward:
         graph = build_vit("vit_tiny")
         assert tally.macs == pytest.approx(graph.total_macs(), rel=1e-9)
         assert cfg.tokens == 257  # the token count behind the match
+
+
+class TestImageAtATime:
+    """Packed forwards run one image at a time through arena slots."""
+
+    def test_vit_tiny_matches_the_batched_reference(self):
+        model = build_functional("vit_tiny", seed=1)
+        x = np.random.default_rng(5).standard_normal(
+            (4, *model.input_shape)).astype(np.float32)
+        cfg = VIT_CONFIGS["vit_tiny"]
+        ref_tally, tally = MacTally(), MacTally()
+        ref = vit_forward(cfg, model.weights, x, ref_tally)
+        np.testing.assert_allclose(model(x, tally), ref, rtol=1e-4,
+                                   atol=1e-5)
+        assert tally.macs == ref_tally.macs
+        np.testing.assert_allclose(
+            model.features(x),
+            vit_forward(cfg, model.weights, x, return_features=True),
+            rtol=1e-4, atol=1e-5)
+
+    @pytest.mark.parametrize("arena", [None, WorkspaceArena()])
+    def test_layernorm_keeps_numpy_var_bit_for_bit(self, arena):
+        rng = np.random.default_rng(6)
+        x = (rng.standard_normal((3, 5, 24)) * 3 + 1).astype(np.float32)
+        gamma = rng.uniform(0.5, 1.5, 24).astype(np.float32)
+        beta = rng.normal(0, 0.2, 24).astype(np.float32)
+        mean = x.mean(axis=-1, keepdims=True)
+        ref = ((x - mean) / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-6)
+               * gamma + beta)
+        assert layernorm(x, gamma, beta, arena=arena).tobytes() == \
+            ref.tobytes()
+
+    @pytest.mark.parametrize("name, batch", [("resnet50", 4),
+                                             ("vit_tiny", 8)])
+    def test_traced_peak_does_not_grow_with_the_batch(self, name, batch):
+        model = build_functional(name)
+        x = np.random.default_rng(7).standard_normal(
+            (batch, *model.input_shape)).astype(np.float32)
+
+        def peak(images):
+            model.pack = WeightPack(model.weights)  # an empty arena
+            tracemalloc.start()
+            try:
+                model(images)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(x) <= 1.25 * peak(x[:1])
 
 
 class TestResNetForward:

@@ -87,6 +87,18 @@ class TestNormalize:
         with pytest.raises(ValueError, match="std"):
             normalize(rng.random((2, 2, 3)), np.zeros(3), np.zeros(3))
 
+    @pytest.mark.parametrize("name, mean, std", [
+        ("std", [0.0, 0.0, 0.0], [1.0, float("nan"), 1.0]),
+        ("std", [0.0, 0.0, 0.0], [1.0, float("inf"), 1.0]),
+        ("mean", [0.0, float("nan"), 0.0], [1.0, 1.0, 1.0]),
+    ])
+    def test_non_finite_stats_rejected(self, rng, name, mean, std):
+        # NaN passed the old `std <= 0` check and came back as NaN
+        # pixels.
+        with pytest.raises(ValueError, match=f"^{name} must lie in"):
+            normalize(rng.random((2, 2, 3)), np.array(mean),
+                      np.array(std))
+
     def test_output_is_float32(self, rng):
         out = normalize((rng.random((2, 2, 3)) * 255).astype(np.uint8),
                         np.zeros(3), np.ones(3))

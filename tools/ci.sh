@@ -8,6 +8,10 @@ export PYTHONPATH="$ROOT/src"
 WORK="$(mktemp -d -t harvest_ci.XXXXXX)"
 trap 'rm -rf "$WORK"' EXIT
 
+# Bytecode goes under $WORK, not into __pycache__ directories beside
+# the sources, so a CI run leaves src/ as it found it.
+export PYTHONPYCACHEPREFIX="$WORK/pycache"
+
 # Tier 1: byte-compile every module, then run the full test suite,
 # listing the ten slowest tests and the suite's wall time, next to the
 # line counts of src/ and of the CLI.
